@@ -2,11 +2,13 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload simplex_cert --seed 0 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload simplex_cert --seed 0 --seconds 23 --trace 0
 
 Closed loop with one caller: each solve starts after the previous one
-returns, and every returned result is checked (see workloads.py).  After one
-warm-up solve the loop cycles through the run's instances for --seconds.
+returns, and every returned result is checked (see workloads.py).  After an
+untimed warm-up solve of each instance the loop cycles through the run's
+instances for --seconds, with a short speed probe between solves (see
+host_slowdowns).
 With --trace 0 the last stdout line is a JSON object with the end-to-end
 metrics of BENCHMARK.json.  With --trace 1 untraced and traced solves
 alternate, the line carries the per-layer metrics, and the spans of the
@@ -49,6 +51,11 @@ OUT = HERE / "out"
 SETUP_PROBES = 5      # fresh processes timed for setup_s
 MIN_SOLVES = 3        # timed solves per run even when --seconds is short
 PROBE_TIMEOUT_S = 60
+SPEED_CHUNKS = 64     # probe chunks timed between two solves (about 16 ms)
+# Reference time of one speed chunk: about its time on an idle core of a
+# 2-vCPU Intel Xeon VM (fastest 255 us, 1st percentile 258 us).  solve_s is
+# the wall time scaled to a host that runs the chunk this fast.
+SPEED_REFERENCE_S = 250e-6
 
 
 def import_library():
@@ -107,14 +114,16 @@ class RssSampler:
 
 def probe_setup(workload, seed, size) -> float:
     """Seconds to import condgrad and build the inputs, in this (fresh)
-    process; numpy is already imported, so its own import is not counted."""
+    process, divided by the host slowdown a speed probe finds right after;
+    numpy is already imported, so its own import is not counted."""
     t0 = time.perf_counter()
     import_library()
     import workloads
     w = workloads.WORKLOADS[workload]
     for i in range(workloads.INSTANCES):
         w.instance(seed, i, size)
-    return time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
+    return seconds / slowdown(speed_probe())
 
 
 def setup_seconds(workload, seed, size) -> float:
@@ -126,6 +135,50 @@ def setup_seconds(workload, seed, size) -> float:
             capture_output=True, text=True, timeout=PROBE_TIMEOUT_S, check=True)
         samples.append(float(out.stdout.split()[-1]))
     return statistics.median(samples)
+
+
+_SPEED_A = np.random.default_rng(0).standard_normal((300, 300))
+_SPEED_V = np.ones(300)
+
+
+def speed_chunk():
+    """A fixed piece of work, about 0.25 ms: an interpreter loop and small
+    BLAS matvecs, the two kinds of work the solves are made of.  It calls
+    no condgrad code, so a change to the library cannot change its time."""
+    s = 0.0
+    for i in range(2000):
+        s += i * 0.5
+    for _ in range(10):
+        _SPEED_A @ _SPEED_V
+    return s
+
+
+def speed_probe() -> list:
+    """Seconds taken by each of SPEED_CHUNKS chunks run back to back."""
+    out = []
+    for _ in range(SPEED_CHUNKS):
+        t0 = time.perf_counter()
+        speed_chunk()
+        out.append(time.perf_counter() - t0)
+    return out
+
+
+def host_slowdowns(probes) -> list:
+    """How much slower than the reference the host ran around each solve.
+
+    probes[i] and probes[i + 1] are the speed probes just before and after
+    timed solve i.  The factor is the median chunk time of the two over
+    SPEED_REFERENCE_S.  On a shared VM the host's speed drifts by up to 2x
+    over tens of seconds, and the solves slow down with it; dividing a
+    solve's wall time by its factor keeps most of that drift out of solve_s.
+    The reference is a constant, not the run's own fastest chunk, because
+    an extreme value taken per run would add its own run-to-run noise."""
+    return [slowdown(a + b) for a, b in zip(probes, probes[1:])]
+
+
+def slowdown(chunk_times) -> float:
+    """Median time of the probe chunks over SPEED_REFERENCE_S."""
+    return statistics.median(chunk_times) / SPEED_REFERENCE_S
 
 
 def oracle_patches(inp):
@@ -142,6 +195,12 @@ class Solve(NamedTuple):
     failures: list       # messages of the checks this solve failed
     summary: dict        # values read from the result (workloads.summarize)
     spans: Optional[list]
+    slowdown: float = 1.0   # host slowdown around a timed solve (host_slowdowns)
+    warmup: bool = False    # untimed first solve of an instance, RSS sampled
+
+
+def timed_solves(runs) -> list:
+    return [r for r in runs if not r.warmup]
 
 
 def run_one(w, inp, traced=False, rss=None) -> Solve:
@@ -161,7 +220,8 @@ def run_one(w, inp, traced=False, rss=None) -> Solve:
             t0 = time.perf_counter()
             res = w.solve(inp)
             seconds = time.perf_counter() - t0
-    return Solve(traced, seconds, w.check(inp, res), w.summarize(inp, res), spans)
+    return Solve(traced, seconds, w.check(inp, res), w.summarize(inp, res), spans,
+                 warmup=rss is not None)
 
 
 def trim_heap():
@@ -174,19 +234,25 @@ def trim_heap():
 
 def measure(w, seed, size, seconds, trace):
     """The closed loop over the run's instances.  Returns the solves and the
-    RSS growth of the first, in bytes.
+    median RSS growth of the warm-up solves, in bytes.
 
-    Instance 0 is solved once as a warm-up, with its RSS sampled: later
-    solves also see heap fragmentation left by earlier ones, so their peaks
-    would depend on how many solves fit in the run.  Then solves cycle
-    through the instances until `seconds` have passed (at least MIN_SOLVES
-    timed ones); with trace, each instance is solved untraced and then
-    traced.  Every solve, the warm-up too, is checked."""
+    Each instance is solved once as a warm-up, with its RSS sampled from a
+    trimmed heap.  The growth differs by about 1 MB between instances on
+    sdp_infeas (allocator layout), so the median of the three is reported.
+    Then solves cycle through the instances until `seconds` have passed (at
+    least MIN_SOLVES timed ones); with trace, each instance is solved
+    untraced and then traced.  A speed probe runs before each timed solve
+    and after the last.  Every solve, the warm-ups too, is checked."""
     import workloads
     insts = [w.instance(seed, i, size) for i in range(workloads.INSTANCES)]
-    trim_heap()
-    rss = RssSampler()
-    runs = [run_one(w, insts[0], rss=rss)]
+    runs, growths = [], []
+    for inp in insts:
+        trim_heap()
+        rss = RssSampler()
+        runs.append(run_one(w, inp, rss=rss))
+        growths.append(rss.peak - rss.base)
+    warm = len(runs)
+    probes = [speed_probe()]
     deadline = time.perf_counter() + seconds
     timed = 0
     # with trace, end on a traced solve so both kinds are there
@@ -194,8 +260,10 @@ def measure(w, seed, size, seconds, trace):
         traced = bool(trace) and timed % 2 == 1
         inp = insts[(timed // 2 if trace else timed) % len(insts)]
         runs.append(run_one(w, inp, traced))
+        probes.append(speed_probe())
         timed += 1
-    return runs, rss.peak - rss.base
+    runs[warm:] = [r._replace(slowdown=f) for r, f in zip(runs[warm:], host_slowdowns(probes))]
+    return runs, statistics.median(growths)
 
 
 def quality(runs) -> dict:
@@ -209,18 +277,27 @@ def quality(runs) -> dict:
 
 
 def end_to_end(runs, setup_s, rss_growth) -> dict:
-    return {"solve_s": statistics.median(r.seconds for r in runs[1:]),
+    return {"solve_s": statistics.median(r.seconds / r.slowdown for r in timed_solves(runs)),
             "setup_s": setup_s,
             "peak_rss_mb": rss_growth / 2 ** 20}
+
+
+def host_figures(runs) -> dict:
+    """The raw wall time and the host slowdown that solve_s corrects for
+    (medians over the untraced timed solves)."""
+    untraced = [r for r in timed_solves(runs) if not r.traced]
+    return {"solve_wall_s": statistics.median(r.seconds for r in untraced),
+            "host_slowdown": statistics.median(r.slowdown for r in untraced)}
 
 
 def per_layer(runs) -> dict:
     import tracer
     traced = [tracer.per_layer(r.spans, r.summary) for r in runs if r.traced]
     metrics = {k: statistics.median(d[k] for d in traced) for k in traced[0]}
-    metrics["trace.untraced_solve_s"] = statistics.median(
-        r.seconds for r in runs[1:] if not r.traced)
+    host = host_figures(runs)
+    metrics["trace.untraced_solve_s"] = host["solve_wall_s"]
     metrics["trace.overhead_s"] = metrics["trace.solve_s"] - metrics["trace.untraced_solve_s"]
+    metrics["host.slowdown"] = host["host_slowdown"]
     return metrics
 
 
@@ -228,7 +305,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seconds", type=float, default=23.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--size", choices=("full", "tiny"), default="full",
                     help="tiny inputs are for the benchmark's own tests")
@@ -268,6 +345,7 @@ def main(argv=None):
         "affinity": len(os.sched_getaffinity(0)), "blas_threads": blas_threads(),
         "numpy": np.__version__, "python": platform.python_version()}))
     print("answer " + json.dumps({**quality(runs), "fail_rate": failed / len(runs)}))
+    print("host " + json.dumps(host_figures(runs)))
     for r in runs:
         for msg in r.failures:
             print("check failed: " + msg)

@@ -96,8 +96,27 @@ def test_measure_counts_every_corrupted_solve_as_failed():
 
     runs, _ = run.measure(dataclasses.replace(w, solve=solve_with_lowered_gap),
                           0, "tiny", 0.0, 0)
-    assert len(runs) == 1 + run.MIN_SOLVES
+    assert len(runs) == workloads.INSTANCES + run.MIN_SOLVES
     assert all(r.failures for r in runs)
+
+
+def test_host_slowdown_is_relative_to_the_reference_chunk():
+    ref = run.SPEED_REFERENCE_S
+    quiet, busy = [ref, 1.1 * ref, 1.2 * ref], [2 * ref, 2.2 * ref, 2.4 * ref]
+    assert run.host_slowdowns([quiet, quiet, busy, busy]) == pytest.approx([1.1, 1.6, 2.2])
+    runs = [run.Solve(False, 3.0, [], {}, None, slowdown=2.0),
+            run.Solve(False, 4.0, [], {}, None, slowdown=2.0)]
+    # solve_s is the wall time at the reference speed; the raw time stays visible
+    warmup = run.Solve(False, 9.0, [], {}, None, warmup=True)
+    assert run.end_to_end([warmup] + runs, 0.5, 2 ** 20)["solve_s"] == pytest.approx(1.75)
+    assert run.host_figures([warmup] + runs) == {"solve_wall_s": 3.5, "host_slowdown": 2.0}
+
+
+def test_measure_probes_the_host_around_every_timed_solve():
+    runs, _ = run.measure(workloads.WORKLOADS["simplex_cert"], 0, "tiny", 0.0, 0)
+    warm = runs[:workloads.INSTANCES]
+    assert all(r.warmup and r.slowdown == 1.0 for r in warm)      # not timed
+    assert all(not r.warmup and r.slowdown > 0 for r in runs[len(warm):])
 
 
 def test_self_times_account_for_the_traced_solve():
