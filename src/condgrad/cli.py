@@ -297,14 +297,18 @@ def cmd_complete(args) -> int:
         return EXIT_CONFIG
     try:
         ds = matcomp.load_movielens(args.data, args.format)
-        ds = matcomp.split_train_test(ds, policy, seed=args.seed, **kw)
     except (OSError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-
-    result = matcomp.complete(
-        ds, t=args.t, steps=args.steps, line_search=args.line_search,
-        grad_averaging=args.grad_avg, normalize=args.normalize, seed=args.seed)
+    try:
+        # the library rejects a bad split fraction, t or step count
+        ds = matcomp.split_train_test(ds, policy, seed=args.seed, **kw)
+        result = matcomp.complete(
+            ds, t=args.t, steps=args.steps, line_search=args.line_search,
+            grad_averaging=args.grad_avg, normalize=args.normalize, seed=args.seed)
+    except ValueError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.trace:
         result.trace.write_csv(args.trace)
     summary = {

@@ -25,15 +25,13 @@ class ObjectiveOracle:
 
     curvature_bound is an upper bound on the curvature constant over the
     intended domain (needed for approximate linear oracles and for gap
-    certification schedules).  nnz_hint tells eigensolvers how expensive one
-    gradient matvec is.  alpha_hook, when present, returns the exact
+    certification schedules).  alpha_hook, when present, returns the exact
     line-search step for a segment [x, s] in closed form.
     """
 
     eval: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     curvature_bound: Optional[float] = None
-    nnz_hint: Optional[int] = None
     name: str = "f"
     alpha_hook: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..core import (Atom, IterateLedger, LmoResult, ObjectiveOracle, RunClock,
-                    RunTrace, StepSchedule, StopRule, make_rng)
+from ..core import (Atom, IterateLedger, LmoResult, ObjectiveOracle, RunTrace,
+                    StepSchedule, StopRule, make_rng)
 from ..eigen import SymmetricOperator, approx_smallest_ev, dense_eig_oracle
-from ..solver import RunResult, fw_run, line_search_alpha
+from ..solver import RunResult, fw_run
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -97,9 +97,7 @@ def _as_operator(grad) -> SymmetricOperator:
     return SymmetricOperator.from_dense(grad)
 
 
-def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0,
-              method: str = "power", iterations: Optional[int] = None,
-              start=None, shift: Optional[float] = None) -> LmoResult:
+def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
     """Best rank-1 atom t*vv^T for a linear objective: v is an approximate
     smallest eigenvector of grad, so the atom value is within t*eps of the
     true domain minimum t*lambda_min(grad).
@@ -113,15 +111,12 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0,
         vals, vecs = dense_eig_oracle(grad)
         return LmoResult(rank_one_atom(vecs[:, -1], t),
                          matvecs=np.asarray(grad).shape[0], slack=0.0)
-    op = _as_operator(grad)
-    res = approx_smallest_ev(op, eps, rng=rng, seed=seed, method=method,
-                             iterations=iterations, start=start, shift=shift)
+    res = approx_smallest_ev(_as_operator(grad), eps, rng=rng, seed=seed)
     return LmoResult(rank_one_atom(res.vector, t), matvecs=res.matvecs,
                      slack=t * eps)
 
 
-def spect_gap(X: FactoredPSD, grad, eps: float, rng=None, seed=0,
-              method: str = "power") -> tuple:
+def spect_gap(X: FactoredPSD, grad, eps: float, rng=None, seed=0) -> tuple:
     """(gap_estimate, tolerance): X.grad - t*lambda_min(grad) with lambda_min
     measured to eps, so the true gap lies in estimate +- t*eps and
     estimate + t*eps certifies the primal error."""
@@ -132,7 +127,7 @@ def spect_gap(X: FactoredPSD, grad, eps: float, rng=None, seed=0,
             "exact gap evaluation needs a dense gradient"
         vals, _ = dense_eig_oracle(grad)
         return xg - X.scale * float(vals[-1]), 0.0
-    res = approx_smallest_ev(op, eps, rng=rng, seed=seed, method=method)
+    res = approx_smallest_ev(op, eps, rng=rng, seed=seed)
     return xg - X.scale * res.rayleigh, X.scale * eps
 
 
@@ -143,19 +138,17 @@ class SpectrahedronDomain:
     atom value); the eigensolver tolerance is eps/t.
     """
 
-    def __init__(self, n, t=1.0, eig_method="power"):
+    def __init__(self, n, t=1.0):
         assert n >= 1 and t > 0
         self.n = n
         self.t = float(t)
-        self.eig_method = eig_method
         self.name = f"spectahedron(n={n},t={self.t:g})"
         self.diam_sq = 2.0 * self.t ** 2 if n >= 2 else 0.0
 
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
-        return spect_lmo(grad, eps / self.t if eps > 0 else 0.0, t=self.t,
-                         rng=rng, method=self.eig_method)
+        return spect_lmo(grad, eps / self.t if eps > 0 else 0.0, t=self.t, rng=rng)
 
-    def gap_formula(self, x, grad, eps=0.0, rng=None):
+    def gap_formula(self, x, grad):
         vals, _ = dense_eig_oracle(grad)
         return float(np.vdot(x, grad)) - self.t * float(vals[-1]), 0.0
 
@@ -173,6 +166,44 @@ class SpectrahedronDomain:
         return bool(np.linalg.eigvalsh(X).min() >= -tol * max(1.0, self.t))
 
 
+class AveragedGradientOracle(SpectrahedronDomain):
+    """Spectahedron oracle for the grad_averaging heuristic: from step k = 1
+    on, the step atom is the eigenvector of (grad f(X) + grad f(Xbar))/2 with
+    Xbar = (1 - 1/k) X + (1/k) * (previous step atom), and a second
+    eigensolve on grad f(X) itself keeps the traced gap certified.  Run it
+    on `.objective`, whose grad records X; it counts steps, so one per run.
+    """
+
+    gap_from_formula = True
+
+    def __init__(self, f: ObjectiveOracle, n, t=1.0):
+        super().__init__(n, t)
+        self.f = f
+        self.objective = replace(f, grad=self._grad_at)
+        self.k, self.x, self.prev_v, self.gap_res = 0, None, None, None
+
+    def _grad_at(self, x):
+        self.x = x
+        return self.f.grad(x)
+
+    def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
+        k, self.k = self.k, self.k + 1
+        if k == 0:
+            res = self.gap_res = super().lmo(grad, eps, rng)
+        else:
+            Xbar = (1.0 - 1.0 / k) * self.x \
+                + (1.0 / k) * self.t * np.outer(self.prev_v, self.prev_v)
+            res = super().lmo(0.5 * (grad + self.f.grad(Xbar)), eps, rng)
+            self.gap_res = super().lmo(grad, eps, rng)
+            res = res._replace(matvecs=res.matvecs + self.gap_res.matvecs)
+        self.prev_v = res.atom.vector
+        return res
+
+    def gap_formula(self, x, grad):
+        s = self.gap_res.atom.point
+        return float(np.vdot(x, grad) - np.vdot(s, grad)), self.gap_res.slack
+
+
 class HazanResult(NamedTuple):
     factored: FactoredPSD
     trace: RunTrace
@@ -184,9 +215,9 @@ class HazanResult(NamedTuple):
 def hazan_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
               stop: Optional[StopRule] = None, variant: str = "plain",
               lmo_mode: str = "approx", seed=0,
-              curvature_bound: Optional[float] = None,
-              eig_method: str = "power", start_vector=None) -> HazanResult:
-    """Greedy rank-1 solver on the trace-t spectahedron.
+              curvature_bound: Optional[float] = None) -> HazanResult:
+    """Greedy rank-1 solver on the trace-t spectahedron: fw_run over
+    SpectrahedronDomain(n, t), with the iterate's factors read off the ledger.
 
     Starts from the deterministic e1 e1^T atom; after k steps the iterate has
     rank at most k+1 and, in approx mode, primal error at most 8 C_f/(k+2).
@@ -195,79 +226,20 @@ def hazan_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
     the gradient (a heuristic without the rate guarantee; the traced gap is
     still measured against the true gradient at extra eigensolver cost).
     """
-    assert variant in ("plain", "line_search", "grad_averaging")
-    assert lmo_mode in ("exact", "approx")
-    C = curvature_bound if curvature_bound is not None else objective.curvature_bound
-    if lmo_mode == "approx":
-        assert C is not None, "approximate eigensolves need a curvature bound"
-    stop = stop or StopRule(max_iters=100)
+    if variant not in ("plain", "line_search", "grad_averaging"):
+        raise ValueError(f"unknown hazan_run variant {variant!r}")
+    if variant == "grad_averaging":
+        domain = AveragedGradientOracle(objective, n, t)
+        objective = domain.objective
+    else:
+        domain = SpectrahedronDomain(n, t)
     schedule = StepSchedule.line_search() if variant == "line_search" else StepSchedule.harmonic()
-    rng = make_rng(seed)
-    clock = RunClock()
-
-    if start_vector is None:
-        start_vector = np.zeros(n)
-        start_vector[0] = 1.0
-    atom0 = rank_one_atom(start_vector, t)
-    ledger = IterateLedger()
-    ledger.seed(atom0)
-    X = atom0.point.copy()
-    prev_v = atom0.vector
-    trace = RunTrace(seed=seed)
-    matvecs = 0
-
-    k = 0
-    while True:
-        fx = float(objective.eval(X))
-        G = objective.grad(X)
-        if not math.isfinite(fx) or not np.all(np.isfinite(G)):
-            raise FloatingPointError(f"non-finite objective value or gradient at step {k}")
-        eps_val = schedule.alpha_at(k) * C if lmo_mode == "approx" else 0.0
-        eps_eig = eps_val / t if eps_val > 0 else 0.0
-
-        if variant == "grad_averaging" and k >= 1:
-            Xbar = (1.0 - 1.0 / k) * X + (1.0 / k) * t * np.outer(prev_v, prev_v)
-            M = 0.5 * (G + objective.grad(Xbar))
-        else:
-            M = G
-        res = spect_lmo(M, eps_eig, t=t, rng=rng, method=eig_method)
-        matvecs += res.matvecs
-        s = res.atom.point
-
-        if M is G:
-            gap_est = float(np.vdot(X, G) - np.vdot(s, G))
-            gap_slack = res.slack
-        else:
-            gap_res = spect_lmo(G, eps_eig, t=t, rng=rng, method=eig_method)
-            matvecs += gap_res.matvecs
-            gap_est = float(np.vdot(X, G) - np.vdot(gap_res.atom.point, G))
-            gap_slack = gap_res.slack
-        gap_cert = gap_est + gap_slack
-
-        hit_gap = stop.target_gap is not None and gap_cert <= stop.target_gap
-        hit_f = stop.target_f is not None and fx <= stop.target_f
-        hit_iters = stop.max_iters is not None and k >= stop.max_iters
-        if hit_gap or hit_f or hit_iters:
-            trace.append(k, fx, gap_cert, 0.0, res.atom.label, matvecs, clock.millis())
-            break
-
-        if variant == "line_search":
-            alpha = line_search_alpha(objective, X, s)
-            a_fix = 2.0 / (k + 2.0)
-            if objective.eval(X + a_fix * (s - X)) < objective.eval(X + alpha * (s - X)):
-                alpha = a_fix
-        else:
-            alpha = schedule.alpha_at(k)
-
-        trace.append(k, fx, gap_cert, alpha, res.atom.label, matvecs, clock.millis())
-        X += alpha * (s - X)
-        ledger.step(res.atom, alpha)
-        prev_v = res.atom.vector
-        k += 1
-
-    factored = FactoredPSD.from_ledger(ledger, n, t)
-    return HazanResult(factored=factored, trace=trace, point=X, ledger=ledger,
-                       matvecs=matvecs)
+    run = fw_run(objective, domain, stop=stop or StopRule(max_iters=100),
+                 schedule=schedule, lmo_mode=lmo_mode, seed=seed,
+                 curvature_bound=curvature_bound)
+    return HazanResult(factored=FactoredPSD.from_ledger(run.ledger, n, t),
+                       trace=run.trace, point=run.point, ledger=run.ledger,
+                       matvecs=run.matvecs)
 
 
 def random_low_rank_psd(n: int, k: int, rng, trace: float = 1.0) -> np.ndarray:
@@ -495,28 +467,19 @@ def boundeddiag_grid_oracle_2x2(G, t: float = 1.0, grid_step: float = 1e-3) -> f
 class BoundedDiagDomain:
     """PSD matrices with diagonal entries at most t (no trace constraint)."""
 
-    def __init__(self, n, t=1.0, restarts: int = 5, iterations: int = 500):
+    def __init__(self, n, t=1.0):
         assert n >= 1 and t > 0
         self.n = n
         self.t = float(t)
-        self.restarts = restarts
-        self.iterations = iterations
         self.name = f"boundeddiag(n={n},t={self.t:g})"
         # provable cap ||X - Y||_F <= tr(X) + tr(Y) <= 2nt; see measure below
         self.diam_sq = 4.0 * (n * self.t) ** 2
-        self.oracle_conditional = n > 3
-        self.last_flagged = False
 
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
-        out = boundeddiag_lmo(grad, t=self.t, eps=eps, rng=rng,
-                              restarts=self.restarts, iterations=self.iterations)
-        self.last_flagged = out.flagged
-        return out.result
+        return boundeddiag_lmo(grad, t=self.t, eps=eps, rng=rng).result
 
-    def gap_formula(self, x, grad, rng=None):
-        out = boundeddiag_lmo(grad, t=self.t, rng=rng,
-                              restarts=self.restarts, iterations=self.iterations)
-        return float(np.vdot(x, grad)) - out.value, 0.0
+    def gap_formula(self, x, grad):
+        return float(np.vdot(x, grad)) - boundeddiag_lmo(grad, t=self.t).value, 0.0
 
     def start_atom(self) -> Atom:
         Y = np.zeros((self.n, self.n))

@@ -126,12 +126,14 @@ def split_train_test(ds: RatingDataset, policy: str, rho: float = 0.5,
     rng = make_rng(seed)
     i, j, y = ds.train_i, ds.train_j, ds.train_y
     if policy == "random_fraction":
-        assert 0.0 <= rho <= 1.0
+        if not 0.0 <= rho <= 1.0:
+            raise ValueError(f"split fraction rho must lie in [0, 1], got {rho!r}")
         perm = rng.permutation(len(y))
         n_tr = int(round(rho * len(y)))
         tr, te = perm[:n_tr], perm[n_tr:]
     elif policy == "per_user_holdout":
-        assert r >= 1
+        if r < 1:
+            raise ValueError(f"per-user holdout needs r >= 1, got {r!r}")
         te_mask = np.zeros(len(y), dtype=bool)
         for u in range(ds.m):
             idx = np.flatnonzero(i == u)
@@ -260,7 +262,7 @@ def squared_loss_objective(ds: RatingDataset, t: float):
         return residual_operator(ds, store.train_values - y)
 
     oracle = ObjectiveOracle(eval=ev, grad=gr, curvature_bound=t * t,
-                             nnz_hint=2 * ds.n_train, name="completion")
+                             name="completion")
     return oracle, store
 
 
@@ -345,20 +347,26 @@ class CompletionResult:
 def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
              eps: Optional[float] = None, line_search: bool = True,
              grad_averaging: bool = False, normalize: bool = False,
-             seed=0, power_budget: Optional[Callable[[int], int]] = None,
-             shift_heuristic: bool = True, eig_start="ones") -> CompletionResult:
+             seed=0, power_budget: Optional[Callable[[int], int]] = None
+             ) -> CompletionResult:
     """Greedy rank-1 completion run.
 
     Per step: one approximate smallest-eigenvector of the sparse residual
-    gradient (budget ceil(0.2k)+3 with the previous-eigenvalue/2 diagonal
-    shift, both overridable), closed-form line search (or harmonic step), a
+    gradient (power method from the all-ones vector, budget ceil(0.2k)+3
+    unless power_budget overrides it, with the previous-eigenvalue/2 diagonal
+    shift), closed-form line search (or harmonic step), a
     PredictionStore update, and RMSE bookkeeping.  The trace gap column is
     X.grad - t*rayleigh, an uncertified estimate under fixed eigensolver
     budgets.  grad_averaging feeds the eigensolver the averaged gradient at
     the cost of a second eigensolve for the honest gap estimate (heuristic,
     no rate guarantee).
     """
-    assert steps is not None or eps is not None
+    if steps is None and eps is None:
+        raise ValueError("complete needs steps or eps")
+    if not t > 0:
+        raise ValueError(f"trace bound t must be positive, got {t!r}")
+    if steps is not None and steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps!r}")
     raw = ds
     denorm = None
     if normalize:
@@ -373,7 +381,6 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
     v0 = np.zeros(mn)
     v0[0] = 1.0
     weights, vectors = [1.0], [v0]
-    labels = [_digest_label("v", v0)]
     prev_low_ray = None
     prev_v = None
     matvecs = 0
@@ -400,7 +407,7 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
         history.append({"k": k, "f": fx, **raw_metrics()})
 
         shift = None
-        if shift_heuristic and prev_low_ray is not None and prev_low_ray < 0.0:
+        if prev_low_ray is not None and prev_low_ray < 0.0:
             # half the previous eigenvalue estimate; an estimate that is not
             # negative carries no information (the spectrum is symmetric), so
             # fall back to the generic range-bound shift rather than running
@@ -414,13 +421,13 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
         else:
             op_step = residual_operator(ds, resid)
         res = approx_smallest_ev(op_step, 0.0, iterations=budget(k),
-                                 start=eig_start, shift=shift, seed=seed)
+                                 start="ones", shift=shift, seed=seed)
         matvecs += res.matvecs
         v = _canonical_sign(res.vector)
 
         if grad_averaging and prev_v is not None and k >= 1:
             gap_res = approx_smallest_ev(residual_operator(ds, resid), 0.0,
-                                         iterations=budget(k), start=eig_start,
+                                         iterations=budget(k), start="ones",
                                          shift=shift, seed=seed)
             matvecs += gap_res.matvecs
             low_ray = gap_res.rayleigh
@@ -446,12 +453,10 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
         weights = [w * (1.0 - alpha) for w in weights]
         weights.append(alpha)
         vectors.append(v)
-        labels.append(_digest_label("v", v))
         keep = [idx for idx, w in enumerate(weights) if w >= WEIGHT_PRUNE_TOL]
         if len(keep) != len(weights):
             weights = [weights[idx] for idx in keep]
             vectors = [vectors[idx] for idx in keep]
-            labels = [labels[idx] for idx in keep]
         prev_low_ray = low_ray
         prev_v = v
         k += 1

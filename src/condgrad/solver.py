@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Atom, IterateLedger, ObjectiveOracle, RunClock, RunTrace,
-                   StepSchedule, StopRule, make_rng)
+from .core import (Atom, IterateLedger, LmoResult, ObjectiveOracle, RunClock,
+                   RunTrace, StepSchedule, StopRule, make_rng)
 
 LINE_SEARCH_DERIV_TOL = 1e-10
 LINE_SEARCH_MAX_ITERS = 60
@@ -145,8 +145,9 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         matvecs += res.matvecs
         s = res.atom.point
 
-        if getattr(domain, "requires_line_search", False):
-            # sampled atoms underestimate the gap; use the exact formula
+        if getattr(domain, "gap_from_formula", False):
+            # the step atom does not certify the gap (a sampled atom, or one
+            # from a modified gradient); the oracle measures it separately
             gap_est, gap_slack = domain.gap_formula(x, grad)
         else:
             gap_est = float(np.vdot(x, grad) - np.vdot(s, grad))
@@ -234,6 +235,7 @@ class RandomizedLMO:
     probability at least success_prob; the run must use line search."""
 
     requires_line_search = True
+    gap_from_formula = True  # sampled atoms underestimate the gap
 
     def __init__(self, domain, sampler, success_prob: float):
         assert 0.0 < success_prob <= 1.0
@@ -245,7 +247,6 @@ class RandomizedLMO:
 
     def lmo(self, grad, eps=0.0, rng=None):
         assert rng is not None, "sampling oracle needs the run's generator"
-        from .core import LmoResult
         return LmoResult(self.sampler(rng))
 
     def gap_formula(self, x, grad):
@@ -256,11 +257,6 @@ class RandomizedLMO:
 
     def contains(self, x, tol=1e-12):
         return self.inner.contains(x, tol)
-
-
-def randomized_lmo(domain, sampler, success_prob: float, seed=0) -> Atom:
-    """One draw from the sampling oracle (the solver path uses RandomizedLMO)."""
-    return RandomizedLMO(domain, sampler, success_prob).lmo(None, rng=make_rng(seed)).atom
 
 
 def uniform_simplex_sampler(n):

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ObjectiveOracle, make_rng
-from .domains.matrices import FactoredPSD
+from .domains.matrices import FactoredPSD, _project_rows
 from .eigen import dense_eig_oracle
 
 GRADIENT_BLOCK_SCALE = 0.5
@@ -79,7 +79,6 @@ def nuclear_to_spect(objective: ObjectiveOracle, m: int, n: int, t: float):
 
     hat = ObjectiveOracle(eval=ev, grad=gr,
                           curvature_bound=objective.curvature_bound,
-                          nnz_hint=objective.nnz_hint,
                           name=f"embed({objective.name})", alpha_hook=hook)
     return hat, emb
 
@@ -101,13 +100,6 @@ def extract_factorization(X: FactoredPSD, m: int, n: int,
         L[:, j] = c * v[:m]
         R[:, j] = c * v[m:]
     return L, R
-
-
-def maxnorm_to_boundeddiag(objective: ObjectiveOracle, m: int, n: int, t: float):
-    """Same embedding, targeted at the diagonal-bounded PSD box: feasibility
-    of X with X_ii <= t and Z in the off-diagonal block is equivalent to
-    ||Z||_max <= t."""
-    return nuclear_to_spect(objective, m, n, t)
 
 
 def weighted_nuclear_wrap(objective: ObjectiveOracle, p, q):
@@ -181,12 +173,6 @@ def nuclear_sdp_feasible(Z, t: float, probe_tol: float = 1e-9):
     scale = max(1.0, float(np.abs(M).max()))
     psd_ok = bool(np.linalg.eigvalsh(M).min() >= -probe_tol * scale)
     return psd_ok and float(np.trace(M)) <= t + probe_tol * max(1.0, t)
-
-
-def _project_rows(V: np.ndarray, radius: float) -> np.ndarray:
-    norms = np.linalg.norm(V, axis=1)
-    scale = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
-    return V * scale[:, None]
 
 
 def maxnorm_sdp_feasible(Z, t: float, restarts: int = 4, iterations: int = 400,

@@ -235,6 +235,24 @@ def test_complete_data_and_split_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,what", [
+    (["--t", "0"], "t must be positive"),
+    (["--t", "-1.5"], "t must be positive"),
+    (["--t", "2.0", "--steps", "-2"], "steps must be nonnegative"),
+    (["--t", "2.0", "--split", "random:1.5"], "rho must lie in [0, 1]"),
+    (["--t", "2.0", "--split", "random:-0.1"], "rho must lie in [0, 1]"),
+    (["--t", "2.0", "--split", "peruser:0"], "r >= 1"),
+])
+def test_complete_bad_parameters_exit_2_with_one_line(tmp_path, capsys, argv, what):
+    data = ratings_file(tmp_path)
+    assert main(["complete", "--data", data] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert what in lines[0]
+
+
 # ---------------------------------------------------------------------------
 # sdpfeas
 

@@ -342,6 +342,21 @@ def test_complete_grad_averaging_variant_keeps_invariants():
     assert res.matvecs > base.matvecs
 
 
+def test_complete_and_split_reject_bad_parameters():
+    ds = small_ds(seed=2)
+    for kw, what in ((dict(t=0.0, steps=3), "t must be positive"),
+                     (dict(t=float("nan"), steps=3), "t must be positive"),
+                     (dict(t=1.0, steps=-1), "steps must be nonnegative"),
+                     (dict(t=1.0), "steps or eps")):
+        with pytest.raises(ValueError, match=what):
+            complete(ds, **kw)
+    for rho in (-0.01, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="rho"):
+            split_train_test(ds, "random_fraction", rho=rho)
+    with pytest.raises(ValueError, match="r >= 1"):
+        split_train_test(ds, "per_user_holdout", r=0)
+
+
 def test_complete_harmonic_steps_match_schedule():
     ds = small_ds(seed=90)
     res = complete(ds, t=2.0, steps=6, seed=7, line_search=False)

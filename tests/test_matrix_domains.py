@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from condgrad.core import StopRule, make_rng
+from condgrad.core import StepSchedule, StopRule, make_rng
 from condgrad.domains.matrices import (
     BoundedDiagDomain,
     FactoredPSD,
@@ -23,6 +23,7 @@ from condgrad.domains.matrices import (
 )
 from condgrad.eigen import dense_eig_oracle
 from condgrad.objectives import squared_distance, squared_norm
+from condgrad.solver import fw_run
 
 
 def _sym(rng, n):
@@ -105,6 +106,46 @@ def test_hazan_grad_averaging_variant_still_converges():
     # certified gap estimates stay valid for the true gradient
     vals_ok = all(r.gap + 1e-9 >= r.f - 1.0 / 6 for r in run.trace.rows)
     assert vals_ok
+
+
+def _lowrank_target(n, seed):
+    rng = make_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, 3)))
+    R = (Q * np.array([0.5, 0.3, 0.2])) @ Q.T
+    return 0.5 * (R + R.T)
+
+
+@pytest.mark.parametrize("variant,mode", [
+    ("plain", "approx"), ("plain", "exact"), ("line_search", "approx")])
+def test_hazan_run_equals_fw_run_on_the_spectahedron(variant, mode):
+    obj = squared_distance(_lowrank_target(12, 4), curvature_bound=2.0)
+    stop = StopRule(max_iters=30)
+    hz = hazan_run(obj, n=12, t=1.0, stop=stop, variant=variant,
+                   lmo_mode=mode, seed=5)
+    schedule = StepSchedule.line_search() if variant == "line_search" \
+        else StepSchedule.harmonic()
+    fw = fw_run(obj, SpectrahedronDomain(12, 1.0), stop=stop,
+                schedule=schedule, lmo_mode=mode, seed=5)
+    assert [r[:-1] for r in hz.trace.rows] == [r[:-1] for r in fw.trace.rows]
+    assert hz.matvecs == fw.matvecs
+    assert np.array_equal(hz.point, fw.point)
+    assert np.allclose(hz.factored.dense(), fw.point, atol=1e-12)
+
+
+def test_hazan_grad_averaging_costs_more_matvecs_than_plain():
+    obj = squared_distance(_lowrank_target(12, 6), curvature_bound=2.0)
+    runs = {v: hazan_run(obj, n=12, t=1.0, stop=StopRule(max_iters=20),
+                         variant=v, seed=3)
+            for v in ("plain", "grad_averaging")}
+    assert len(runs["plain"].trace) == len(runs["grad_averaging"].trace) == 21
+    # one extra eigensolve per step k >= 1 for the certified gap
+    assert runs["grad_averaging"].matvecs > runs["plain"].matvecs
+    assert runs["grad_averaging"].trace.rows[0][:-1] == runs["plain"].trace.rows[0][:-1]
+
+
+def test_hazan_run_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="variant"):
+        hazan_run(squared_norm(curvature_bound=2.0), n=3, variant="momentum")
 
 
 def test_lowrank_lowerbound_suite():
