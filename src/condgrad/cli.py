@@ -333,7 +333,11 @@ def cmd_sdpfeas(args) -> int:
     except (OSError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    out = sdpfeas.solve_eps_feasible(sdp, args.eps, seed=args.seed)
+    try:
+        out = sdpfeas.solve_eps_feasible(sdp, args.eps, seed=args.seed)
+    except ValueError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.trace:
         out.trace.write_csv(args.trace)
     summary = {

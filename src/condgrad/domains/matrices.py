@@ -18,8 +18,9 @@ import numpy as np
 
 from ..core import (Atom, IterateLedger, LmoResult, ObjectiveOracle, RunTrace,
                     StepSchedule, StopRule, make_rng)
+from .. import solver
 from ..eigen import SymmetricOperator, approx_smallest_ev, dense_eig_oracle
-from ..solver import RunResult, fw_run
+from ..solver import RunResult
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -102,6 +103,10 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
     smallest eigenvector of grad, so the atom value is within t*eps of the
     true domain minimum t*lambda_min(grad).
 
+    v comes from Lanczos (see approx_largest_ev): O(log(n)/sqrt(eps)) matvecs
+    instead of the power method's O(log(n)/eps), at most one more than the
+    power method would run, and exact once the step count reaches n.
+
     eps <= 0 requests the exact (dense-eigensolver) oracle and needs a dense
     gradient.
     """
@@ -111,7 +116,8 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
         vals, vecs = dense_eig_oracle(grad)
         return LmoResult(rank_one_atom(vecs[:, -1], t),
                          matvecs=np.asarray(grad).shape[0], slack=0.0)
-    res = approx_smallest_ev(_as_operator(grad), eps, rng=rng, seed=seed)
+    res = approx_smallest_ev(_as_operator(grad), eps, rng=rng, seed=seed,
+                             method="lanczos")
     return LmoResult(rank_one_atom(res.vector, t), matvecs=res.matvecs,
                      slack=t * eps)
 
@@ -127,7 +133,7 @@ def spect_gap(X: FactoredPSD, grad, eps: float, rng=None, seed=0) -> tuple:
             "exact gap evaluation needs a dense gradient"
         vals, _ = dense_eig_oracle(grad)
         return xg - X.scale * float(vals[-1]), 0.0
-    res = approx_smallest_ev(op, eps, rng=rng, seed=seed)
+    res = approx_smallest_ev(op, eps, rng=rng, seed=seed, method="lanczos")
     return xg - X.scale * res.rayleigh, X.scale * eps
 
 
@@ -234,9 +240,9 @@ def hazan_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
     else:
         domain = SpectrahedronDomain(n, t)
     schedule = StepSchedule.line_search() if variant == "line_search" else StepSchedule.harmonic()
-    run = fw_run(objective, domain, stop=stop or StopRule(max_iters=100),
-                 schedule=schedule, lmo_mode=lmo_mode, seed=seed,
-                 curvature_bound=curvature_bound)
+    run = solver.fw_run(objective, domain, stop=stop or StopRule(max_iters=100),
+                        schedule=schedule, lmo_mode=lmo_mode, seed=seed,
+                        curvature_bound=curvature_bound)
     return HazanResult(factored=FactoredPSD.from_ledger(run.ledger, n, t),
                        trace=run.trace, point=run.point, ledger=run.ledger,
                        matvecs=run.matvecs)
@@ -383,8 +389,8 @@ def sparsepsd_run(objective: ObjectiveOracle, n: int, mode: str = "both",
     """Greedy run over the sparse-atom hull; the step-k iterate touches at
     most 4(k+1) matrix entries (4 new ones per atom)."""
     dom = SparsePsdDomain(n, mode)
-    return fw_run(objective, dom, stop=stop or StopRule(max_iters=50),
-                  schedule=schedule, seed=seed)
+    return solver.fw_run(objective, dom, stop=stop or StopRule(max_iters=50),
+                         schedule=schedule, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +544,6 @@ def maxdiag_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
         if check_membership:
             assert dom.contains(x), f"iterate left the domain at step {k}"
 
-    return fw_run(objective, dom, stop=stop or StopRule(max_iters=50),
-                  schedule=schedule, seed=seed, lmo_mode=lmo_mode,
-                  curvature_bound=curvature_bound, on_iterate=on_iterate)
+    return solver.fw_run(objective, dom, stop=stop or StopRule(max_iters=50),
+                         schedule=schedule, seed=seed, lmo_mode=lmo_mode,
+                         curvature_bound=curvature_bound, on_iterate=on_iterate)

@@ -1,9 +1,12 @@
 """Approximate extreme eigenvector computation for symmetric operators.
 
-The workhorse is the shifted power method: for an additive accuracy eps and a
-bound L on the spectral range, run ceil(c * log(n) / gamma) iterations with
-gamma = eps / L on the PSD-shifted operator.  A hand-rolled Lanczos variant
-(ceil(c * log(n) / sqrt(gamma)) iterations) is available behind a flag.
+For an additive accuracy eps and a bound L on the spectral range, with
+gamma = eps / L, two methods run on the PSD-shifted operator.  The power
+method (the default of approx_largest_ev, and what matrix completion's fixed
+budgets use) takes ceil(c * log(n) / gamma) iterations.  Lanczos, which the
+spectahedron oracle uses, takes min(power + 1, ceil(c * log(n) / sqrt(gamma)),
+n) steps: its (k+1)-step Krylov space holds the k-th power iterate, and n
+steps span the whole space, so small problems are solved exactly.
 
 Operators are matvec-closures so gradients never have to be materialized;
 when the trace is known the operator is centered by trace/dim first, which
@@ -46,10 +49,12 @@ class SymmetricOperator:
     def from_dense(M: np.ndarray) -> "SymmetricOperator":
         M = np.asarray(M, dtype=float)
         assert M.ndim == 2 and M.shape[0] == M.shape[1]
-        assert np.allclose(M, M.T, atol=1e-10), "operator must be symmetric"
+        # the exact test is cheap and settles every gradient built symmetric
+        assert np.array_equal(M, M.T) or np.allclose(M, M.T, atol=1e-10), \
+            "operator must be symmetric"
         return SymmetricOperator(
             dim=M.shape[0],
-            matvec=lambda v, _M=M: _M @ v,
+            matvec=M.__matmul__,
             trace=float(np.trace(M)),
             fro_norm=float(np.linalg.norm(M)),
             row_abs_max=float(np.abs(M).sum(axis=1).max()),
@@ -57,9 +62,15 @@ class SymmetricOperator:
         )
 
     def negated(self) -> "SymmetricOperator":
+        M = getattr(self.matvec, "__self__", None)
+        if isinstance(M, np.ndarray) and self.matvec == M.__matmul__:
+            # a dense operator (from_dense); (-M) @ v is -(M @ v) bit for bit
+            matvec = (-M).__matmul__
+        else:
+            matvec = lambda v, mv=self.matvec: -mv(v)
         return SymmetricOperator(
             dim=self.dim,
-            matvec=lambda v, mv=self.matvec: -mv(v),
+            matvec=matvec,
             trace=None if self.trace is None else -self.trace,
             fro_norm=self.fro_norm,
             row_abs_max=self.row_abs_max,
@@ -72,7 +83,8 @@ class EigResult(NamedTuple):
     rayleigh: float          # v^T M v for the returned unit vector
     iterations: int
     matvecs: int
-    history: tuple           # rayleigh after each iteration (original units)
+    history: tuple           # power: rayleigh after each iteration; lanczos:
+                             # (final Ritz value, measured rayleigh); original units
 
 
 def spectral_range_bound(op: SymmetricOperator) -> float:
@@ -107,7 +119,10 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, range_bound: Optional[f
     """Unit v with v^T M v >= lambda_max(M) - eps, with high probability.
 
     The iteration count follows the power-method guarantee ceil(c*log(n)/gamma)
-    with gamma = eps/L unless an explicit budget is given.  shift overrides the
+    with gamma = eps/L unless an explicit budget is given.  method="lanczos"
+    runs min(that + 1, ceil(c*log(n)/sqrt(gamma)), n) steps: at that + 1
+    steps the Krylov space holds the power iterate, so the Ritz value is at
+    least its Rayleigh quotient, and at n steps it is exact.  shift overrides the
     internal PSD shift (the caller promises M + shift*Id is PSD enough to make
     the top eigenvalue dominant in magnitude).
     """
@@ -136,8 +151,11 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, range_bound: Optional[f
         gamma = eps / L
         if gamma <= 0:
             raise ValueError("eps must be positive when no iteration budget is given")
-        denom = math.sqrt(gamma) if method == "lanczos" else gamma
-        iterations = max(1, math.ceil(c * math.log(max(op.dim, 2)) / denom))
+        c_log_n = c * math.log(max(op.dim, 2))
+        iterations = max(1, math.ceil(c_log_n / gamma))
+        if method == "lanczos":
+            iterations = min(iterations + 1, math.ceil(c_log_n / math.sqrt(gamma)),
+                             op.dim)
     iterations = int(iterations)
 
     if method == "lanczos":
@@ -150,7 +168,7 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, range_bound: Optional[f
         matvecs += 1
         ray_shift = float(v @ w)
         history.append(ray_shift - offset)
-        nrm = np.linalg.norm(w)
+        nrm = math.sqrt(w @ w)
         if nrm == 0.0:
             # v is in the kernel of the shifted operator; it is an exact eigenvector
             return EigResult(v, history[-1], len(history), matvecs, tuple(history))
@@ -162,48 +180,45 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, range_bound: Optional[f
 
 
 def approx_smallest_ev(op: SymmetricOperator, eps: float, **kw) -> EigResult:
-    """Unit v with v^T M v <= lambda_min(M) + eps (whp); power method on -M."""
+    """Unit v with v^T M v <= lambda_min(M) + eps (whp): approx_largest_ev on -M."""
     res = approx_largest_ev(op.negated(), eps, **kw)
     return EigResult(res.vector, -res.rayleigh, res.iterations, res.matvecs,
                      tuple(-r for r in res.history))
 
 
 def _lanczos_largest(op, v0, iterations, offset) -> EigResult:
-    """Lanczos with full reorthogonalization; fine at the budgets used here."""
-    n = op.dim
-    m = min(iterations, n)
-    Q = np.zeros((n, m))
+    """Lanczos with full reorthogonalization against a row-major basis; the
+    tridiagonal T is diagonalized once, after the last step, and the returned
+    rayleigh is measured on the Ritz vector, so it is a true Rayleigh
+    quotient whatever the basis lost to rounding."""
+    m = min(iterations, op.dim)
+    Q = np.empty((m, op.dim))
     alphas, betas = [], []
-    q = v0
-    beta = 0.0
-    q_prev = np.zeros(n)
-    matvecs = 0
-    history = []
+    q, q_prev, beta = v0, v0, 0.0
     for j in range(m):
-        Q[:, j] = q
+        Q[j] = q
         w = op(q) + offset * q
-        matvecs += 1
         a = float(q @ w)
         alphas.append(a)
-        w = w - a * q - beta * q_prev
-        w -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ w)
-        T = np.diag(alphas)
-        if len(betas):
-            T += np.diag(betas, 1) + np.diag(betas, -1)
-        vals, vecs = np.linalg.eigh(T)
-        history.append(vals[-1] - offset)
-        beta = float(np.linalg.norm(w))
-        if beta < 1e-14:
-            m = j + 1
+        if j + 1 == m:
             break
-        q_prev = q
-        q = w / beta
+        w -= a * q + beta * q_prev
+        Qj = Q[:j + 1]
+        w -= (Qj @ w) @ Qj
+        beta = math.sqrt(w @ w)
+        if beta < 1e-14:
+            break  # the Krylov space is invariant: T holds its exact spectrum
         betas.append(beta)
-    ritz = Q[:, :len(alphas)] @ vecs[:, -1]
-    ritz /= np.linalg.norm(ritz)
+        q_prev, q = q, w / beta
+    k = len(alphas)
+    T = np.diag(alphas)
+    if betas:
+        T += np.diag(betas, 1) + np.diag(betas, -1)
+    vals, vecs = np.linalg.eigh(T)
+    ritz = vecs[:, -1] @ Q[:k]
+    ritz /= math.sqrt(ritz @ ritz)
     ray = float(ritz @ op(ritz))
-    matvecs += 1
-    return EigResult(ritz, ray, len(alphas), matvecs, tuple(history))
+    return EigResult(ritz, ray, k, k + 1, (float(vals[-1]) - offset, ray))
 
 
 def dense_eig_oracle(M: np.ndarray):

@@ -126,7 +126,8 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     Infeasibility is only ever reported with a certified gap; otherwise the
     outcome is undetermined at this budget.
     """
-    assert eps > 0
+    if not eps > 0:  # NaN too
+        raise ValueError(f"eps must be positive, got {eps!r}")
     sigma = math.log(max(sdp.m, 2)) / eps
     C = curvature_estimate(sdp, sigma)
     objective = softmax_objective(sdp, sigma, curvature_bound=C)

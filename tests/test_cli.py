@@ -285,6 +285,18 @@ def test_sdpfeas_data_errors(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+def test_sdpfeas_bad_eps_exit_2_with_one_line(tmp_path, capsys, eps):
+    prob = tmp_path / "p.sdp"
+    prob.write_text("n 3\nconstraint b=1.0\n0 0 1.0\n")
+    assert main(["sdpfeas", "--problem", str(prob), "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert "eps must be positive" in lines[0]
+
+
 # ---------------------------------------------------------------------------
 # bench
 

@@ -137,6 +137,59 @@ def test_lanczos_matches_power_on_well_separated_spectrum():
     assert r.rayleigh >= vals[0] - 0.2
 
 
+def test_lanczos_never_below_power_at_one_extra_matvec():
+    rng = make_rng(12)
+    for trial in range(30):
+        n = int(rng.integers(5, 101))
+        M = rng.standard_normal((n, n))
+        op = SymmetricOperator.from_dense((M + M.T) / 2)
+        for eps in (0.5, 1.0, 2.0):
+            p = approx_largest_ev(op, eps, seed=trial)
+            lz = approx_largest_ev(op, eps, seed=trial, method="lanczos")
+            assert lz.rayleigh >= p.rayleigh - 1e-10
+            assert lz.matvecs <= p.matvecs + 1
+            assert lz.matvecs == lz.iterations + 1
+            assert abs(np.linalg.norm(lz.vector) - 1.0) <= 1e-12
+
+
+def test_lanczos_is_exact_once_steps_reach_the_dimension():
+    rng = make_rng(13)
+    for n in (1, 2, 5, 12):
+        M = rng.standard_normal((n, n))
+        M = (M + M.T) / 2
+        vals, _ = dense_eig_oracle(M)
+        res = approx_largest_ev(SymmetricOperator.from_dense(M), 0.5, seed=n,
+                                method="lanczos")
+        assert res.iterations <= n
+        assert res.rayleigh == pytest.approx(vals[0], abs=1e-10)
+        # history: the final Ritz value, then the measured Rayleigh quotient
+        assert res.history[-1] == res.rayleigh
+        assert res.history[0] == pytest.approx(res.rayleigh, abs=1e-10)
+
+
+def test_lanczos_stops_on_an_invariant_krylov_space():
+    # rank 2: the Krylov space of a generic start vector is 3-dimensional
+    # (two eigenvectors plus the kernel component), so Lanczos stops early
+    u = np.linspace(1.0, 2.0, 30)
+    w = np.cos(np.arange(30.0))
+    M = np.outer(u, u) / (u @ u) * 3.0 - np.outer(w, w) / (w @ w)
+    res = approx_largest_ev(SymmetricOperator.from_dense(M), 1e-3, seed=0,
+                            method="lanczos")
+    assert res.iterations <= 4
+    assert res.rayleigh == pytest.approx(dense_eig_oracle(M)[0][0], abs=1e-10)
+
+
+def test_negated_dense_operator_matches_negated_matvec_bitwise():
+    rng = make_rng(14)
+    M = rng.standard_normal((20, 20))
+    op = SymmetricOperator.from_dense((M + M.T) / 2)
+    closure = SymmetricOperator(dim=20, matvec=lambda v: op.matvec(v))
+    v = rng.standard_normal(20)
+    assert np.array_equal(op.negated()(v), -op(v))
+    assert np.array_equal(closure.negated()(v), -op(v))
+    assert op.negated().trace == -op.trace
+
+
 def test_matvec_count_is_reported():
     op = SymmetricOperator.from_dense(np.diag([5.0, 1.0, 1.0]))
     res = approx_largest_ev(op, 0.5, seed=0, iterations=12)

@@ -15,15 +15,18 @@ from condgrad.domains.matrices import (
     hazan_run,
     maxdiag_run,
     measure_bounded_diag_diam_sq,
+    random_low_rank_psd,
+    rank_one_atom,
     sparsepsd_lmo,
     sparsepsd_run,
     spect_gap,
     spect_lmo,
     spect_lowrank_lowerbound_suite,
 )
-from condgrad.eigen import dense_eig_oracle
+from condgrad import solver
+from condgrad.eigen import SymmetricOperator, approx_smallest_ev, dense_eig_oracle
 from condgrad.objectives import squared_distance, squared_norm
-from condgrad.solver import fw_run
+from condgrad.solver import curvature_from_hessian, fw_run
 
 
 def _sym(rng, n):
@@ -58,6 +61,23 @@ def test_approx_spect_lmo_hits_tolerance_mostly():
             hits += 1
         assert res.slack == eps
     assert hits >= 95
+
+
+def test_lanczos_spect_lmo_never_worse_than_the_power_method():
+    # spect_lmo runs Lanczos; the power method from the same seed is the
+    # reference it must match or beat, at no more than one extra matvec
+    rng = make_rng(11)
+    for trial in range(30):
+        n = int(rng.integers(5, 101))
+        G = _sym(rng, n)
+        for eps in (0.5, 1.0, 2.0):
+            res = spect_lmo(G, eps=eps, t=1.0, seed=trial)
+            power = approx_smallest_ev(SymmetricOperator.from_dense(G), eps,
+                                       seed=trial)
+            assert np.vdot(G, res.atom.point) \
+                <= np.vdot(G, rank_one_atom(power.vector).point) + 1e-10
+            assert res.matvecs <= power.matvecs + 1
+            assert res.slack == eps
 
 
 def test_spect_gap_certified_estimate_dominates_true_gap():
@@ -141,6 +161,34 @@ def test_hazan_grad_averaging_costs_more_matvecs_than_plain():
     # one extra eigensolve per step k >= 1 for the certified gap
     assert runs["grad_averaging"].matvecs > runs["plain"].matvecs
     assert runs["grad_averaging"].trace.rows[0][:-1] == runs["plain"].trace.rows[0][:-1]
+
+
+def test_hazan_approx_run_weak_duality_on_every_row():
+    # R lies in the spectahedron, so f* = 0 and each certified gap must
+    # dominate f_k itself
+    n = 150
+    obj = squared_distance(random_low_rank_psd(n, 3, make_rng(12)),
+                           curvature_bound=curvature_from_hessian(2.0, 2.0))
+    run = hazan_run(obj, n=n, t=1.0, stop=StopRule(max_iters=200, target_gap=0.1),
+                    lmo_mode="approx", seed=12)
+    assert run.trace.final().gap <= 0.1
+    assert all(r.f <= r.gap for r in run.trace.rows)
+
+
+def test_matrix_runs_call_fw_run_through_the_solver_module(monkeypatch):
+    # callers that wrap solver.fw_run (a tracer, say) must see these runs
+    calls = []
+    inner = solver.fw_run
+
+    def counting(*args, **kwargs):
+        calls.append(type(args[1]).__name__)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "fw_run", counting)
+    hazan_run(squared_norm(curvature_bound=2.0), n=4, stop=StopRule(max_iters=3))
+    sparsepsd_run(squared_norm(), n=4, stop=StopRule(max_iters=3))
+    maxdiag_run(squared_norm(), n=2, stop=StopRule(max_iters=2))
+    assert calls == ["SpectrahedronDomain", "SparsePsdDomain", "BoundedDiagDomain"]
 
 
 def test_hazan_run_rejects_unknown_variant():

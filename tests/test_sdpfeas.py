@@ -153,6 +153,13 @@ def test_undetermined_without_certification():
     assert out.f_lower is None
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+def test_solve_eps_feasible_rejects_nonpositive_eps(eps):
+    sdp = FeasibilitySDP(n=3, A=[np.eye(3)], b=[1.0])
+    with pytest.raises(ValueError, match="eps must be positive"):
+        solve_eps_feasible(sdp, eps=eps, seed=0)
+
+
 def test_binary_search_trace_objective():
     # C = Id: C.X = 1 on the whole domain, bracket closes onto 1
     res = binary_search_objective(np.eye(3), None, eps=0.1, n=3, t=1.0,
