@@ -8,6 +8,7 @@ rank-one matrices, two-support PSD atoms).
 
 from .core import (
     Atom,
+    CoordinateAtom,
     IterateLedger,
     LmoResult,
     ObjectiveOracle,
@@ -42,6 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom",
     "CertifiedRun",
+    "CoordinateAtom",
     "IterateLedger",
     "LmoResult",
     "ObjectiveOracle",

@@ -114,9 +114,14 @@ def _build_objective(spec: dict, domain):
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise DataError(f"custom quadratic file {path}: {e}") from None
-        Q = np.asarray(raw["Q"], dtype=float)
-        c = np.asarray(raw.get("c", np.zeros(Q.shape[0])), dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or len(c) != Q.shape[0]:
+        if not isinstance(raw, dict) or "Q" not in raw:
+            raise DataError(f"custom quadratic file {path}: missing field 'Q'")
+        try:
+            Q = np.asarray(raw["Q"], dtype=float)
+            c = np.asarray(raw.get("c", np.zeros(Q.shape[:1])), dtype=float)
+        except (TypeError, ValueError) as e:
+            raise DataError(f"custom quadratic file {path}: {e}") from None
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or c.shape != Q.shape[:1]:
             raise DataError(f"custom quadratic file {path}: bad shapes")
         Q = 0.5 * (Q + Q.T)
 
@@ -204,29 +209,33 @@ def cmd_solve(args) -> int:
         seed = _opt(cfg, "seed", int, 0, "config")
         out = _opt(cfg, "out", dict, {}, "config")
         objective = _build_objective(obj_spec, domain)
-    except SchemaError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as e:  # SchemaError, and the domain constructors' checks
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
     certified = None
-    if eps is not None:
-        run = gap_certified_run(objective, domain, eps, lmo_mode=mode, seed=seed)
-        trace, point, ledger = run.trace, run.point, run.ledger
-        gap = run.gap_bound
-        certified = run.certified
-        iters = run.k_hat
-    else:
-        res = fw_run(objective, domain,
-                     stop=StopRule(max_iters=max_iters),
-                     schedule=StepSchedule.line_search() if schedule == "line_search"
-                     else StepSchedule.harmonic(),
-                     lmo_mode=mode, seed=seed)
-        trace, point, ledger = res.trace, res.point, res.ledger
-        gap = res.trace.final().gap
-        iters = res.trace.final().k
+    try:
+        if eps is not None:
+            run = gap_certified_run(objective, domain, eps, lmo_mode=mode, seed=seed)
+            trace, point, ledger = run.trace, run.point, run.ledger
+            gap = run.gap_bound
+            certified = run.certified
+            iters = run.k_hat
+        else:
+            res = fw_run(objective, domain,
+                         stop=StopRule(max_iters=max_iters),
+                         schedule=StepSchedule.line_search() if schedule == "line_search"
+                         else StepSchedule.harmonic(),
+                         lmo_mode=mode, seed=seed)
+            trace, point, ledger = res.trace, res.point, res.ledger
+            gap = res.trace.final().gap
+            iters = res.trace.final().k
+    except ValueError as e:  # gap_certified_run's eps check
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
     if out.get("trace"):
         trace.write_csv(out["trace"])

@@ -1,8 +1,11 @@
 """Shared types for the greedy (projection-free) solvers.
 
-Points live in a real inner-product space: 1-d arrays for vector domains,
+Iterates live in a real inner-product space: 1-d arrays for vector domains,
 dense symmetric 2-d arrays for matrix domains.  The inner product is always
-the full Euclidean/Frobenius one, np.vdot.
+the full Euclidean/Frobenius one, np.vdot.  Atoms keep their compact form
+(a coordinate and a value, a unit vector and a scale) where they have one
+and apply themselves to an iterate; the ledger holds atoms, not dense points,
+so its memory grows with the support, not with iterations times dimension.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import io
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,19 +42,85 @@ class ObjectiveOracle:
         return self.eval(x)
 
 
-@dataclass(frozen=True)
-class Atom:
-    """Extreme point of a domain with a compact label.
+def move_toward(x: np.ndarray, s: np.ndarray, alpha: float):
+    """x += alpha (s - x) in place, using s as the scratch array; the bits
+    of x + alpha * (s - x) without its two temporaries."""
+    s -= x
+    s *= alpha
+    x += s
 
-    point is the ambient representation used by the solver arithmetic.
+
+class DenseApply:
+    """inner and step_into through the dense point.
+
+    fw_run applies such atoms through one dense copy of the point per step
+    (apply_dense), which keeps the gap and the step bit-for-bit equal to
+    <s, grad> and x + alpha (s - x).
+    """
+
+    __slots__ = ()
+    apply_dense: ClassVar[bool] = True
+
+    def inner(self, grad) -> float:
+        return float(np.vdot(self.point, grad))
+
+    def step_into(self, x: np.ndarray, alpha: float):
+        """x += alpha (point - x), in place."""
+        move_toward(x, self.dense(), alpha)
+
+
+@dataclass(frozen=True)
+class Atom(DenseApply):
+    """Extreme point of a domain kept as a dense array, with a compact label.
+
     label identifies the atom for ledger merging and trace output; two atoms
-    with equal labels must be the same point.  vector optionally keeps the
-    low-rank factor (unit vector v with point = scale * outer(v, v)).
+    with equal labels must be the same point.  vector optionally keeps a
+    low-rank factor.  Atoms with a compact form (CoordinateAtom here,
+    RankOneAtom for the spectahedron) offer the same interface: label,
+    point (built on demand and never cached), vector, dense(), inner(grad)
+    and step_into(x, alpha).
     """
 
     point: np.ndarray
     label: str
     vector: Optional[np.ndarray] = None
+
+    def dense(self) -> np.ndarray:
+        """A float copy of the point that the caller may overwrite."""
+        return np.array(self.point, dtype=float)
+
+
+class CoordinateAtom:
+    """value * e_index in R^n: simplex and l1-ball vertices, and the origin
+    (value 0).  inner is one product and step_into one scaling of x plus one
+    coordinate; both give the bits of the dense arithmetic."""
+
+    __slots__ = ("n", "index", "value", "label")
+    vector = None
+    apply_dense = False
+
+    def __init__(self, n: int, index: int, value: float, label: str):
+        self.n, self.index, self.value, self.label = n, index, value, label
+
+    @property
+    def point(self) -> np.ndarray:
+        p = np.zeros(self.n)
+        p[self.index] = self.value
+        return p
+
+    def dense(self) -> np.ndarray:
+        return self.point
+
+    def inner(self, grad) -> float:
+        return float(self.value * grad[self.index])
+
+    def step_into(self, x: np.ndarray, alpha: float):
+        """x += alpha (point - x), in place: off the index that is
+        x - alpha x, the same bits as x + alpha (0 - x)."""
+        i = self.index
+        xi = x[i]
+        x -= alpha * x
+        x[i] = xi + alpha * (self.value - xi)
 
 
 class LmoResult(NamedTuple):
@@ -60,38 +129,55 @@ class LmoResult(NamedTuple):
     slack: float = 0.0  # guaranteed additive error of <s, grad> vs the true min
 
 
-@dataclass
 class IterateLedger:
     """Convex-combination bookkeeping for the current iterate.
 
-    Invariants: weights nonnegative, sum to 1 (within float error); atoms are
-    unique by label; entries with weight below WEIGHT_PRUNE_TOL are dropped.
+    atoms[j] carries weights[j].  Invariants: weights nonnegative, sum to 1
+    (within float error); atoms are unique by label; entries with weight
+    below WEIGHT_PRUNE_TOL are dropped.  A label -> slot dict finds repeated
+    atoms, and the weights live in a float64 array that each step scales in
+    place (the same bits as scaling each weight as a Python float).
     """
 
-    atoms: list = field(default_factory=list)
-    weights: list = field(default_factory=list)
+    def __init__(self, atoms=(), weights=()):
+        self._load(atoms, weights)
 
-    def seed(self, atom: Atom):
-        self.atoms = [atom]
-        self.weights = [1.0]
+    def _load(self, atoms, weights):
+        self.atoms = list(atoms)
+        self._w = np.array(weights, dtype=float)  # capacity >= len(atoms)
+        if self._w.shape != (len(self.atoms),):
+            raise ValueError("ledger needs one weight per atom")
+        self._slot = {a.label: j for j, a in enumerate(self.atoms)}
 
-    def step(self, atom: Atom, alpha: float):
-        assert 0.0 <= alpha <= 1.0
-        self.weights = [w * (1.0 - alpha) for w in self.weights]
-        for i, a in enumerate(self.atoms):
-            if a.label == atom.label:
-                self.weights[i] += alpha
-                break
+    @property
+    def weights(self) -> np.ndarray:
+        return self._w[:len(self.atoms)]
+
+    def seed(self, atom):
+        self._load([atom], [1.0])
+
+    def step(self, atom, alpha: float):
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"step size must lie in [0, 1], got {alpha!r}")
+        w = self.weights
+        w *= 1.0 - alpha
+        j = self._slot.get(atom.label)
+        if j is not None:
+            w[j] += alpha
         else:
+            j = len(self.atoms)
+            if j == self._w.shape[0]:
+                self._w = np.concatenate([w, np.empty(max(j, 8))])
+            self._w[j] = alpha
+            self._slot[atom.label] = j
             self.atoms.append(atom)
-            self.weights.append(alpha)
-        keep = [i for i, w in enumerate(self.weights) if w >= WEIGHT_PRUNE_TOL]
-        if len(keep) != len(self.weights):
-            self.atoms = [self.atoms[i] for i in keep]
-            self.weights = [self.weights[i] for i in keep]
+        keep = self.weights >= WEIGHT_PRUNE_TOL
+        if not keep.all():
+            self._load([a for a, k in zip(self.atoms, keep) if k], self.weights[keep])
 
     def reconstruct(self) -> np.ndarray:
-        assert self.atoms, "empty ledger"
+        if not self.atoms:
+            raise ValueError("empty ledger")
         out = np.zeros_like(self.atoms[0].point, dtype=float)
         for a, w in zip(self.atoms, self.weights):
             out += w * a.point
@@ -101,7 +187,8 @@ class IterateLedger:
         return len(self.atoms)
 
     def weight_sum(self) -> float:
-        return float(sum(self.weights))
+        # left to right in Python floats: np.sum's pairwise order changes bits
+        return float(sum(self.weights.tolist()))
 
 
 @dataclass(frozen=True)
@@ -175,8 +262,8 @@ class RunTrace:
     meta: dict = field(default_factory=dict)
 
     def append(self, k, f, gap, alpha, atom, matvecs, millis):
-        if self.rows:
-            assert k > self.rows[-1].k, "trace rows must be monotone in k"
+        if self.rows and not k > self.rows[-1].k:
+            raise AssertionError("trace rows must be monotone in k")
         self.rows.append(TraceRow(int(k), float(f), float(gap), float(alpha),
                                   str(atom), int(matvecs), int(millis)))
 

@@ -1,9 +1,9 @@
 """Matrix domains: trace-t spectahedron, sparse-PSD atom hull, and the
 bounded-diagonal PSD box, with their linear oracles and gap formulas.
 
-Iterates are dense symmetric arrays at solver level; the spectahedron
-additionally keeps a factored (sum of weighted rank-1) representation so
-low-rank structure survives the run.
+Iterates are dense symmetric arrays at solver level.  Spectahedron atoms are
+kept as (v, t) (RankOneAtom), so the ledger holds the iterate's factored
+(sum of weighted rank-1) representation at O(n) memory per atom.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..core import (Atom, IterateLedger, LmoResult, ObjectiveOracle, RunTrace,
-                    StepSchedule, StopRule, make_rng)
+from ..core import (Atom, DenseApply, IterateLedger, LmoResult, ObjectiveOracle,
+                    RunTrace, StepSchedule, StopRule, make_rng)
 from .. import solver
-from ..eigen import SymmetricOperator, approx_smallest_ev, dense_eig_oracle
+from ..eigen import SymmetricOperator, approx_smallest_ev
 from ..solver import RunResult
+from .vectors import _check_size
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -34,12 +35,35 @@ def _digest_label(prefix: str, arr: np.ndarray) -> str:
     return prefix + h.hexdigest()
 
 
-def rank_one_atom(v: np.ndarray, t: float = 1.0) -> Atom:
+class RankOneAtom(DenseApply):
+    """t * v v^T for a unit vector v, kept as (v, t).
+
+    point is built on every access and never cached.  fw_run applies these
+    atoms through that dense point once per step (apply_dense), because
+    v^T G v would not reproduce the bits of <t vv^T, G>.
+    """
+
+    __slots__ = ("vector", "t", "label")
+
+    def __init__(self, vector: np.ndarray, t: float, label: str):
+        self.vector, self.t, self.label = vector, t, label
+
+    @property
+    def point(self) -> np.ndarray:
+        p = np.outer(self.vector, self.vector)
+        p *= self.t
+        return p
+
+    def dense(self) -> np.ndarray:
+        return self.point
+
+
+def rank_one_atom(v: np.ndarray, t: float = 1.0) -> RankOneAtom:
     v = _canonical_sign(np.asarray(v, dtype=float))
     nrm = np.linalg.norm(v)
     assert nrm > 0
     v = v / nrm
-    return Atom(point=t * np.outer(v, v), label=_digest_label("v", v), vector=v)
+    return RankOneAtom(vector=v, t=t, label=_digest_label("v", v))
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +95,7 @@ class FactoredPSD:
         for a in ledger.atoms:
             assert a.vector is not None, "ledger atom lacks a rank-1 factor"
             vs.append(np.asarray(a.vector, dtype=float))
-        return FactoredPSD(n=n, scale=float(t), weights=list(ledger.weights), vectors=vs)
+        return FactoredPSD(n=n, scale=float(t), weights=ledger.weights.tolist(), vectors=vs)
 
     def dense(self) -> np.ndarray:
         X = np.zeros((self.n, self.n))
@@ -91,6 +115,16 @@ class FactoredPSD:
 
 # ---------------------------------------------------------------------------
 # spectahedron {X PSD, tr X = t}
+
+def _eigh_descending(M):
+    """(eigenvalues descending, eigenvectors as columns): dense_eig_oracle's
+    order and bits, without its O(n^3) reconstruction self-check."""
+    M = np.asarray(M, dtype=float)
+    if not (np.array_equal(M, M.T) or np.allclose(M, M.T, atol=1e-10)):
+        raise ValueError("exact eigensolve needs a symmetric matrix")
+    vals, vecs = np.linalg.eigh(M)
+    return vals[::-1].copy(), vecs[:, ::-1].copy()
+
 
 def _as_operator(grad) -> SymmetricOperator:
     if isinstance(grad, SymmetricOperator):
@@ -113,7 +147,7 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
     if eps <= 0.0:
         assert not isinstance(grad, SymmetricOperator), \
             "exact spectahedron oracle needs a dense gradient"
-        vals, vecs = dense_eig_oracle(grad)
+        vals, vecs = _eigh_descending(grad)
         return LmoResult(rank_one_atom(vecs[:, -1], t),
                          matvecs=np.asarray(grad).shape[0], slack=0.0)
     res = approx_smallest_ev(_as_operator(grad), eps, rng=rng, seed=seed,
@@ -131,7 +165,7 @@ def spect_gap(X: FactoredPSD, grad, eps: float, rng=None, seed=0) -> tuple:
     if eps <= 0.0:
         assert not isinstance(grad, SymmetricOperator), \
             "exact gap evaluation needs a dense gradient"
-        vals, _ = dense_eig_oracle(grad)
+        vals, _ = _eigh_descending(grad)
         return xg - X.scale * float(vals[-1]), 0.0
     res = approx_smallest_ev(op, eps, rng=rng, seed=seed, method="lanczos")
     return xg - X.scale * res.rayleigh, X.scale * eps
@@ -145,7 +179,7 @@ class SpectrahedronDomain:
     """
 
     def __init__(self, n, t=1.0):
-        assert n >= 1 and t > 0
+        _check_size(n, t)
         self.n = n
         self.t = float(t)
         self.name = f"spectahedron(n={n},t={self.t:g})"
@@ -155,10 +189,10 @@ class SpectrahedronDomain:
         return spect_lmo(grad, eps / self.t if eps > 0 else 0.0, t=self.t, rng=rng)
 
     def gap_formula(self, x, grad):
-        vals, _ = dense_eig_oracle(grad)
+        vals, _ = _eigh_descending(grad)
         return float(np.vdot(x, grad)) - self.t * float(vals[-1]), 0.0
 
-    def start_atom(self) -> Atom:
+    def start_atom(self) -> RankOneAtom:
         e0 = np.zeros(self.n)
         e0[0] = 1.0
         return rank_one_atom(e0, self.t)
@@ -206,8 +240,7 @@ class AveragedGradientOracle(SpectrahedronDomain):
         return res
 
     def gap_formula(self, x, grad):
-        s = self.gap_res.atom.point
-        return float(np.vdot(x, grad) - np.vdot(s, grad)), self.gap_res.slack
+        return float(np.vdot(x, grad) - self.gap_res.atom.inner(grad)), self.gap_res.slack
 
 
 class HazanResult(NamedTuple):

@@ -3,6 +3,8 @@
 Each domain exposes the linear minimization oracle (always exact here), the
 closed-form duality-gap formula, vertex enumeration for brute-force tests,
 and a deterministic start atom.  Tie-breaks are lowest-index; sign(0) := +1.
+Simplex and l1-ball vertices, and the origin, are CoordinateAtoms (index and
+value); cube vertices are dense sign vectors.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..core import Atom, LmoResult, make_rng
+from ..core import Atom, CoordinateAtom, LmoResult, make_rng
 
 
 def _sign_pos(v):
@@ -22,14 +24,12 @@ def _sign_pos(v):
 # ---------------------------------------------------------------------------
 # oracles as free functions (domain objects below delegate to these)
 
-def simplex_lmo(c) -> Atom:
+def simplex_lmo(c) -> CoordinateAtom:
     """Best simplex vertex for the linearization c: e_i at i = argmin c_i."""
     c = np.asarray(c, dtype=float)
     assert np.all(np.isfinite(c)), "non-finite linearization"
     i = int(np.argmin(c))  # np.argmin takes the first (lowest-index) minimum
-    point = np.zeros(c.shape[0])
-    point[i] = 1.0
-    return Atom(point=point, label=f"e{i}")
+    return CoordinateAtom(c.shape[0], i, 1.0, f"e{i}")
 
 
 def simplex_gap(x, grad) -> float:
@@ -38,15 +38,13 @@ def simplex_gap(x, grad) -> float:
     return float(x @ grad - grad.min())
 
 
-def l1_lmo(c, t=1.0) -> Atom:
+def l1_lmo(c, t=1.0) -> CoordinateAtom:
     """Signed scaled basis vector: i = argmax |c_i|, sign(-c_i), radius t."""
     c = np.asarray(c, dtype=float)
     assert np.all(np.isfinite(c)), "non-finite linearization"
     i = int(np.argmax(np.abs(c)))
     sgn = float(_sign_pos(-c[i]))
-    point = np.zeros(c.shape[0])
-    point[i] = sgn * t
-    return Atom(point=point, label=("+e%d" % i) if sgn > 0 else ("-e%d" % i))
+    return CoordinateAtom(c.shape[0], i, sgn * t, ("+e%d" % i) if sgn > 0 else ("-e%d" % i))
 
 
 def l1_gap(x, grad, t=1.0) -> float:
@@ -76,11 +74,19 @@ def cube_gap(x, grad) -> float:
 # ---------------------------------------------------------------------------
 # domain objects
 
+def _check_size(n, t=1.0):
+    """Domain constructor validation: a dimension n >= 1 and a radius t > 0."""
+    if not n >= 1:
+        raise ValueError(f"domain dimension n must be >= 1, got {n!r}")
+    if not t > 0:  # NaN too
+        raise ValueError(f"domain radius t must be positive, got {t!r}")
+
+
 class SimplexDomain:
     """Unit simplex: x >= 0, sum(x) = 1."""
 
     def __init__(self, n):
-        assert n >= 1
+        _check_size(n)
         self.n = n
         self.name = f"simplex(n={n})"
         self.diam_sq = 2.0 if n >= 2 else 0.0
@@ -91,10 +97,8 @@ class SimplexDomain:
     def gap_formula(self, x, grad):
         return simplex_gap(x, grad), 0.0
 
-    def start_atom(self) -> Atom:
-        e0 = np.zeros(self.n)
-        e0[0] = 1.0
-        return Atom(point=e0, label="e0")
+    def start_atom(self) -> CoordinateAtom:
+        return CoordinateAtom(self.n, 0, 1.0, "e0")
 
     def contains(self, x, tol=1e-12) -> bool:
         x = np.asarray(x, dtype=float)
@@ -102,16 +106,14 @@ class SimplexDomain:
 
     def vertices(self):
         for i in range(self.n):
-            e = np.zeros(self.n)
-            e[i] = 1.0
-            yield Atom(point=e, label=f"e{i}")
+            yield CoordinateAtom(self.n, i, 1.0, f"e{i}")
 
 
 class L1BallDomain:
     """l1-ball of radius t: ||x||_1 <= t; vertices are +-t*e_i, start is 0."""
 
     def __init__(self, n, t=1.0):
-        assert n >= 1 and t > 0
+        _check_size(n, t)
         self.n = n
         self.t = float(t)
         self.name = f"l1ball(n={n},t={self.t:g})"
@@ -123,8 +125,8 @@ class L1BallDomain:
     def gap_formula(self, x, grad):
         return l1_gap(x, grad, self.t), 0.0
 
-    def start_atom(self) -> Atom:
-        return Atom(point=np.zeros(self.n), label="0")
+    def start_atom(self) -> CoordinateAtom:
+        return CoordinateAtom(self.n, 0, 0.0, "0")
 
     def contains(self, x, tol=1e-12) -> bool:
         x = np.asarray(x, dtype=float)
@@ -133,16 +135,14 @@ class L1BallDomain:
     def vertices(self):
         for i in range(self.n):
             for sgn, tag in ((1.0, "+"), (-1.0, "-")):
-                e = np.zeros(self.n)
-                e[i] = sgn * self.t
-                yield Atom(point=e, label=f"{tag}e{i}")
+                yield CoordinateAtom(self.n, i, sgn * self.t, f"{tag}e{i}")
 
 
 class CubeDomain:
     """Unit sup-norm cube: ||x||_inf <= 1; vertices are sign vectors, start 0."""
 
     def __init__(self, n):
-        assert n >= 1
+        _check_size(n)
         self.n = n
         self.name = f"cube(n={n})"
         self.diam_sq = 4.0 * n
@@ -153,8 +153,8 @@ class CubeDomain:
     def gap_formula(self, x, grad):
         return cube_gap(x, grad), 0.0
 
-    def start_atom(self) -> Atom:
-        return Atom(point=np.zeros(self.n), label="0")
+    def start_atom(self) -> CoordinateAtom:
+        return CoordinateAtom(self.n, 0, 0.0, "0")
 
     def contains(self, x, tol=1e-12) -> bool:
         x = np.asarray(x, dtype=float)

@@ -38,9 +38,18 @@ def squared_norm(curvature_bound=None, name="sqnorm") -> ObjectiveOracle:
 def squared_distance(r, curvature_bound=None, name="sqdist") -> ObjectiveOracle:
     """f(x) = ||x - r||^2."""
     r = np.asarray(r, dtype=float)
-    grad = lambda x: 2.0 * (x - r)
+
+    def ev(x):
+        d = x - r
+        return float(np.vdot(d, d))
+
+    def grad(x):
+        d = x - r
+        d *= 2.0
+        return d
+
     return ObjectiveOracle(
-        eval=lambda x: float(np.vdot(x - r, x - r)),
+        eval=ev,
         grad=grad,
         curvature_bound=curvature_bound,
         name=name,

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Atom, IterateLedger, LmoResult, ObjectiveOracle, RunClock,
-                   RunTrace, StepSchedule, StopRule, make_rng)
+from .core import (Atom, CoordinateAtom, IterateLedger, LmoResult, ObjectiveOracle,
+                   RunClock, RunTrace, StepSchedule, StopRule, make_rng, move_toward)
 
 LINE_SEARCH_DERIV_TOL = 1e-10
 LINE_SEARCH_MAX_ITERS = 60
@@ -91,7 +91,7 @@ def duality_gap(x, grad, domain, eps_inner: float = 0.0, rng=None) -> float:
     """<x - s, grad> for the domain's best atom s; exact oracles give the true
     gap, approximate ones an estimate no more than their slack below it."""
     res = domain.lmo(grad, eps_inner, rng)
-    return float(np.vdot(x, grad) - np.vdot(res.atom.point, grad))
+    return float(np.vdot(x, grad) - res.atom.inner(grad))
 
 
 def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
@@ -106,7 +106,9 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     Every visited iterate gets a trace row (f, certified gap, step taken);
     the final iterate's row has alpha = 0.  In approx mode the oracle is
     called with inner accuracy eps' = alpha_k * C_f unless inner_tol
-    overrides it.
+    overrides it.  Atoms apply themselves to x; a dense point s is made only
+    for line search and for atoms flagged apply_dense, and is dropped after
+    the step.
     """
     assert lmo_mode in ("exact", "approx")
     schedule = schedule or StepSchedule.harmonic()
@@ -123,10 +125,10 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     start_atom = start if start is not None else domain.start_atom()
     ledger = IterateLedger()
     ledger.seed(start_atom)
-    x = np.array(start_atom.point, dtype=float, copy=True)
+    x = start_atom.dense()
     trace = RunTrace(seed=seed if not isinstance(seed, np.random.Generator) else None)
     matvecs = 0
-    best = None  # (gap, k, x copy, ledger atoms, ledger weights)
+    best = None  # (gap, k, x copy, ledger atoms, ledger weights copy)
 
     k = 0
     while True:
@@ -143,19 +145,21 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
             eps_in = 0.0
         res = domain.lmo(grad, eps_in, rng)
         matvecs += res.matvecs
-        s = res.atom.point
+        atom = res.atom
+        s = atom.dense() if atom.apply_dense else None
 
         if getattr(domain, "gap_from_formula", False):
             # the step atom does not certify the gap (a sampled atom, or one
             # from a modified gradient); the oracle measures it separately
             gap_est, gap_slack = domain.gap_formula(x, grad)
         else:
-            gap_est = float(np.vdot(x, grad) - np.vdot(s, grad))
+            s_grad = atom.inner(grad) if s is None else np.vdot(s, grad)
+            gap_est = float(np.vdot(x, grad) - s_grad)
             gap_slack = res.slack
         gap_cert = gap_est + gap_slack
 
         if track_best_gap and (best is None or gap_cert < best[0]):
-            best = (gap_cert, k, x.copy(), list(ledger.atoms), list(ledger.weights))
+            best = (gap_cert, k, x.copy(), list(ledger.atoms), ledger.weights.copy())
         if on_iterate is not None:
             on_iterate(k, x, fx, gap_cert)
 
@@ -168,17 +172,21 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
             break
 
         if schedule.kind == "line_search":
-            alpha = line_search_alpha(objective, x, s)
+            s_ls = atom.dense() if s is None else s
+            alpha = line_search_alpha(objective, x, s_ls)
             a_fix = schedule.alpha_at(k)
             # the searched step must be at least as good as the scheduled one
-            if objective.eval(x + a_fix * (s - x)) < objective.eval(x + alpha * (s - x)):
+            if objective.eval(x + a_fix * (s_ls - x)) < objective.eval(x + alpha * (s_ls - x)):
                 alpha = a_fix
         else:
             alpha = schedule.alpha_at(k)
 
-        trace.append(k, fx, gap_cert, alpha, res.atom.label, matvecs, clock.millis())
-        x += alpha * (s - x)
-        ledger.step(res.atom, alpha)
+        trace.append(k, fx, gap_cert, alpha, atom.label, matvecs, clock.millis())
+        if s is None:
+            atom.step_into(x, alpha)
+        else:
+            move_toward(x, s, alpha)
+        ledger.step(atom, alpha)
         k += 1
 
     return RunResult(point=x, ledger=ledger, trace=trace,
@@ -203,7 +211,8 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
     tolerance below the slack margin the schedule leaves, so a true-gap
     guarantee turns into a certified (estimate + slack) one.
     """
-    assert eps > 0
+    if not eps > 0:  # NaN too
+        raise ValueError(f"eps must be positive, got {eps!r}")
     C = curvature_bound if curvature_bound is not None else objective.curvature_bound
     assert C is not None and C >= 0, "certified runs need a curvature bound"
     K = certified_iteration_count(C, eps, lmo_mode)
@@ -263,7 +272,5 @@ def uniform_simplex_sampler(n):
     """Uniform coordinate sampling on the simplex: success probability 1/n."""
     def sample(rng):
         i = int(rng.integers(n))
-        e = np.zeros(n)
-        e[i] = 1.0
-        return Atom(point=e, label=f"e{i}")
+        return CoordinateAtom(n, i, 1.0, f"e{i}")
     return sample

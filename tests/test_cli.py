@@ -177,6 +177,38 @@ def test_solve_custom_quadratic_data_errors(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def _one_error_line(capsys, prefix):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+    return lines[0]
+
+
+@pytest.mark.parametrize("cfg,what", [
+    ({"objective": {"kind": "quadratic"}, "domain": {"kind": "simplex", "n": 4},
+      "eps": -1}, "eps must be positive"),
+    ({"objective": {"kind": "quadratic"}, "domain": {"kind": "simplex", "n": 0},
+      "max_iters": 5}, "n must be >= 1"),
+    ({"objective": {"kind": "quadratic"}, "domain": {"kind": "l1", "n": 3, "t": 0},
+      "max_iters": 5}, "t must be positive"),
+])
+def test_solve_bad_values_exit_2_with_one_line(tmp_path, capsys, cfg, what):
+    assert main(["solve", write_json(tmp_path / "bad.json", cfg)]) == 2
+    assert what in _one_error_line(capsys, "config error:")
+
+
+def test_solve_custom_quadratic_without_q_exits_3_with_one_line(tmp_path, capsys):
+    qfile = write_json(tmp_path / "q.json", {"c": [1.0, 0.0]})
+    cfg = write_json(tmp_path / "run.json", {
+        "objective": {"kind": "custom_quadratic", "path": qfile},
+        "domain": {"kind": "simplex", "n": 2},
+        "max_iters": 5,
+    })
+    assert main(["solve", cfg]) == 3
+    assert "'Q'" in _one_error_line(capsys, "data error:")
+
+
 # ---------------------------------------------------------------------------
 # complete
 
