@@ -38,9 +38,6 @@ class ObjectiveOracle:
     name: str = "f"
     alpha_hook: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
-    def __call__(self, x):
-        return self.eval(x)
-
 
 def move_toward(x: np.ndarray, s: np.ndarray, alpha: float):
     """x += alpha (s - x) in place, using s as the scratch array; the bits
@@ -124,9 +121,19 @@ class CoordinateAtom:
 
 
 class LmoResult(NamedTuple):
+    """An oracle's answer for one gradient.
+
+    atom is the step atom.  slack bounds how far <atom, grad> may lie above
+    the true minimum over the domain.  cert, when set, is the result that
+    certifies the duality gap because the step atom does not (a sampled
+    atom, or one solved on a modified gradient); the gap is then read off
+    cert.atom and cert.slack.
+    """
+
     atom: Atom
     matvecs: int = 0
-    slack: float = 0.0  # guaranteed additive error of <s, grad> vs the true min
+    slack: float = 0.0
+    cert: Optional["LmoResult"] = None
 
 
 class IterateLedger:
@@ -259,7 +266,6 @@ class RunTrace:
 
     rows: list = field(default_factory=list)
     seed: Optional[int] = None
-    meta: dict = field(default_factory=dict)
 
     def append(self, k, f, gap, alpha, atom, matvecs, millis):
         if self.rows and not k > self.rows[-1].k:

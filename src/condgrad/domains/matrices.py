@@ -1,5 +1,5 @@
 """Matrix domains: trace-t spectahedron, sparse-PSD atom hull, and the
-bounded-diagonal PSD box, with their linear oracles and gap formulas.
+bounded-diagonal PSD box, with their linear oracles.
 
 Iterates are dense symmetric arrays at solver level.  Spectahedron atoms are
 kept as (v, t) (RankOneAtom), so the ledger holds the iterate's factored
@@ -156,7 +156,7 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
                      slack=t * eps)
 
 
-def spect_gap(X: FactoredPSD, grad, eps: float, rng=None, seed=0) -> tuple:
+def spect_gap(X: FactoredPSD, grad, eps: float, seed=0) -> tuple:
     """(gap_estimate, tolerance): X.grad - t*lambda_min(grad) with lambda_min
     measured to eps, so the true gap lies in estimate +- t*eps and
     estimate + t*eps certifies the primal error."""
@@ -167,7 +167,7 @@ def spect_gap(X: FactoredPSD, grad, eps: float, rng=None, seed=0) -> tuple:
             "exact gap evaluation needs a dense gradient"
         vals, _ = _eigh_descending(grad)
         return xg - X.scale * float(vals[-1]), 0.0
-    res = approx_smallest_ev(op, eps, rng=rng, seed=seed, method="lanczos")
+    res = approx_smallest_ev(op, eps, seed=seed, method="lanczos")
     return xg - X.scale * res.rayleigh, X.scale * eps
 
 
@@ -188,10 +188,6 @@ class SpectrahedronDomain:
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
         return spect_lmo(grad, eps / self.t if eps > 0 else 0.0, t=self.t, rng=rng)
 
-    def gap_formula(self, x, grad):
-        vals, _ = _eigh_descending(grad)
-        return float(np.vdot(x, grad)) - self.t * float(vals[-1]), 0.0
-
     def start_atom(self) -> RankOneAtom:
         e0 = np.zeros(self.n)
         e0[0] = 1.0
@@ -210,17 +206,16 @@ class AveragedGradientOracle(SpectrahedronDomain):
     """Spectahedron oracle for the grad_averaging heuristic: from step k = 1
     on, the step atom is the eigenvector of (grad f(X) + grad f(Xbar))/2 with
     Xbar = (1 - 1/k) X + (1/k) * (previous step atom), and a second
-    eigensolve on grad f(X) itself keeps the traced gap certified.  Run it
-    on `.objective`, whose grad records X; it counts steps, so one per run.
+    eigensolve on grad f(X) itself, returned as the result's cert, keeps the
+    traced gap certified.  Run it on `.objective`, whose grad records X; it
+    counts steps, so one per run.
     """
-
-    gap_from_formula = True
 
     def __init__(self, f: ObjectiveOracle, n, t=1.0):
         super().__init__(n, t)
         self.f = f
         self.objective = replace(f, grad=self._grad_at)
-        self.k, self.x, self.prev_v, self.gap_res = 0, None, None, None
+        self.k, self.x, self.prev_v = 0, None, None
 
     def _grad_at(self, x):
         self.x = x
@@ -229,18 +224,15 @@ class AveragedGradientOracle(SpectrahedronDomain):
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
         k, self.k = self.k, self.k + 1
         if k == 0:
-            res = self.gap_res = super().lmo(grad, eps, rng)
+            res = super().lmo(grad, eps, rng)
         else:
             Xbar = (1.0 - 1.0 / k) * self.x \
                 + (1.0 / k) * self.t * np.outer(self.prev_v, self.prev_v)
             res = super().lmo(0.5 * (grad + self.f.grad(Xbar)), eps, rng)
-            self.gap_res = super().lmo(grad, eps, rng)
-            res = res._replace(matvecs=res.matvecs + self.gap_res.matvecs)
+            cert = super().lmo(grad, eps, rng)
+            res = res._replace(matvecs=res.matvecs + cert.matvecs, cert=cert)
         self.prev_v = res.atom.vector
         return res
-
-    def gap_formula(self, x, grad):
-        return float(np.vdot(x, grad) - self.gap_res.atom.inner(grad)), self.gap_res.slack
 
 
 class HazanResult(NamedTuple):
@@ -398,18 +390,8 @@ class SparsePsdDomain:
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
         return LmoResult(sparsepsd_lmo(grad, self.mode).atom(self.n))
 
-    def gap_formula(self, x, grad):
-        s = sparsepsd_lmo(grad, self.mode)
-        return float(np.vdot(x, grad)) - s.inner(np.asarray(grad, dtype=float)), 0.0
-
     def start_atom(self) -> Atom:
         return SparsePsdAtom(0, 1, 1).atom(self.n)
-
-    def atoms(self):
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                for sign in (1, -1):
-                    yield SparsePsdAtom(i, j, sign)
 
     def contains(self, X, tol=1e-9) -> bool:
         X = np.asarray(X, dtype=float)
@@ -435,14 +417,18 @@ def _project_rows(V: np.ndarray, radius: float) -> np.ndarray:
     return V * scale[:, None]
 
 
+BOUNDEDDIAG_RESTARTS = 5      # descent runs per oracle call
+BOUNDEDDIAG_ITERATIONS = 500  # projected-gradient steps per run
+
+
 class BoundedDiagLmo(NamedTuple):
     result: LmoResult
     value: float
     flagged: bool  # descent went nonmonotone before the budget ran out
 
 
-def boundeddiag_lmo(G, t: float = 1.0, eps: float = 0.0, rng=None, seed=0,
-                    restarts: int = 5, iterations: int = 500) -> BoundedDiagLmo:
+def boundeddiag_lmo(G, t: float = 1.0, eps: float = 0.0, rng=None,
+                    seed=0) -> BoundedDiagLmo:
     """min <Y, G> over Y PSD with Y_ii <= t, via projected gradient descent
     on the full-rank factor Y = V V^T (rows of V in the sqrt(t) ball).
 
@@ -468,7 +454,7 @@ def boundeddiag_lmo(G, t: float = 1.0, eps: float = 0.0, rng=None, seed=0,
 
     best_V, best_val = None, math.inf
     flagged = False
-    for r in range(max(1, restarts)):
+    for r in range(BOUNDEDDIAG_RESTARTS):
         if r == 0:
             V = np.zeros((n, n))
         elif r == 1:
@@ -476,7 +462,7 @@ def boundeddiag_lmo(G, t: float = 1.0, eps: float = 0.0, rng=None, seed=0,
         else:
             V = _project_rows(rng.standard_normal((n, n)), radius)
         val = float(np.einsum("ij,ik,jk->", G, V, V))
-        for _ in range(iterations):
+        for _ in range(BOUNDEDDIAG_ITERATIONS):
             V = _project_rows(V - step * 2.0 * (G @ V), radius)
             new_val = float(np.einsum("ij,ik,jk->", G, V, V))
             if new_val > val + 1e-9 * max(1.0, abs(val)):
@@ -487,8 +473,9 @@ def boundeddiag_lmo(G, t: float = 1.0, eps: float = 0.0, rng=None, seed=0,
     Y = best_V @ best_V.T
     Y = 0.5 * (Y + Y.T)
     atom = Atom(point=Y, label=_digest_label("bd", Y))
-    return BoundedDiagLmo(LmoResult(atom, matvecs=max(1, restarts) * iterations,
-                                    slack=t * eps), best_val, flagged)
+    matvecs = BOUNDEDDIAG_RESTARTS * BOUNDEDDIAG_ITERATIONS
+    return BoundedDiagLmo(LmoResult(atom, matvecs=matvecs, slack=t * eps),
+                          best_val, flagged)
 
 
 def boundeddiag_grid_oracle_2x2(G, t: float = 1.0, grid_step: float = 1e-3) -> float:
@@ -516,9 +503,6 @@ class BoundedDiagDomain:
 
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
         return boundeddiag_lmo(grad, t=self.t, eps=eps, rng=rng).result
-
-    def gap_formula(self, x, grad):
-        return float(np.vdot(x, grad)) - boundeddiag_lmo(grad, t=self.t).value, 0.0
 
     def start_atom(self) -> Atom:
         Y = np.zeros((self.n, self.n))
@@ -563,10 +547,9 @@ def measure_bounded_diag_diam_sq(n: int, t: float = 1.0, samples: int = 200,
 
 
 def maxdiag_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
-                stop: Optional[StopRule] = None, schedule=None, seed=0,
-                lmo_mode: str = "exact", curvature_bound: Optional[float] = None,
-                check_membership: bool = True) -> RunResult:
-    """Greedy run over the bounded-diagonal box.
+                stop: Optional[StopRule] = None, seed=0) -> RunResult:
+    """Greedy run over the bounded-diagonal box with harmonic steps and the
+    exact-mode oracle.
 
     Each iterate is membership-checked (PSD probe, diagonal bound).  Gap
     certificates inherit the inner oracle's conditional status above n = 3.
@@ -574,9 +557,8 @@ def maxdiag_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
     dom = BoundedDiagDomain(n, t)
 
     def on_iterate(k, x, fx, gap):
-        if check_membership:
-            assert dom.contains(x), f"iterate left the domain at step {k}"
+        if not dom.contains(x):
+            raise AssertionError(f"iterate left the domain at step {k}")
 
     return solver.fw_run(objective, dom, stop=stop or StopRule(max_iters=50),
-                         schedule=schedule, seed=seed, lmo_mode=lmo_mode,
-                         curvature_bound=curvature_bound, on_iterate=on_iterate)
+                         seed=seed, on_iterate=on_iterate)

@@ -1,8 +1,10 @@
 """Vector domains: unit simplex, l1-ball of radius t, unit sup-norm cube.
 
-Each domain exposes the linear minimization oracle (always exact here), the
-closed-form duality-gap formula, vertex enumeration for brute-force tests,
-and a deterministic start atom.  Tie-breaks are lowest-index; sign(0) := +1.
+Each domain exposes the linear minimization oracle (always exact here), a
+membership test and a deterministic start atom; the solver reads the duality
+gap off the oracle's atom.  The closed-form gap formulas are free functions
+(simplex_gap, l1_gap, cube_gap) for the tests and the lower-bound suites.
+Tie-breaks are lowest-index; sign(0) := +1.
 Simplex and l1-ball vertices, and the origin, are CoordinateAtoms (index and
 value); cube vertices are dense sign vectors.
 """
@@ -94,19 +96,12 @@ class SimplexDomain:
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
         return LmoResult(simplex_lmo(grad))
 
-    def gap_formula(self, x, grad):
-        return simplex_gap(x, grad), 0.0
-
     def start_atom(self) -> CoordinateAtom:
         return CoordinateAtom(self.n, 0, 1.0, "e0")
 
     def contains(self, x, tol=1e-12) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(x.min() >= -tol and abs(x.sum() - 1.0) <= tol * max(1.0, self.n))
-
-    def vertices(self):
-        for i in range(self.n):
-            yield CoordinateAtom(self.n, i, 1.0, f"e{i}")
 
 
 class L1BallDomain:
@@ -122,20 +117,12 @@ class L1BallDomain:
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
         return LmoResult(l1_lmo(grad, self.t))
 
-    def gap_formula(self, x, grad):
-        return l1_gap(x, grad, self.t), 0.0
-
     def start_atom(self) -> CoordinateAtom:
         return CoordinateAtom(self.n, 0, 0.0, "0")
 
     def contains(self, x, tol=1e-12) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.abs(x).sum() <= self.t * (1.0 + tol))
-
-    def vertices(self):
-        for i in range(self.n):
-            for sgn, tag in ((1.0, "+"), (-1.0, "-")):
-                yield CoordinateAtom(self.n, i, sgn * self.t, f"{tag}e{i}")
 
 
 class CubeDomain:
@@ -150,21 +137,12 @@ class CubeDomain:
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
         return LmoResult(cube_lmo(grad))
 
-    def gap_formula(self, x, grad):
-        return cube_gap(x, grad), 0.0
-
     def start_atom(self) -> CoordinateAtom:
         return CoordinateAtom(self.n, 0, 0.0, "0")
 
     def contains(self, x, tol=1e-12) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.abs(x).max() <= 1.0 + tol)
-
-    def vertices(self):
-        assert self.n <= 20, "vertex enumeration is exponential"
-        for mask in range(1 << self.n):
-            s = np.array([1.0 if (mask >> i) & 1 else -1.0 for i in range(self.n)])
-            yield Atom(point=s, label="c%x" % mask)
 
 
 # ---------------------------------------------------------------------------

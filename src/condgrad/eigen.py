@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import make_rng
 
-DEFAULT_POWER_C = 8.0
+POWER_C = 8.0
 
 
 @dataclass
@@ -48,10 +48,11 @@ class SymmetricOperator:
     @staticmethod
     def from_dense(M: np.ndarray) -> "SymmetricOperator":
         M = np.asarray(M, dtype=float)
-        assert M.ndim == 2 and M.shape[0] == M.shape[1]
+        if not (M.ndim == 2 and M.shape[0] == M.shape[1]):
+            raise AssertionError(f"operator must be square, got shape {M.shape}")
         # the exact test is cheap and settles every gradient built symmetric
-        assert np.array_equal(M, M.T) or np.allclose(M, M.T, atol=1e-10), \
-            "operator must be symmetric"
+        if not (np.array_equal(M, M.T) or np.allclose(M, M.T, atol=1e-10)):
+            raise AssertionError("operator must be symmetric")
         return SymmetricOperator(
             dim=M.shape[0],
             matvec=M.__matmul__,
@@ -96,14 +97,13 @@ def spectral_range_bound(op: SymmetricOperator) -> float:
     if op.row_abs_max is not None:
         cands.append(op.row_abs_max)
     if not cands:
-        raise ValueError("operator exposes no norm information; pass range_bound explicitly")
+        raise ValueError("operator exposes no norm information (fro_norm or "
+                         "row_abs_max) to bound its spectral range")
     return 2.0 * min(cands)
 
 
 def _start_vector(op, start, rng):
-    if isinstance(start, np.ndarray):
-        v = start.astype(float).copy()
-    elif start == "ones":
+    if start == "ones":
         v = np.ones(op.dim)
     else:
         v = rng.standard_normal(op.dim)
@@ -112,25 +112,25 @@ def _start_vector(op, start, rng):
     return v / nrm
 
 
-def approx_largest_ev(op: SymmetricOperator, eps: float, range_bound: Optional[float] = None,
-                      seed=0, rng=None, iterations: Optional[int] = None,
-                      start=None, shift: Optional[float] = None,
-                      c: float = DEFAULT_POWER_C, method: str = "power") -> EigResult:
+def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
+                      iterations: Optional[int] = None, start=None,
+                      shift: Optional[float] = None, method: str = "power") -> EigResult:
     """Unit v with v^T M v >= lambda_max(M) - eps, with high probability.
 
-    The iteration count follows the power-method guarantee ceil(c*log(n)/gamma)
-    with gamma = eps/L unless an explicit budget is given.  method="lanczos"
-    runs min(that + 1, ceil(c*log(n)/sqrt(gamma)), n) steps: at that + 1
-    steps the Krylov space holds the power iterate, so the Ritz value is at
-    least its Rayleigh quotient, and at n steps it is exact.  shift overrides the
+    The iteration count follows the power-method guarantee ceil(c*log(n)/gamma),
+    with c = POWER_C, gamma = eps/L and L = spectral_range_bound(op), unless
+    an explicit budget is given.  method="lanczos" runs min(that + 1,
+    ceil(c*log(n)/sqrt(gamma)), n) steps: at that + 1 steps the Krylov space
+    holds the power iterate, so the Ritz value is at least its Rayleigh
+    quotient, and at n steps it is exact.  start="ones" starts from the
+    all-ones vector, otherwise from a random one.  shift overrides the
     internal PSD shift (the caller promises M + shift*Id is PSD enough to make
     the top eigenvalue dominant in magnitude).
     """
     assert eps >= 0
     if rng is None:
         rng = make_rng(seed)
-    L = spectral_range_bound(op) if range_bound is None else float(range_bound)
-    assert L >= 0
+    L = spectral_range_bound(op)
     v = _start_vector(op, start, rng)
     matvecs = 0
 
@@ -151,7 +151,7 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, range_bound: Optional[f
         gamma = eps / L
         if gamma <= 0:
             raise ValueError("eps must be positive when no iteration budget is given")
-        c_log_n = c * math.log(max(op.dim, 2))
+        c_log_n = POWER_C * math.log(max(op.dim, 2))
         iterations = max(1, math.ceil(c_log_n / gamma))
         if method == "lanczos":
             iterations = min(iterations + 1, math.ceil(c_log_n / math.sqrt(gamma)),

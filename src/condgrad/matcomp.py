@@ -62,10 +62,13 @@ class RatingDataset:
     def __post_init__(self):
         for i, j in ((self.train_i, self.train_j), (self.test_i, self.test_j)):
             if len(i):
-                assert i.min() >= 0 and i.max() < self.m, "user index out of range"
-                assert j.min() >= 0 and j.max() < self.n, "item index out of range"
+                if not (i.min() >= 0 and i.max() < self.m):
+                    raise AssertionError("user index out of range")
+                if not (j.min() >= 0 and j.max() < self.n):
+                    raise AssertionError("item index out of range")
             keys = i.astype(np.int64) * self.n + j
-            assert len(np.unique(keys)) == len(keys), "duplicate (user,item) in split"
+            if len(np.unique(keys)) != len(keys):
+                raise AssertionError("duplicate (user,item) in split")
 
     @property
     def n_train(self):
@@ -82,6 +85,7 @@ def load_movielens(path, fmt: str = "tab_100k") -> RatingDataset:
 
     tab_100k lines are `user<TAB>item<TAB>rating<TAB>timestamp`; dat_1m lines
     use `::` separators.  1-based sparse ids are remapped to dense 0-based.
+    A (user, item) pair rated on two lines is a data error (ValueError).
     """
     assert fmt in ("tab_100k", "dat_1m")
     sep = "\t" if fmt == "tab_100k" else "::"
@@ -109,6 +113,12 @@ def load_movielens(path, fmt: str = "tab_100k") -> RatingDataset:
     i_map = {i: k for k, i in enumerate(i_ids)}
     ti = np.array([u_map[u] for u in users], dtype=np.int64)
     tj = np.array([i_map[i] for i in items], dtype=np.int64)
+    keys = np.sort(ti * len(i_ids) + tj)
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(dup):
+        u, i = divmod(int(keys[dup[0]]), len(i_ids))
+        raise ValueError(f"{path}: user {u_ids[u]} rated item {i_ids[i]} "
+                         "on more than one line")
     return RatingDataset(len(u_ids), len(i_ids), ti, tj, np.array(ys, dtype=float),
                          np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
                          np.zeros(0))
@@ -247,7 +257,7 @@ def squared_loss_objective(ds: RatingDataset, t: float):
     """(ObjectiveOracle, PredictionStore) for f = 1/2 sum (X_ij - y_ij)^2.
 
     The oracle's callables ignore their argument and read the store, which
-    complete() keeps in sync with the factored iterate; grad returns the
+    the caller keeps in sync with the factored iterate; grad returns the
     sparse SymmetricOperator.  curvature_bound is the t^2 upper bound for the
     scaled embedding.
     """
@@ -266,11 +276,11 @@ def squared_loss_objective(ds: RatingDataset, t: float):
     return oracle, store
 
 
-def rect_squared_loss(ds: RatingDataset, m=None, n=None) -> ObjectiveOracle:
+def rect_squared_loss(ds: RatingDataset) -> ObjectiveOracle:
     """Dense rectangular view f(Z) = 1/2 sum_{ij in train} (Z_ij - y_ij)^2
-    (test-scale reference; compose with transforms.nuclear_to_spect)."""
-    m = ds.m if m is None else m
-    n = ds.n if n is None else n
+    over Z of shape (ds.m, ds.n) (test-scale reference; compose with
+    transforms.nuclear_to_spect)."""
+    m, n = ds.m, ds.n
     i, j, y = ds.train_i, ds.train_j, ds.train_y
 
     def ev(Z):
@@ -371,7 +381,7 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
     denorm = None
     if normalize:
         ds, denorm = normalize_means(ds)
-    oracle, store = squared_loss_objective(ds, t)
+    store = PredictionStore(ds)
     y = ds.train_y
     budget = power_budget or default_power_budget
     clock = RunClock()

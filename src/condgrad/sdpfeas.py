@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ObjectiveOracle, RunTrace, StopRule
-from .domains.matrices import FactoredPSD, SpectrahedronDomain
+from .domains.matrices import SpectrahedronDomain
 from .eigen import dense_eig_oracle
 from .solver import fw_run, gap_certified_run
 
@@ -37,10 +37,17 @@ class FeasibilitySDP:
     def __post_init__(self):
         self.A = [np.asarray(Ai, dtype=float) for Ai in self.A]
         self.b = np.asarray(self.b, dtype=float)
-        assert len(self.A) == len(self.b) >= 1 and self.t > 0
+        if not (len(self.A) == len(self.b) >= 1):
+            raise AssertionError("need one right-hand side per constraint, "
+                                 "and at least one constraint")
+        if not self.t > 0:
+            raise AssertionError(f"trace bound t must be positive, got {self.t!r}")
         for Ai in self.A:
-            assert Ai.shape == (self.n, self.n)
-            assert np.allclose(Ai, Ai.T, atol=1e-10), "constraint matrix not symmetric"
+            if Ai.shape != (self.n, self.n):
+                raise AssertionError(f"constraint matrix has shape {Ai.shape}, "
+                                     f"expected {(self.n, self.n)}")
+            if not np.allclose(Ai, Ai.T, atol=1e-10):
+                raise AssertionError("constraint matrix not symmetric")
 
     @property
     def m(self):
@@ -56,15 +63,13 @@ def max_violation(sdp: FeasibilitySDP, X: np.ndarray) -> float:
 
 
 def softmax_eval_grad(sdp: FeasibilitySDP, sigma: float, X):
-    """(f, grad, weights) of the soft-max potential at X (dense or factored).
+    """(f, grad, weights) of the soft-max potential at a dense X.
 
     f uses the max-shifted log-sum-exp, grad = sum_i w_i A_i with the softmax
     weights w summing to one; f always lies between the max violation and
     max violation + log(m)/sigma.
     """
     assert sigma > 0
-    if isinstance(X, FactoredPSD):
-        X = X.dense()
     z = sigma * constraint_values(sdp, X)
     zmax = float(z.max())
     e = np.exp(z - zmax)
@@ -115,14 +120,13 @@ class FeasibilityOutcome:
 
 
 def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
-                       max_iters: Optional[int] = None,
                        lmo_mode: str = "approx",
                        certify_infeasible: bool = True) -> FeasibilityOutcome:
     """Drive the soft-max potential below eps (every violation <= eps then),
     or certify min f > eps (no exactly feasible X exists).
 
-    sigma = log(m)/eps; the default iteration cap is the 8 C_f/eps primal
-    budget, O(log(m)/eps^2) eigensolver calls for unit-norm constraints.
+    sigma = log(m)/eps; the iteration cap is the 8 C_f/eps primal budget,
+    O(log(m)/eps^2) eigensolver calls for unit-norm constraints.
     Infeasibility is only ever reported with a certified gap; otherwise the
     outcome is undetermined at this budget.
     """
@@ -132,8 +136,7 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     C = curvature_estimate(sdp, sigma)
     objective = softmax_objective(sdp, sigma, curvature_bound=C)
     domain = SpectrahedronDomain(sdp.n, sdp.t)
-    if max_iters is None:
-        max_iters = int(math.ceil(8.0 * C / eps)) + 2
+    max_iters = int(math.ceil(8.0 * C / eps)) + 2
     run = fw_run(objective, domain, stop=StopRule(max_iters=max_iters, target_f=eps),
                  lmo_mode=lmo_mode, seed=seed)
     X = run.point
@@ -178,8 +181,7 @@ class BinarySearchResult:
 
 def binary_search_objective(C: np.ndarray, sdp: Optional[FeasibilitySDP],
                             eps: float, value_range=None, n: Optional[int] = None,
-                            t: float = 1.0, rounds: Optional[int] = None,
-                            seed=0, lmo_mode: str = "approx") -> BinarySearchResult:
+                            t: float = 1.0, lmo_mode: str = "approx") -> BinarySearchResult:
     """Maximize C . X over the eps-feasible region by bisecting the guess
     gamma with the extra constraint -C.X <= -gamma.
 
@@ -197,8 +199,7 @@ def binary_search_objective(C: np.ndarray, sdp: Optional[FeasibilitySDP],
     else:
         lo, hi = map(float, value_range)
     assert hi >= lo
-    if rounds is None:
-        rounds = max(1, int(math.ceil(math.log2(max((hi - lo) / max(eps, 1e-12), 2.0)))))
+    rounds = max(1, int(math.ceil(math.log2(max((hi - lo) / max(eps, 1e-12), 2.0)))))
 
     best_X = None
     best_val = -math.inf
@@ -208,7 +209,7 @@ def binary_search_objective(C: np.ndarray, sdp: Optional[FeasibilitySDP],
         A = ([] if sdp is None else list(sdp.A)) + [-C]
         b = ([] if sdp is None else list(sdp.b)) + [-gamma]
         aug = FeasibilitySDP(n=n, A=A, b=b, t=t)
-        out = solve_eps_feasible(aug, eps, seed=seed, certify_infeasible=False,
+        out = solve_eps_feasible(aug, eps, certify_infeasible=False,
                                  lmo_mode=lmo_mode)
         outcomes.append((gamma, out.status))
         if out.status == "feasible":
@@ -234,7 +235,16 @@ def binary_search_objective(C: np.ndarray, sdp: Optional[FeasibilitySDP],
 #   constraint b=-1
 #   ...
 
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"{text!r} is not a finite number")
+    return v
+
+
 def parse_problem(text: str) -> FeasibilitySDP:
+    """The FeasibilitySDP of a problem file; a malformed line raises
+    ValueError naming its line number."""
     n = None
     t = 1.0
     A, b = [], []
@@ -247,20 +257,28 @@ def parse_problem(text: str) -> FeasibilitySDP:
         try:
             if parts[0] == "n":
                 n = int(parts[1])
+                if n < 1:
+                    raise ValueError(f"n must be at least 1, got {n}")
             elif parts[0] == "t":
-                t = float(parts[1])
+                t = _finite(parts[1])
+                if not t > 0:
+                    raise ValueError(f"t must be positive, got {t!r}")
             elif parts[0] == "constraint":
-                assert n is not None, "n must precede constraints"
+                if n is None:
+                    raise ValueError("n must precede constraints")
                 kv = dict(p.split("=", 1) for p in parts[1:])
-                b.append(float(kv["b"]))
+                b.append(_finite(kv["b"]))
                 cur = np.zeros((n, n))
                 A.append(cur)
             else:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-                assert cur is not None, "entry before any constraint header"
+                i, j, v = int(parts[0]), int(parts[1]), _finite(parts[2])
+                if cur is None:
+                    raise ValueError("entry before any constraint header")
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ValueError(f"index out of range for n = {n}")
                 cur[i, j] = v
                 cur[j, i] = v
-        except (IndexError, KeyError, ValueError, AssertionError) as e:
+        except (IndexError, KeyError, ValueError) as e:
             raise ValueError(f"problem file line {lineno}: {raw!r}: {e}") from None
     if n is None or not A:
         raise ValueError("problem file needs an `n` header and at least one constraint")

@@ -87,16 +87,25 @@ def line_search_alpha(objective: ObjectiveOracle, x, s) -> float:
     return mid
 
 
-def duality_gap(x, grad, domain, eps_inner: float = 0.0, rng=None) -> float:
-    """<x - s, grad> for the domain's best atom s; exact oracles give the true
-    gap, approximate ones an estimate no more than their slack below it."""
-    res = domain.lmo(grad, eps_inner, rng)
-    return float(np.vdot(x, grad) - res.atom.inner(grad))
+def certified_gap(x, grad, res: LmoResult, s=None) -> float:
+    """<x, grad> - <s, grad> + slack for the atom s that certifies the gap:
+    res.cert when the oracle set one, else the step atom, whose dense point
+    fw_run may pass as s.  Weak duality makes this an upper bound on the
+    primal error."""
+    if res.cert is not None:
+        res, s = res.cert, None
+    s_grad = res.atom.inner(grad) if s is None else np.vdot(s, grad)
+    return float(np.vdot(x, grad) - s_grad) + res.slack
+
+
+def duality_gap(x, grad, domain) -> float:
+    """<x - s, grad> for the domain's best atom s, from its exact oracle."""
+    return certified_gap(x, grad, domain.lmo(grad))
 
 
 def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
            schedule: Optional[StepSchedule] = None, start: Optional[Atom] = None,
-           lmo_mode: str = "exact", seed=0, rng=None,
+           lmo_mode: str = "exact", seed=0,
            curvature_bound: Optional[float] = None,
            inner_tol: Optional[Callable[[int], float]] = None,
            track_best_gap: bool = False,
@@ -118,8 +127,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     if getattr(domain, "requires_line_search", False):
         assert schedule.kind == "line_search", \
             "randomized oracles need line search so failed samples cannot hurt"
-    if rng is None:
-        rng = make_rng(seed)
+    rng = make_rng(seed)
     clock = RunClock()
 
     start_atom = start if start is not None else domain.start_atom()
@@ -148,15 +156,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         atom = res.atom
         s = atom.dense() if atom.apply_dense else None
 
-        if getattr(domain, "gap_from_formula", False):
-            # the step atom does not certify the gap (a sampled atom, or one
-            # from a modified gradient); the oracle measures it separately
-            gap_est, gap_slack = domain.gap_formula(x, grad)
-        else:
-            s_grad = atom.inner(grad) if s is None else np.vdot(s, grad)
-            gap_est = float(np.vdot(x, grad) - s_grad)
-            gap_slack = res.slack
-        gap_cert = gap_est + gap_slack
+        gap_cert = certified_gap(x, grad, res, s)
 
         if track_best_gap and (best is None or gap_cert < best[0]):
             best = (gap_cert, k, x.copy(), list(ledger.atoms), ledger.weights.copy())
@@ -201,8 +201,7 @@ def certified_iteration_count(curvature_bound: float, eps: float, lmo_mode: str)
 
 
 def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
-                      lmo_mode: str = "exact", start: Optional[Atom] = None,
-                      seed=0, curvature_bound: Optional[float] = None) -> CertifiedRun:
+                      lmo_mode: str = "exact", seed=0) -> CertifiedRun:
     """Two-phase schedule (K harmonic steps, then K+1 at fixed alpha=2/(K+2))
     guaranteeing an iterate with duality gap <= eps; returns the iterate with
     the smallest measured certified gap.
@@ -213,7 +212,7 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
     """
     if not eps > 0:  # NaN too
         raise ValueError(f"eps must be positive, got {eps!r}")
-    C = curvature_bound if curvature_bound is not None else objective.curvature_bound
+    C = objective.curvature_bound
     assert C is not None and C >= 0, "certified runs need a curvature bound"
     K = certified_iteration_count(C, eps, lmo_mode)
     schedule = StepSchedule.two_phase(K)
@@ -230,7 +229,7 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
             return min(step_tol, _m) if k >= _K else step_tol
 
     run = fw_run(objective, domain, stop=StopRule(max_iters=2 * K + 1),
-                 schedule=schedule, start=start, lmo_mode=lmo_mode, seed=seed,
+                 schedule=schedule, lmo_mode=lmo_mode, seed=seed,
                  curvature_bound=C, inner_tol=inner_tol, track_best_gap=True)
     gap_bound, k_hat, x_best, atoms, weights = run.best
     ledger = IterateLedger(atoms=atoms, weights=weights)
@@ -244,7 +243,6 @@ class RandomizedLMO:
     probability at least success_prob; the run must use line search."""
 
     requires_line_search = True
-    gap_from_formula = True  # sampled atoms underestimate the gap
 
     def __init__(self, domain, sampler, success_prob: float):
         assert 0.0 < success_prob <= 1.0
@@ -256,10 +254,8 @@ class RandomizedLMO:
 
     def lmo(self, grad, eps=0.0, rng=None):
         assert rng is not None, "sampling oracle needs the run's generator"
-        return LmoResult(self.sampler(rng))
-
-    def gap_formula(self, x, grad):
-        return self.inner.gap_formula(x, grad)
+        # a sampled atom underestimates the gap; the exact atom certifies it
+        return LmoResult(self.sampler(rng), cert=self.inner.lmo(grad))
 
     def start_atom(self):
         return self.inner.start_atom()

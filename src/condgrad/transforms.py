@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -83,13 +82,10 @@ def nuclear_to_spect(objective: ObjectiveOracle, m: int, n: int, t: float):
     return hat, emb
 
 
-def extract_factorization(X: FactoredPSD, m: int, n: int,
-                          t: Optional[float] = None):
-    """Columns L_j = sqrt(t a_j) v_j[:m], R_j = sqrt(t a_j) v_j[m:], so that
-    L R^T equals the Z block of the dense iterate and
+def extract_factorization(X: FactoredPSD, m: int, n: int):
+    """Columns L_j = sqrt(t a_j) v_j[:m], R_j = sqrt(t a_j) v_j[m:] with
+    t = X.scale, so that L R^T equals the Z block of the dense iterate and
     (||L||_F^2 + ||R||_F^2)/2 <= t/2 (trace split across the blocks)."""
-    if t is not None:
-        assert abs(t - X.scale) <= 1e-12 * max(1.0, abs(t))
     t = X.scale
     assert X.n == m + n
     k = X.rank()
@@ -158,7 +154,13 @@ def _sqrtm_psd(M: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def nuclear_sdp_feasible(Z, t: float, probe_tol: float = 1e-9):
+PROBE_TOL = 1e-9  # nuclear_sdp_feasible's eigenvalue and trace tolerance
+MAXNORM_RESTARTS = 4
+MAXNORM_ITERATIONS = 400  # alternating least-squares sweeps per restart
+MAXNORM_RESID_TOL = 1e-6  # relative residual that counts as L R^T = Z
+
+
+def nuclear_sdp_feasible(Z, t: float):
     """||Z||_nuc <= t/2 decided through the PSD characterization: the minimal
     completion V = (ZZ^T)^1/2, W = (Z^T Z)^1/2 makes [[V, Z], [Z^T, W]] PSD
     with the smallest possible trace, so feasibility reduces to an eigen
@@ -171,12 +173,11 @@ def nuclear_sdp_feasible(Z, t: float, probe_tol: float = 1e-9):
     M[:m, m:] = Z
     M[m:, :m] = Z.T
     scale = max(1.0, float(np.abs(M).max()))
-    psd_ok = bool(np.linalg.eigvalsh(M).min() >= -probe_tol * scale)
-    return psd_ok and float(np.trace(M)) <= t + probe_tol * max(1.0, t)
+    psd_ok = bool(np.linalg.eigvalsh(M).min() >= -PROBE_TOL * scale)
+    return psd_ok and float(np.trace(M)) <= t + PROBE_TOL * max(1.0, t)
 
 
-def maxnorm_sdp_feasible(Z, t: float, restarts: int = 4, iterations: int = 400,
-                         seed=0, resid_tol: float = 1e-6) -> bool:
+def maxnorm_sdp_feasible(Z, t: float) -> bool:
     """||Z||_max <= t decided through the factored PSD characterization:
     search L (m x d), R (n x d) with rows in the sqrt(t) ball and L R^T = Z
     by alternating least squares with row projection; the assembled
@@ -186,10 +187,10 @@ def maxnorm_sdp_feasible(Z, t: float, restarts: int = 4, iterations: int = 400,
     m, n = Z.shape
     d = m + n
     radius = math.sqrt(t)
-    rng = make_rng(seed)
+    rng = make_rng(0)
     lam = 1e-10
     best = math.inf
-    for r in range(max(1, restarts)):
+    for r in range(MAXNORM_RESTARTS):
         if r == 0:
             # balanced SVD factors, the natural candidate
             U, s, Vt = np.linalg.svd(Z, full_matrices=False)
@@ -201,19 +202,19 @@ def maxnorm_sdp_feasible(Z, t: float, restarts: int = 4, iterations: int = 400,
         else:
             L = _project_rows(rng.standard_normal((m, d)), radius)
             R = _project_rows(rng.standard_normal((n, d)), radius)
-        for _ in range(iterations):
+        for _ in range(MAXNORM_ITERATIONS):
             G = R.T @ R + lam * np.eye(d)
             L = _project_rows(np.linalg.solve(G, R.T @ Z.T).T, radius)
             G = L.T @ L + lam * np.eye(d)
             R = _project_rows(np.linalg.solve(G, L.T @ Z).T, radius)
         resid = float(np.abs(L @ R.T - Z).max())
         best = min(best, resid)
-        if best <= resid_tol * max(1.0, float(np.abs(Z).max())):
+        if best <= MAXNORM_RESID_TOL * max(1.0, float(np.abs(Z).max())):
             return True
-    return best <= resid_tol * max(1.0, float(np.abs(Z).max()))
+    return best <= MAXNORM_RESID_TOL * max(1.0, float(np.abs(Z).max()))
 
 
-def max_norm_oracle(Z, tol: float = 1e-4, seed=0) -> float:
+def max_norm_oracle(Z, tol: float = 1e-4) -> float:
     """Factorization norm min max(||L||_{2,inf}^2, ||R||_{2,inf}^2) over
     L R^T = Z, by bisection on t with the factored feasibility check.
     Approximate (nonconvex inner search); intended for <= 6x6 test sizes."""
@@ -229,7 +230,7 @@ def max_norm_oracle(Z, tol: float = 1e-4, seed=0) -> float:
         return lo
     while hi - lo > tol * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if maxnorm_sdp_feasible(Z, mid, seed=seed):
+        if maxnorm_sdp_feasible(Z, mid):
             hi = mid
         else:
             lo = mid

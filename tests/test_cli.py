@@ -285,6 +285,14 @@ def test_complete_bad_parameters_exit_2_with_one_line(tmp_path, capsys, argv, wh
     assert what in lines[0]
 
 
+def test_complete_duplicate_rating_exits_3_with_one_line(tmp_path, capsys):
+    dup = tmp_path / "dup.tsv"
+    dup.write_text("1\t1\t4\t0\n2\t1\t3\t0\n2\t1\t5\t0\n")
+    assert main(["complete", "--data", str(dup), "--t", "2", "--steps", "2"]) == 3
+    line = _one_error_line(capsys, "data error:")
+    assert "dup.tsv" in line and "user 2" in line and "item 1" in line
+
+
 # ---------------------------------------------------------------------------
 # sdpfeas
 
@@ -315,6 +323,20 @@ def test_sdpfeas_data_errors(tmp_path, capsys):
     bad.write_text("n 2\nconstraint b=1\n0 zero 1\n")
     assert main(["sdpfeas", "--problem", str(bad), "--eps", "0.1"]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,where", [
+    ("n 0\nconstraint b=1.0\n", "line 1"),
+    ("n 2\nt -1.0\nconstraint b=1.0\n0 0 1.0\n", "line 2"),
+    ("n 2\nconstraint b=nan\n0 0 1.0\n", "line 2"),
+    ("n 2\nconstraint b=1.0\n0 1 inf\n", "line 3"),
+    ("n 2\nconstraint b=1.0\n-1 0 1.0\n", "line 3"),
+])
+def test_sdpfeas_bad_problem_values_exit_3_with_one_line(tmp_path, capsys, text, where):
+    prob = tmp_path / "p.sdp"
+    prob.write_text(text)
+    assert main(["sdpfeas", "--problem", str(prob), "--eps", "0.1"]) == 3
+    assert where in _one_error_line(capsys, "data error:")
 
 
 @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
