@@ -1,11 +1,12 @@
 """Shared types for the greedy (projection-free) solvers.
 
 Iterates live in a real inner-product space: 1-d arrays for vector domains,
-dense symmetric 2-d arrays for matrix domains.  The inner product is always
-the full Euclidean/Frobenius one, np.vdot.  Atoms keep their compact form
-(a coordinate and a value, a unit vector and a scale) where they have one
-and apply themselves to an iterate; the ledger holds atoms, not dense points,
-so its memory grows with the support, not with iterations times dimension.
+symmetric 2-d arrays (or their factors) for matrix domains.  The inner
+product is always the full Euclidean/Frobenius one, np.vdot.  Atoms keep
+their compact form (a coordinate and a value, a unit vector and a scale)
+where they have one and apply themselves to an iterate; the ledger holds
+atoms, not dense points, so its memory grows with the support, not with
+iterations times dimension.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class ObjectiveOracle:
     curvature_bound is an upper bound on the curvature constant over the
     intended domain (needed for approximate linear oracles and for gap
     certification schedules).  alpha_hook, when present, returns the exact
-    line-search step for a segment [x, s] in closed form.
+    line-search step for a segment [x, s] in closed form.  target, if set,
+    means f(x) = ||x - target||^2; clear it when replacing eval or grad.
     """
 
     eval: Callable[[np.ndarray], float]
@@ -37,6 +39,23 @@ class ObjectiveOracle:
     curvature_bound: Optional[float] = None
     name: str = "f"
     alpha_hook: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    target: Optional[np.ndarray] = None
+
+
+class LazyPoint:
+    """A result's dense point: an array, or a callable that builds it when read."""
+
+    key = "_point"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.key)  # the dataclass field has no default
+        if callable(obj.__dict__[self.key]):
+            obj.__dict__[self.key] = obj.__dict__[self.key]()
+        return obj.__dict__[self.key]
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.key] = value
 
 
 def move_toward(x: np.ndarray, s: np.ndarray, alpha: float):

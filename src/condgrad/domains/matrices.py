@@ -1,9 +1,11 @@
 """Matrix domains: trace-t spectahedron, sparse-PSD atom hull, and the
 bounded-diagonal PSD box, with their linear oracles.
 
-Iterates are dense symmetric arrays at solver level.  Spectahedron atoms are
-kept as (v, t) (RankOneAtom), so the ledger holds the iterate's factored
-(sum of weighted rank-1) representation at O(n) memory per atom.
+Spectahedron atoms are kept as (v, t) (RankOneAtom), so the ledger holds
+the iterate's factored (sum of weighted rank-1) representation at O(n)
+memory per atom.  For f = ||X - R||^2 with the approximate oracle, fw_run
+keeps only that after its first step (GramLedger) and builds the dense X
+when it is read; other runs step dense symmetric arrays.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..core import (Atom, DenseApply, IterateLedger, LmoResult, ObjectiveOracle,
-                    RunTrace, StepSchedule, StopRule, make_rng)
+from ..core import (Atom, DenseApply, IterateLedger, LazyPoint, LmoResult,
+                    ObjectiveOracle, RunTrace, StepSchedule, StopRule, make_rng)
 from .. import solver
 from ..eigen import SymmetricOperator, approx_smallest_ev
 from ..solver import RunResult
@@ -61,7 +63,8 @@ class RankOneAtom(DenseApply):
 def rank_one_atom(v: np.ndarray, t: float = 1.0) -> RankOneAtom:
     v = _canonical_sign(np.asarray(v, dtype=float))
     nrm = np.linalg.norm(v)
-    assert nrm > 0
+    if not nrm > 0:
+        raise ValueError("a rank-one atom needs a nonzero vector")
     v = v / nrm
     return RankOneAtom(vector=v, t=t, label=_digest_label("v", v))
 
@@ -82,26 +85,20 @@ class FactoredPSD:
     vectors: list
 
     def __post_init__(self):
-        assert self.scale > 0
-        assert len(self.weights) == len(self.vectors)
-        assert abs(sum(self.weights) - 1.0) <= 1e-12
-        for w, v in zip(self.weights, self.vectors):
-            assert w >= 0 and len(v) == self.n
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        if not (self.scale > 0 and len(self.weights) == len(self.vectors)
+                and abs(sum(self.weights) - 1.0) <= 1e-12
+                and all(w >= 0 and len(v) == self.n and abs(np.linalg.norm(v) - 1.0) <= 1e-12
+                        for w, v in zip(self.weights, self.vectors))):
+            raise ValueError("FactoredPSD needs scale > 0, convex weights and unit n-vectors")
 
     @staticmethod
     def from_ledger(ledger: IterateLedger, n: int, t: float) -> "FactoredPSD":
-        vs = []
-        for a in ledger.atoms:
-            assert a.vector is not None, "ledger atom lacks a rank-1 factor"
-            vs.append(np.asarray(a.vector, dtype=float))
-        return FactoredPSD(n=n, scale=float(t), weights=ledger.weights.tolist(), vectors=vs)
+        return FactoredPSD(n=n, scale=float(t), weights=ledger.weights.tolist(),
+                           vectors=[np.asarray(a.vector, dtype=float) for a in ledger.atoms])
 
     def dense(self) -> np.ndarray:
-        X = np.zeros((self.n, self.n))
-        for w, v in zip(self.weights, self.vectors):
-            X += w * np.outer(v, v)
-        return self.scale * X
+        B = np.array(self.vectors).T * np.sqrt(self.scale * np.array(self.weights))
+        return B @ B.T  # one symmetric product
 
     def rank(self) -> int:
         return len(self.vectors)
@@ -111,6 +108,80 @@ class FactoredPSD:
         mv = op.matvec if isinstance(op, SymmetricOperator) else (lambda u: op @ u)
         return self.scale * float(sum(w * float(v @ mv(v))
                                       for w, v in zip(self.weights, self.vectors)))
+
+
+class GramLedger(IterateLedger):
+    """The ledger of a spectahedron run on f(X) = ||X - R||_F^2 (R None for
+    0), which is also its iterate X = t * sum_j w_j v_j v_j^T, kept factored.
+
+    Per slot it also keeps the unit vector v_j (a row of V), r_j = v_j^T R v_j
+    and the Gram matrix G = V V^T, through merges and prunes.  ||X||^2 =
+    t^2 w^T (G o G) w and <X, R> = t w.r then give f, the gradient operator
+    u -> 2(X u - R u), the gap and the line search in closed form: a step
+    costs one R v plus O(nk) and allocates no n x n array.
+    """
+
+    def __init__(self, ledger: IterateLedger, R: Optional[np.ndarray]):
+        atoms, self.t, self._probe = ledger.atoms, ledger.atoms[0].t, None
+        self.Rmv = np.zeros_like if R is None else R.__matmul__
+        self.r_sq = 0.0 if R is None else float(np.vdot(R, R))
+        self.r_tr = 0.0 if R is None else float(np.trace(R))
+        V = self._V = np.array([a.vector for a in atoms])
+        self._r, self._G = np.array([v @ self.Rmv(v) for v in V]), V @ V.T
+        self._slot = {a.label: j for j, a in enumerate(atoms)}
+        super().__init__(atoms, ledger.weights)
+
+    def _load(self, atoms, weights):
+        idx = [self._slot[a.label] for a in atoms]  # the slots a prune keeps
+        self._V, self._r, self._G = self._V[idx], self._r[idx], self._G[np.ix_(idx, idx)]
+        super()._load(atoms, weights)
+
+    def step(self, atom, alpha: float):
+        if atom.label not in self._slot:
+            (Vv, vRv), v = self._project(atom), atom.vector
+            self._G = np.block([[self._G, Vv[:, None]], [Vv, float(v @ v)]])
+            self._V, self._r = np.vstack([self._V, v]), np.append(self._r, vRv)
+        super().step(atom, alpha)
+        self._probe = None
+
+    def _project(self, atom) -> tuple:  # (V v, v^T R v), kept for the step
+        if self._probe is None or self._probe[0] is not atom:
+            v = atom.vector
+            self._probe = (atom, self._V @ v, float(v @ self.Rmv(v)))
+        return self._probe[1:]
+
+    def _moments(self) -> tuple:  # (||X||^2, <X, R>)
+        w = self.weights
+        return self.t ** 2 * float(w @ (self._G * self._G) @ w), self.t * float(w @ self._r)
+
+    def value_and_grad(self) -> tuple:
+        xx, xr = self._moments()
+        f = xx - 2.0 * xr + self.r_sq
+        V, tw, Rmv = self._V, self.t * self.weights, self.Rmv
+        return f, SymmetricOperator(dim=V.shape[1], trace=2.0 * (self.t - self.r_tr),
+                                    matvec=lambda u: 2.0 * (V.T @ (tw * (V @ u)) - Rmv(u)),
+                                    fro_norm=2.0 * math.sqrt(max(f, 0.0)))
+
+    def atom_terms(self, atom) -> tuple:
+        """(<X - S, grad f(X)>, ||S - X||^2) for the atom S = t v v^T."""
+        Vv, vRv = self._project(atom)
+        xx, xr = self._moments()
+        v, t = atom.vector, self.t
+        vXv = t * float(self.weights @ (Vv * Vv))
+        return (2.0 * (xx - xr) - 2.0 * t * (vXv - vRv),
+                t * t * float(v @ v) ** 2 - 2.0 * t * vXv + xx)
+
+    def line_search(self, atom, a_fix: float) -> float:
+        """argmin of the quadratic f(X + a (S - X)) on [0, 1], unless a_fix is lower."""
+        g, dd = self.atom_terms(atom)
+        alpha = min(1.0, max(0.0, g / (2.0 * dd))) if dd > 0.0 else 0.0
+        phi = lambda a: a * (a * dd - g)  # phi(a) - f(X)
+        return a_fix if phi(a_fix) < phi(alpha) else alpha
+
+    def point_builder(self):
+        """A callable that builds today's dense X, as FactoredPSD.dense does."""
+        B = self._V.T * np.sqrt(self.t * self.weights)
+        return lambda: B @ B.T
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +264,16 @@ class SpectrahedronDomain:
         e0[0] = 1.0
         return rank_one_atom(e0, self.t)
 
+    def factored_ledger(self, objective: ObjectiveOracle, ledger) -> Optional[GramLedger]:
+        """fw_run's factored iterate for f = ||X - R||^2 with a symmetric
+        n x n (or zero) R and rank-one atoms in the ledger, else None."""
+        R = objective.target
+        zero = R is not None and np.ndim(R) == 0 and R == 0
+        if not (zero or (np.shape(R) == (self.n, self.n) and np.array_equal(R, R.T))) \
+                or not all(isinstance(a, RankOneAtom) and a.t == self.t for a in ledger.atoms):
+            return None
+        return GramLedger(ledger, None if zero else np.asarray(R, dtype=float))
+
     def contains(self, X, tol=1e-9) -> bool:
         X = np.asarray(X, dtype=float)
         if not np.allclose(X, X.T, atol=1e-10):
@@ -214,7 +295,7 @@ class AveragedGradientOracle(SpectrahedronDomain):
     def __init__(self, f: ObjectiveOracle, n, t=1.0):
         super().__init__(n, t)
         self.f = f
-        self.objective = replace(f, grad=self._grad_at)
+        self.objective = replace(f, grad=self._grad_at, target=None)  # stays dense
         self.k, self.x, self.prev_v = 0, None, None
 
     def _grad_at(self, x):
@@ -235,12 +316,16 @@ class AveragedGradientOracle(SpectrahedronDomain):
         return res
 
 
-class HazanResult(NamedTuple):
+@dataclass
+class HazanResult:
     factored: FactoredPSD
     trace: RunTrace
-    point: np.ndarray
+    point: np.ndarray = LazyPoint()  # built on first read for a factored run
     ledger: IterateLedger
     matvecs: int
+
+    def _replace(self, **changes) -> "HazanResult":  # its NamedTuple-era name
+        return replace(self, **changes)
 
 
 def hazan_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
@@ -269,7 +354,7 @@ def hazan_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
                         schedule=schedule, lmo_mode=lmo_mode, seed=seed,
                         curvature_bound=curvature_bound)
     return HazanResult(factored=FactoredPSD.from_ledger(run.ledger, n, t),
-                       trace=run.trace, point=run.point, ledger=run.ledger,
+                       trace=run.trace, point=lambda: run.point, ledger=run.ledger,
                        matvecs=run.matvecs)
 
 
@@ -381,7 +466,8 @@ class SparsePsdDomain:
     """Convex hull of the trace-2 sparse atoms P(i,j), N(i,j)."""
 
     def __init__(self, n, mode: str = "both"):
-        assert n >= 2 and mode in ("both", "plus", "minus")
+        if not (n >= 2 and mode in ("both", "plus", "minus")):
+            raise ValueError(f"sparse-PSD needs n >= 2 and a known mode, got {n!r}, {mode!r}")
         self.n = n
         self.mode = mode
         self.name = f"sparsepsd(n={n},mode={mode})"
@@ -494,7 +580,8 @@ class BoundedDiagDomain:
     """PSD matrices with diagonal entries at most t (no trace constraint)."""
 
     def __init__(self, n, t=1.0):
-        assert n >= 1 and t > 0
+        if not (n >= 1 and t > 0):
+            raise ValueError(f"bounded-diagonal domain needs n >= 1 and t > 0, got {n!r}, {t!r}")
         self.n = n
         self.t = float(t)
         self.name = f"boundeddiag(n={n},t={self.t:g})"

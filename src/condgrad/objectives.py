@@ -23,16 +23,9 @@ def _quadratic_alpha(x, s, grad_at, denom_of):
 
 
 def squared_norm(curvature_bound=None, name="sqnorm") -> ObjectiveOracle:
-    """f(x) = <x, x>; works for vectors and (symmetric) matrices alike."""
-    grad = lambda x: 2.0 * x
-    return ObjectiveOracle(
-        eval=lambda x: float(np.vdot(x, x)),
-        grad=grad,
-        curvature_bound=curvature_bound,
-        name=name,
-        alpha_hook=lambda x, s: _quadratic_alpha(
-            x, s, grad, lambda d: 2.0 * float(np.vdot(d, d))),
-    )
+    """f(x) = <x, x>, as ||x - 0||^2; works for vectors and (symmetric)
+    matrices alike."""
+    return squared_distance(0.0, curvature_bound, name)
 
 
 def squared_distance(r, curvature_bound=None, name="sqdist") -> ObjectiveOracle:
@@ -55,6 +48,7 @@ def squared_distance(r, curvature_bound=None, name="sqdist") -> ObjectiveOracle:
         name=name,
         alpha_hook=lambda x, s: _quadratic_alpha(
             x, s, grad, lambda d: 2.0 * float(np.vdot(d, d))),
+        target=r,
     )
 
 

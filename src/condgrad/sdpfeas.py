@@ -42,6 +42,8 @@ class FeasibilitySDP:
                                  "and at least one constraint")
         if not self.t > 0:
             raise AssertionError(f"trace bound t must be positive, got {self.t!r}")
+        if not np.all(np.isfinite(self.b)):
+            raise AssertionError("right-hand sides must be finite")
         for Ai in self.A:
             if Ai.shape != (self.n, self.n):
                 raise AssertionError(f"constraint matrix has shape {Ai.shape}, "

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Atom, CoordinateAtom, IterateLedger, LmoResult, ObjectiveOracle,
+from .core import (Atom, CoordinateAtom, IterateLedger, LazyPoint, LmoResult, ObjectiveOracle,
                    RunClock, RunTrace, StepSchedule, StopRule, make_rng, move_toward)
 
 LINE_SEARCH_DERIV_TOL = 1e-10
@@ -24,7 +24,7 @@ LINE_SEARCH_MAX_ITERS = 60
 
 @dataclass
 class RunResult:
-    point: np.ndarray
+    point: np.ndarray = LazyPoint()  # built on first read for a factored run
     ledger: IterateLedger
     trace: RunTrace
     stopped_on: str  # max_iters | gap | f_target
@@ -34,7 +34,7 @@ class RunResult:
 
 @dataclass
 class CertifiedRun:
-    point: np.ndarray
+    point: np.ndarray = LazyPoint()
     ledger: IterateLedger
     trace: RunTrace
     gap_bound: float
@@ -44,7 +44,8 @@ class CertifiedRun:
 
 def curvature_from_hessian(sup_hessian_eig: float, diameter_sq: float) -> float:
     """Curvature upper bound (1/2) * diam(D)^2 * sup lambda_max(Hessian)."""
-    assert sup_hessian_eig >= 0 and diameter_sq >= 0
+    if not (sup_hessian_eig >= 0 and diameter_sq >= 0):
+        raise ValueError("curvature needs a nonnegative Hessian bound and squared diameter")
     return 0.5 * diameter_sq * sup_hessian_eig
 
 
@@ -90,10 +91,12 @@ def line_search_alpha(objective: ObjectiveOracle, x, s) -> float:
 def certified_gap(x, grad, res: LmoResult, s=None) -> float:
     """<x, grad> - <s, grad> + slack for the atom s that certifies the gap:
     res.cert when the oracle set one, else the step atom, whose dense point
-    fw_run may pass as s.  Weak duality makes this an upper bound on the
-    primal error."""
+    fw_run may pass as s (a factored x computes it in closed form).  Weak
+    duality makes this an upper bound on the primal error."""
     if res.cert is not None:
         res, s = res.cert, None
+    if not isinstance(x, np.ndarray):
+        return x.atom_terms(res.atom)[0] + res.slack
     s_grad = res.atom.inner(grad) if s is None else np.vdot(s, grad)
     return float(np.vdot(x, grad) - s_grad) + res.slack
 
@@ -118,6 +121,11 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     overrides it.  Atoms apply themselves to x; a dense point s is made only
     for line search and for atoms flagged apply_dense, and is dropped after
     the step.
+
+    In approx mode a domain's factored_ledger hook may take over after the
+    first step (the spectahedron's does for ||X - R||^2): that ledger is x
+    from then on, also for on_iterate, and gives f, the gradient operator,
+    the gap and the line search in closed form; the point is built when read.
     """
     assert lmo_mode in ("exact", "approx")
     schedule = schedule or StepSchedule.harmonic()
@@ -133,16 +141,21 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     start_atom = start if start is not None else domain.start_atom()
     ledger = IterateLedger()
     ledger.seed(start_atom)
-    x = start_atom.dense()
+    x, dense = start_atom.dense(), True
+    # an exact oracle (eps 0, asked for when C is 0) needs a dense gradient
+    factored = getattr(domain, "factored_ledger", None) if lmo_mode == "approx" and C else None
     trace = RunTrace(seed=seed if not isinstance(seed, np.random.Generator) else None)
     matvecs = 0
-    best = None  # (gap, k, x copy, ledger atoms, ledger weights copy)
+    best = None  # (gap, k, point or its builder, ledger atoms, ledger weights copy)
 
     k = 0
     while True:
-        fx = float(objective.eval(x))
-        grad = objective.grad(x)
-        if not math.isfinite(fx) or not np.all(np.isfinite(grad)):
+        if k == 1 and factored is not None and (gram := factored(objective, ledger)):
+            # the first row, at the start atom, is dense in every run, so it
+            # has the same bits whatever the oracle, dense-only ones included
+            x, ledger, dense = gram, gram, False
+        fx, grad = (float(objective.eval(x)), objective.grad(x)) if dense else x.value_and_grad()
+        if not math.isfinite(fx) or (dense and not np.all(np.isfinite(grad))):
             raise FloatingPointError(f"non-finite objective value or gradient at step {k}")
 
         if inner_tol is not None:
@@ -154,12 +167,13 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         res = domain.lmo(grad, eps_in, rng)
         matvecs += res.matvecs
         atom = res.atom
-        s = atom.dense() if atom.apply_dense else None
+        s = atom.dense() if dense and atom.apply_dense else None
 
         gap_cert = certified_gap(x, grad, res, s)
 
         if track_best_gap and (best is None or gap_cert < best[0]):
-            best = (gap_cert, k, x.copy(), list(ledger.atoms), ledger.weights.copy())
+            best = (gap_cert, k, x.copy() if dense else x.point_builder(),
+                    list(ledger.atoms), ledger.weights.copy())
         if on_iterate is not None:
             on_iterate(k, x, fx, gap_cert)
 
@@ -171,25 +185,27 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
             stopped = "gap" if hit_gap else ("f_target" if hit_f else "max_iters")
             break
 
-        if schedule.kind == "line_search":
+        if schedule.kind != "line_search":
+            alpha = schedule.alpha_at(k)
+        elif not dense:
+            alpha = x.line_search(atom, schedule.alpha_at(k))
+        else:
             s_ls = atom.dense() if s is None else s
             alpha = line_search_alpha(objective, x, s_ls)
             a_fix = schedule.alpha_at(k)
             # the searched step must be at least as good as the scheduled one
             if objective.eval(x + a_fix * (s_ls - x)) < objective.eval(x + alpha * (s_ls - x)):
                 alpha = a_fix
-        else:
-            alpha = schedule.alpha_at(k)
 
         trace.append(k, fx, gap_cert, alpha, atom.label, matvecs, clock.millis())
-        if s is None:
+        if dense and s is None:
             atom.step_into(x, alpha)
-        else:
+        elif dense:
             move_toward(x, s, alpha)
-        ledger.step(atom, alpha)
+        ledger.step(atom, alpha)  # a factored x moves with its ledger
         k += 1
 
-    return RunResult(point=x, ledger=ledger, trace=trace,
+    return RunResult(point=x if dense else x.point_builder(), ledger=ledger, trace=trace,
                      stopped_on=stopped, matvecs=matvecs,
                      best=best if track_best_gap else None)
 
@@ -213,7 +229,8 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
     if not eps > 0:  # NaN too
         raise ValueError(f"eps must be positive, got {eps!r}")
     C = objective.curvature_bound
-    assert C is not None and C >= 0, "certified runs need a curvature bound"
+    if C is None or not C >= 0:
+        raise ValueError(f"certified runs need a curvature bound >= 0, got {C!r}")
     K = certified_iteration_count(C, eps, lmo_mode)
     schedule = StepSchedule.two_phase(K)
     inner_tol = None

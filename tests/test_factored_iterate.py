@@ -1,0 +1,183 @@
+"""The factored spectahedron iterate against the dense one.
+
+fw_run keeps X = t * sum_j w_j v_j v_j^T factored (GramLedger) for
+f = ||X - R||^2 with the approximate oracle.  The same objective without a
+recorded target takes the dense path, so every run here is made twice and
+the two traces must agree row by row: same length, f and the certified gap
+within 1e-10 relative (one long run excepted, see below).  The floating-point order differs, so the
+eigenvectors (and the atom labels) differ in their last bits.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from condgrad.core import IterateLedger, StepSchedule, StopRule
+from condgrad.domains.matrices import (FactoredPSD, GramLedger, SparsePsdDomain,
+                                       SpectrahedronDomain, BoundedDiagDomain,
+                                       hazan_run, maxdiag_run, rank_one_atom)
+from condgrad.objectives import squared_distance, squared_norm
+from condgrad.sdpfeas import FeasibilitySDP
+from condgrad.solver import curvature_from_hessian, fw_run, gap_certified_run
+
+REL = 1e-10
+
+
+def _target(n, seed, spectrum=(0.5, 0.3, 0.2)):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, len(spectrum))))
+    R = (Q * np.array(spectrum)) @ Q.T
+    return 0.5 * (R + R.T)
+
+
+def _dense_twin(objective):
+    """The same eval and grad with no recorded target: fw_run steps X dense."""
+    return dataclasses.replace(objective, target=None)
+
+
+def _assert_rows_agree(fact, dense, rel=REL):
+    assert len(fact.rows) == len(dense.rows)
+    assert fact.rows[0][:-1] == dense.rows[0][:-1]  # the start row is dense in both
+    for a, b in zip(fact.rows, dense.rows):
+        assert a.k == b.k
+        for x, y in ((a.f, b.f), (a.gap, b.gap)):
+            assert abs(x - y) <= rel * max(abs(x), abs(y)), (a, b)
+
+
+PROBLEMS = [  # (n, objective)
+    (8, squared_norm(curvature_bound=2.0)),
+    (12, squared_distance(_target(12, 1), curvature_bound=curvature_from_hessian(2.0, 2.0))),
+    (30, squared_distance(_target(30, 2, (0.4, 0.3, 0.2, 0.1)), curvature_bound=4.0)),
+    (50, squared_distance(_target(50, 3, (0.7, 0.6)), curvature_bound=4.0)),  # outside
+]
+
+
+@pytest.mark.parametrize("n,obj", PROBLEMS)
+@pytest.mark.parametrize("schedule", [StepSchedule.harmonic(), StepSchedule.line_search()],
+                         ids=["harmonic", "line_search"])
+def test_factored_and_dense_runs_agree_on_every_row(n, obj, schedule):
+    dom = SpectrahedronDomain(n)
+    runs = [fw_run(o, dom, stop=StopRule(max_iters=40), schedule=schedule,
+                   lmo_mode="approx", seed=7) for o in (obj, _dense_twin(obj))]
+    assert isinstance(runs[0].ledger, GramLedger)
+    assert not isinstance(runs[1].ledger, GramLedger)
+    _assert_rows_agree(runs[0].trace, runs[1].trace)
+
+
+# The n = 30 run has 162 rows and ends near f* = 0, where the iteration
+# itself amplifies last-bit differences: moving one entry of R by one ulp
+# moves the dense run's gaps by up to 1.8e-8 relative there.
+@pytest.mark.parametrize("n,obj,rel", [(*PROBLEMS[0], REL), (*PROBLEMS[1], REL),
+                                       (*PROBLEMS[2], 1e-7)])
+def test_factored_and_dense_certified_runs_agree(n, obj, rel):
+    runs = [gap_certified_run(o, SpectrahedronDomain(n), eps=0.4, lmo_mode="approx", seed=4)
+            for o in (obj, _dense_twin(obj))]
+    _assert_rows_agree(runs[0].trace, runs[1].trace, rel)
+    assert runs[0].k_hat == runs[1].k_hat and runs[0].certified == runs[1].certified
+    assert abs(runs[0].gap_bound - runs[1].gap_bound) <= rel * runs[1].gap_bound
+    assert np.allclose(runs[0].point, runs[1].point, atol=1e-9)
+
+
+def test_exact_mode_and_grad_averaging_stay_dense():
+    obj = squared_distance(_target(10, 4), curvature_bound=2.0)
+    for mode, variant in (("exact", "plain"), ("approx", "grad_averaging")):
+        run = hazan_run(obj, n=10, stop=StopRule(max_iters=5), variant=variant,
+                        lmo_mode=mode)
+        assert not isinstance(run.ledger, GramLedger)
+
+
+def test_factored_point_is_built_once_when_read():
+    n = 20
+    R = _target(n, 5)
+    run = hazan_run(squared_distance(R, curvature_bound=2.0), n=n,
+                    stop=StopRule(max_iters=25), seed=1)
+    assert isinstance(run.ledger, GramLedger)
+    X = run.point
+    assert run.point is X
+    assert np.array_equal(X, X.T)
+    assert np.allclose(X, run.ledger.reconstruct(), atol=1e-12)
+    assert np.trace(X) == pytest.approx(1.0, abs=1e-12)
+    assert run.trace.final().f == pytest.approx(float(np.vdot(X - R, X - R)), rel=1e-10)
+    assert np.array_equal(dataclasses.replace(run, point=2 * X).point, 2 * X)
+
+
+def test_gram_ledger_follows_merges_and_prunes():
+    n = 9
+    rng = np.random.default_rng(6)
+    R = _target(n, 6)
+    a, b, c = (rank_one_atom(rng.standard_normal(n), 2.0) for _ in range(3))
+    plain = IterateLedger()
+    plain.seed(a)
+    gram = GramLedger(plain, R)
+    for atom, alpha in [(b, 0.5), (c, 0.25), (b, 0.5), (a, 1e-16), (c, 1.0), (a, 0.3)]:
+        gram.atom_terms(atom)  # leaves a cached projection for the step
+        gram.step(atom, alpha)
+        plain.step(atom, alpha)
+        assert [x.label for x in gram.atoms] == [x.label for x in plain.atoms]
+        assert np.array_equal(gram.weights, plain.weights)
+        V = np.array([x.vector for x in gram.atoms])
+        assert np.allclose(gram._G, V @ V.T, atol=1e-14)
+        assert np.allclose(gram._r, np.einsum("ij,jk,ik->i", V, R, V), atol=1e-14)
+        X = plain.reconstruct()
+        f, grad = gram.value_and_grad()
+        assert f == pytest.approx(float(np.vdot(X - R, X - R)), rel=1e-12)
+        u = rng.standard_normal(n)
+        assert np.allclose(grad(u), 2.0 * (X - R) @ u, atol=1e-12)
+
+
+def test_factored_run_memory_is_bounded_by_the_factors():
+    # past the first row (evaluated densely, like every spectahedron run's)
+    # no step may allocate a dense n x n array: 8 MB is a quarter of one
+    n = 2000
+    R = _target(n, 7, (0.4, 0.3, 0.2, 0.1))
+    obj = squared_distance(R, curvature_bound=curvature_from_hessian(2.0, 2.0))
+    peaks = []
+
+    def reset_peak(k, x, fx, gap):
+        if k == 1:
+            tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        run = fw_run(obj, SpectrahedronDomain(n), stop=StopRule(max_iters=30),
+                     lmo_mode="approx", seed=0, on_iterate=reset_peak)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert isinstance(run.ledger, GramLedger) and len(run.trace) == 31
+    assert peaks[0] < n * n * 8 / 4
+    assert run.point.shape == (n, n)
+
+
+# validation that python -O keeps
+
+def test_domain_and_factor_checks_raise_value_error():
+    with pytest.raises(ValueError):
+        maxdiag_run(squared_norm(), n=0)
+    with pytest.raises(ValueError):
+        BoundedDiagDomain(2, t=-1.0)
+    with pytest.raises(ValueError):
+        SparsePsdDomain(1)
+    with pytest.raises(ValueError):
+        SparsePsdDomain(4, mode="diagonal")
+    with pytest.raises(ValueError):
+        rank_one_atom(np.zeros(3))
+    with pytest.raises(ValueError):
+        FactoredPSD(n=2, scale=1.0, weights=[0.5], vectors=[np.array([1.0, 0.0])])
+    with pytest.raises(ValueError):
+        curvature_from_hessian(-1.0, 2.0)
+
+
+def test_certified_run_without_curvature_raises_value_error():
+    with pytest.raises(ValueError, match="curvature"):
+        gap_certified_run(squared_norm(), SpectrahedronDomain(3), eps=0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_feasibility_sdp_rejects_non_finite_b(bad):
+    with pytest.raises(AssertionError, match="finite"):
+        FeasibilitySDP(n=2, A=[np.eye(2)], b=[bad])
