@@ -295,7 +295,7 @@ class AveragedGradientOracle(SpectrahedronDomain):
     def __init__(self, f: ObjectiveOracle, n, t=1.0):
         super().__init__(n, t)
         self.f = f
-        self.objective = replace(f, grad=self._grad_at, target=None)  # stays dense
+        self.objective = replace(f, grad=self._grad_at, target=None)  # _grad_at needs a dense X
         self.k, self.x, self.prev_v = 0, None, None
 
     def _grad_at(self, x):

@@ -150,7 +150,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
 
     k = 0
     while True:
-        if k == 1 and factored is not None and (gram := factored(objective, ledger)):
+        if k == 1 and factored is not None and (gram := factored(objective, ledger)) is not None:
             # the first row, at the start atom, is dense in every run, so it
             # has the same bits whatever the oracle, dense-only ones included
             x, ledger, dense = gram, gram, False
