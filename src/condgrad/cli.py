@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success (certified when a certificate was requested),
 1 budget exhausted without a certificate, 2 config/schema error,
-3 data error.
+3 data error.  The subcommands raise; `main` alone turns an exception
+into an exit code, and its docstring states the rule.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import matcomp, sdpfeas
-from .core import StopRule, StepSchedule
+from .core import ObjectiveOracle, StopRule, StepSchedule
 from .domains.matrices import SpectrahedronDomain
 from .domains.vectors import CubeDomain, L1BallDomain, SimplexDomain
 from .eigen import dense_eig_oracle
@@ -35,25 +36,69 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 
 
-class SchemaError(ValueError):
-    pass
+class DataError(ValueError):
+    """The contents of a user-named input file were rejected.  Raised in bench
+    worker processes too, so it must stay picklable (one message argument)."""
+
+
+def _data(fn, *args):
+    """fn(*args) for a reader of a user-named input file: whatever the reader
+    rejects (OSError, ValueError) becomes a DataError."""
+    try:
+        return fn(*args)
+    except (OSError, ValueError) as e:
+        raise DataError(str(e)) from None
+
+
+def _read_json_object(path) -> dict:
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"invalid JSON: {path}: {e}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: top level must be an object")
+    return obj
+
+
+def _typed(v, typ, what: str):
+    if typ is float and type(v) is int and abs(v) <= sys.float_info.max:
+        v = float(v)
+    if not isinstance(v, typ) or (isinstance(v, bool) and typ is not bool):
+        raise ValueError(f"{what} must be {typ.__name__}")
+    return v
 
 
 def _need(cfg: dict, key: str, typ, where: str):
     if key not in cfg:
-        raise SchemaError(f"{where}: missing required field {key!r}")
-    v = cfg[key]
-    if typ is float and isinstance(v, int):
-        v = float(v)
-    if not isinstance(v, typ):
-        raise SchemaError(f"{where}: field {key!r} must be {typ.__name__}")
-    return v
+        raise ValueError(f"{where}: missing required field {key!r}")
+    return _typed(cfg[key], typ, f"{where}: field {key!r}")
 
 
 def _opt(cfg: dict, key: str, typ, default, where: str):
-    if key not in cfg:
+    if cfg.get(key) is None:
         return default
     return _need(cfg, key, typ, where)
+
+
+def _choice(cfg: dict, key: str, choices: tuple, where: str) -> str:
+    """An optional string field among choices, defaulting to the first."""
+    v = _opt(cfg, key, str, choices[0], where)
+    if v not in choices:
+        raise ValueError(f"{where}: unknown {key} {v!r}")
+    return v
+
+
+def _floats(v) -> np.ndarray:
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, OverflowError) as e:  # a dict, or an int past float range
+        raise ValueError(f"expected numbers: {e}") from None
+
+
+def _out_paths(cfg: dict):
+    out = _opt(cfg, "out", dict, {}, "config")
+    return _opt(out, "trace", str, None, "out"), _opt(out, "summary", str, None, "out")
 
 
 # ---------------------------------------------------------------------------
@@ -70,60 +115,55 @@ def _build_domain(spec: dict):
         return CubeDomain(n)
     if kind == "spectahedron":
         return SpectrahedronDomain(n, _opt(spec, "t", float, 1.0, "domain"))
-    raise SchemaError(f"domain: unknown kind {kind!r}")
+    raise ValueError(f"domain: unknown kind {kind!r}")
 
 
-def _quadratic_sup_eig(A=None, scale=1.0, Q=None):
-    if Q is not None:
-        vals, _ = dense_eig_oracle(Q)
-        return max(0.0, float(vals[0]))
-    if A is not None:
-        vals, _ = dense_eig_oracle((scale * A).T @ (scale * A))
-        return 2.0 * max(0.0, float(vals[0]))
-    return 2.0  # ||x||^2 or ||x - r||^2
+def _top_eig(M) -> float:
+    """max(0, largest eigenvalue of the symmetric matrix M)."""
+    vals, _ = dense_eig_oracle(M)
+    return max(0.0, float(vals[0]))
+
+
+def _custom_quadratic(path):
+    """(Q, c, _top_eig(Q)) from a JSON file {"Q": [[...]], "c": [...]}, with Q
+    symmetrized and c zero when absent."""
+    raw = _read_json_object(path)
+    if "Q" not in raw:
+        raise ValueError(f"custom quadratic file {path}: missing field 'Q'")
+    Q = _floats(raw["Q"])
+    c = _floats(raw.get("c", np.zeros(Q.shape[:1])))
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or c.shape != Q.shape[:1]:
+        raise ValueError(f"custom quadratic file {path}: bad shapes")
+    Q = 0.5 * (Q + Q.T)
+    return Q, c, _top_eig(Q)
 
 
 def _build_objective(spec: dict, domain):
-    """Returns (oracle, matrix_shaped) with curvature bound filled from the
-    objective Hessian and the domain diameter."""
+    """The oracle, with its curvature bound filled from the objective Hessian
+    and the domain diameter."""
     kind = _need(spec, "kind", str, "objective")
     matrix_shaped = isinstance(domain, SpectrahedronDomain)
+    if matrix_shaped and kind != "quadratic":
+        raise ValueError(f"objective: {kind!r} needs a vector domain")
     if kind == "quadratic":
         target = spec.get("target")
         if target is not None:
-            r = np.asarray(target, dtype=float)
-            if matrix_shaped:
-                r = r.reshape(domain.n, domain.n)
-            obj = squared_distance(r)
+            shape = (domain.n,) * (2 if matrix_shaped else 1)
+            obj = squared_distance(_floats(target).reshape(shape))
         else:
             obj = squared_norm()
-        sup = _quadratic_sup_eig()
+        sup = 2.0  # ||x||^2 or ||x - r||^2
     elif kind in ("least_squares", "lasso"):
-        A = np.asarray(_need(spec, "A", list, "objective"), dtype=float)
-        b = np.asarray(_need(spec, "b", list, "objective"), dtype=float)
-        if A.ndim != 2 or A.shape[0] != len(b):
-            raise SchemaError("objective: A/b dimension mismatch")
+        A = _floats(_need(spec, "A", list, "objective"))
+        b = _floats(_need(spec, "b", list, "objective"))
+        if A.ndim != 2 or not A.size or b.shape != A.shape[:1]:
+            raise ValueError("objective: A/b dimension mismatch")
         scale = _opt(spec, "t", float, 1.0, "objective") if kind == "lasso" else \
             _opt(spec, "scale", float, 1.0, "objective")
         obj = least_squares(A, b, scale=scale)
-        sup = _quadratic_sup_eig(A=A, scale=scale)
+        sup = 2.0 * _top_eig((scale * A).T @ (scale * A))
     elif kind == "custom_quadratic":
-        path = _need(spec, "path", str, "objective")
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"custom quadratic file {path}: {e}") from None
-        if not isinstance(raw, dict) or "Q" not in raw:
-            raise DataError(f"custom quadratic file {path}: missing field 'Q'")
-        try:
-            Q = np.asarray(raw["Q"], dtype=float)
-            c = np.asarray(raw.get("c", np.zeros(Q.shape[:1])), dtype=float)
-        except (TypeError, ValueError) as e:
-            raise DataError(f"custom quadratic file {path}: {e}") from None
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or c.shape != Q.shape[:1]:
-            raise DataError(f"custom quadratic file {path}: bad shapes")
-        Q = 0.5 * (Q + Q.T)
+        Q, c, sup = _data(_custom_quadratic, _need(spec, "path", str, "objective"))
 
         def ev(x, _Q=Q, _c=c):
             return 0.5 * float(x @ (_Q @ x)) + float(_c @ x)
@@ -138,18 +178,12 @@ def _build_objective(spec: dict, domain):
                 return 0.0 if float(gr(x) @ d) >= 0.0 else 1.0
             return float(min(1.0, max(0.0, -float(gr(x) @ d) / den)))
 
-        from .core import ObjectiveOracle
         obj = ObjectiveOracle(eval=ev, grad=gr, name="custom-quadratic",
                               alpha_hook=hook)
-        sup = _quadratic_sup_eig(Q=Q)
     else:
-        raise SchemaError(f"objective: unknown kind {kind!r}")
+        raise ValueError(f"objective: unknown kind {kind!r}")
     obj.curvature_bound = curvature_from_hessian(sup, domain.diam_sq)
     return obj
-
-
-class DataError(ValueError):
-    pass
 
 
 def _write_summary(summary: dict, path):
@@ -160,87 +194,58 @@ def _write_summary(summary: dict, path):
     print(text)
 
 
-def _lasso_domain_override(cfg: dict):
+def _domain_spec(cfg: dict, obj_spec: dict) -> dict:
     """lasso objectives imply the unit l1 ball (the t scaling lives in the
     objective), unless a domain is given explicitly."""
-    obj = cfg.get("objective", {})
-    if isinstance(obj, dict) and obj.get("kind") == "lasso" and "domain" not in cfg:
-        A = obj.get("A")
+    if obj_spec["kind"] == "lasso" and "domain" not in cfg:
+        A = obj_spec.get("A")
         if not isinstance(A, list) or not A or not isinstance(A[0], list):
-            raise SchemaError("objective: lasso needs a 2-d A")
+            raise ValueError("objective: lasso needs a 2-d A")
         return {"kind": "l1", "n": len(A[0]), "t": 1.0}
-    return cfg.get("domain")
+    return _need(cfg, "domain", dict, "config")
 
 
 def cmd_solve(args) -> int:
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except OSError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as e:
-        print(f"config error: invalid JSON: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        if not isinstance(cfg, dict):
-            raise SchemaError("config: top level must be an object")
-        obj_spec = _need(cfg, "objective", dict, "config")
-        okind = _need(obj_spec, "kind", str, "objective")
-        if okind == "matcomp":
-            return _solve_matcomp(cfg, obj_spec)
-        if okind == "sdpfeas":
-            return _solve_sdpfeas_cfg(cfg, obj_spec)
-        dom_spec = _lasso_domain_override(cfg)
-        if dom_spec is None:
-            raise SchemaError("config: missing required field 'domain'")
-        domain = _build_domain(dom_spec)
-        eps = _opt(cfg, "eps", float, None, "config")
-        max_iters = _opt(cfg, "max_iters", int, None, "config")
-        if eps is None and max_iters is None:
-            raise SchemaError("config: need 'eps' or 'max_iters'")
-        schedule = _opt(cfg, "schedule", str, "harmonic", "config")
-        if schedule not in ("harmonic", "line_search"):
-            raise SchemaError(f"config: unknown schedule {schedule!r}")
-        mode = _opt(cfg, "mode", str, "exact", "config")
-        if mode not in ("exact", "approx"):
-            raise SchemaError(f"config: unknown mode {mode!r}")
-        seed = _opt(cfg, "seed", int, 0, "config")
-        out = _opt(cfg, "out", dict, {}, "config")
-        objective = _build_objective(obj_spec, domain)
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as e:  # SchemaError, and the domain constructors' checks
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _read_json_object(args.config)
+    obj_spec = _need(cfg, "objective", dict, "config")
+    okind = _need(obj_spec, "kind", str, "objective")
+    if okind == "matcomp":
+        return _solve_matcomp(cfg, obj_spec)
+    if okind == "sdpfeas":
+        return _solve_sdpfeas_cfg(cfg, obj_spec)
+    dom_spec = _domain_spec(cfg, obj_spec)
+    domain = _build_domain(dom_spec)
+    eps = _opt(cfg, "eps", float, None, "config")
+    max_iters = _opt(cfg, "max_iters", int, None, "config")
+    if eps is None and max_iters is None:
+        raise ValueError("config: need 'eps' or 'max_iters'")
+    schedule = _choice(cfg, "schedule", ("harmonic", "line_search"), "config")
+    mode = _choice(cfg, "mode", ("exact", "approx"), "config")
+    seed = _opt(cfg, "seed", int, 0, "config")
+    trace_path, summary_path = _out_paths(cfg)
+    objective = _build_objective(obj_spec, domain)
 
     certified = None
-    try:
-        if eps is not None:
-            run = gap_certified_run(objective, domain, eps, lmo_mode=mode, seed=seed)
-            trace, point, ledger = run.trace, run.point, run.ledger
-            gap = run.gap_bound
-            certified = run.certified
-            iters = run.k_hat
-        else:
-            res = fw_run(objective, domain,
-                         stop=StopRule(max_iters=max_iters),
-                         schedule=StepSchedule.line_search() if schedule == "line_search"
-                         else StepSchedule.harmonic(),
-                         lmo_mode=mode, seed=seed)
-            trace, point, ledger = res.trace, res.point, res.ledger
-            gap = res.trace.final().gap
-            iters = res.trace.final().k
-    except ValueError as e:  # gap_certified_run's eps check
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    if eps is not None:
+        run = gap_certified_run(objective, domain, eps, lmo_mode=mode, seed=seed)
+        trace, point, ledger = run.trace, run.point, run.ledger
+        gap = run.gap_bound
+        certified = run.certified
+        iters = run.k_hat
+    else:
+        res = fw_run(objective, domain,
+                     stop=StopRule(max_iters=max_iters),
+                     schedule=StepSchedule.line_search() if schedule == "line_search"
+                     else StepSchedule.harmonic(),
+                     lmo_mode=mode, seed=seed)
+        trace, point, ledger = res.trace, res.point, res.ledger
+        gap = res.trace.final().gap
+        iters = res.trace.final().k
 
-    if out.get("trace"):
-        trace.write_csv(out["trace"])
+    if trace_path:
+        trace.write_csv(trace_path)
     summary = {
-        "objective": obj_spec["kind"],
+        "objective": okind,
         "domain": dom_spec["kind"],
         "f": float(objective.eval(point)),
         "gap": float(gap),
@@ -249,36 +254,36 @@ def cmd_solve(args) -> int:
         "certified": certified,
         "seed": seed,
     }
-    _write_summary(summary, out.get("summary"))
+    _write_summary(summary, summary_path)
     if eps is not None and not certified:
         return EXIT_UNCERTIFIED
     return EXIT_OK
 
 
 def _solve_matcomp(cfg: dict, spec: dict) -> int:
+    trace, summary = _out_paths(cfg)
     ns = argparse.Namespace(
         data=_need(spec, "path", str, "objective"),
-        format=_opt(spec, "format", str, "tab_100k", "objective"),
+        format=_choice(spec, "format", ("tab_100k", "dat_1m"), "objective"),
         t=_need(spec, "t", float, "objective"),
         steps=_opt(spec, "steps", int, 15, "objective"),
         line_search=_opt(spec, "line_search", bool, True, "objective"),
         grad_avg=_opt(spec, "grad_avg", bool, False, "objective"),
-        normalize=_opt(spec, "preset", str, "as_is", "objective") == "normalized",
+        normalize=_choice(spec, "preset", ("as_is", "normalized"), "objective") == "normalized",
         split=_opt(spec, "split", str, "random:0.5", "objective"),
         seed=_opt(cfg, "seed", int, 0, "config"),
-        trace=_opt(cfg, "out", dict, {}, "config").get("trace"),
-        summary=_opt(cfg, "out", dict, {}, "config").get("summary"),
+        trace=trace, summary=summary,
     )
     return cmd_complete(ns)
 
 
 def _solve_sdpfeas_cfg(cfg: dict, spec: dict) -> int:
+    trace, summary = _out_paths(cfg)
     ns = argparse.Namespace(
         problem=_need(spec, "path", str, "objective"),
         eps=_need(spec, "eps", float, "objective"),
         seed=_opt(cfg, "seed", int, 0, "config"),
-        trace=_opt(cfg, "out", dict, {}, "config").get("trace"),
-        summary=_opt(cfg, "out", dict, {}, "config").get("summary"),
+        trace=trace, summary=summary,
     )
     return cmd_sdpfeas(ns)
 
@@ -295,29 +300,16 @@ def _parse_split(text: str):
             return ("per_user_holdout", {"r": int(val)})
     except ValueError:
         pass
-    raise SchemaError(f"--split must be random:<rho> or peruser:<r>, got {text!r}")
+    raise ValueError(f"--split must be random:<rho> or peruser:<r>, got {text!r}")
 
 
 def cmd_complete(args) -> int:
-    try:
-        policy, kw = _parse_split(args.split)
-    except SchemaError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        ds = matcomp.load_movielens(args.data, args.format)
-    except (OSError, ValueError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        # the library rejects a bad split fraction, t or step count
-        ds = matcomp.split_train_test(ds, policy, seed=args.seed, **kw)
-        result = matcomp.complete(
-            ds, t=args.t, steps=args.steps, line_search=args.line_search,
-            grad_averaging=args.grad_avg, normalize=args.normalize, seed=args.seed)
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    policy, kw = _parse_split(args.split)
+    ds = _data(matcomp.load_movielens, args.data, args.format)
+    ds = matcomp.split_train_test(ds, policy, seed=args.seed, **kw)
+    result = matcomp.complete(
+        ds, t=args.t, steps=args.steps, line_search=args.line_search,
+        grad_averaging=args.grad_avg, normalize=args.normalize, seed=args.seed)
     if args.trace:
         result.trace.write_csv(args.trace)
     summary = {
@@ -337,16 +329,8 @@ def cmd_complete(args) -> int:
 # sdpfeas
 
 def cmd_sdpfeas(args) -> int:
-    try:
-        sdp = sdpfeas.load_problem(args.problem)
-    except (OSError, ValueError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        out = sdpfeas.solve_eps_feasible(sdp, args.eps, seed=args.seed)
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    sdp = _data(sdpfeas.load_problem, args.problem)
+    out = sdpfeas.solve_eps_feasible(sdp, args.eps, seed=args.seed)
     if args.trace:
         out.trace.write_csv(args.trace)
     summary = {
@@ -365,75 +349,56 @@ def cmd_sdpfeas(args) -> int:
 # bench
 
 def _bench_k_point(payload):
-    idx, n, k_max, seed = payload
+    n, k_max, seed = payload
     domain = SimplexDomain(n)
     obj = squared_norm()
     obj.curvature_bound = curvature_from_hessian(2.0, domain.diam_sq)
     res = fw_run(obj, domain, stop=StopRule(max_iters=k_max), seed=seed)
-    rows = [(r.k, r.f, r.f - 1.0 / n, 8.0 * obj.curvature_bound / (r.k + 2.0))
+    return ["%d,%d,%r,%r,%r" % (n, r.k, r.f, r.f - 1.0 / n,
+                                8.0 * obj.curvature_bound / (r.k + 2.0))
             for r in res.trace.rows]
-    return idx, rows
+
 
 def _bench_t_point(payload):
-    idx, data, fmt, t, steps, seed, rho = payload
-    ds = matcomp.load_movielens(data, fmt)
+    data, fmt, t, steps, seed, rho = payload
+    ds = _data(matcomp.load_movielens, data, fmt)
     ds = matcomp.split_train_test(ds, "random_fraction", rho=rho, seed=seed)
-    result = matcomp.complete(ds, t=t, steps=steps, seed=seed)
-    f = result.final
-    return idx, [(t, f["rmse_train"], f["rmse_test"], f["nmae_test"], steps)]
+    f = matcomp.complete(ds, t=t, steps=steps, seed=seed).final
+    return ["%r,%r,%r,%r,%d" % (t, f["rmse_train"], f["rmse_test"], f["nmae_test"], steps)]
+
+
+def _need_list(cfg: dict, key: str, typ, where: str) -> list:
+    return [_typed(v, typ, f"{where}: entries of {key!r}")
+            for v in _need(cfg, key, list, where)]
 
 
 def cmd_bench(args) -> int:
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise SchemaError("bench config: top level must be an object")
-        kind = _need(cfg, "kind", str, "bench")
-        seed = _opt(cfg, "seed", int, 0, "bench")
-        out_path = _need(cfg, "out", str, "bench")
-        workers = _opt(cfg, "workers", int, 1, "bench")
-        if kind == "k_sweep":
-            n_values = _need(cfg, "n_values", list, "bench")
-            k_max = _opt(cfg, "k_max", int, 200, "bench")
-            header = "n,k,f,error,envelope"
-            payloads = [(i, int(n), k_max, seed) for i, n in enumerate(n_values)]
-            fn = _bench_k_point
-            def fmt_rows(payload, rows):
-                return ["%d,%d,%r,%r,%r" % (payload[1], k, f, e, env)
-                        for k, f, e, env in rows]
-        elif kind == "t_sweep":
-            t_values = _need(cfg, "t_values", list, "bench")
-            data = _need(cfg, "data", str, "bench")
-            fmt = _opt(cfg, "format", str, "tab_100k", "bench")
-            steps = _opt(cfg, "steps", int, 15, "bench")
-            rho = _opt(cfg, "rho", float, 0.5, "bench")
-            header = "t,rmse_train,rmse_test,nmae_test,steps"
-            payloads = [(i, data, fmt, float(t), steps, seed, rho)
-                        for i, t in enumerate(t_values)]
-            fn = _bench_t_point
-            def fmt_rows(payload, rows):
-                return ["%r,%r,%r,%r,%d" % r for r in rows]
-        else:
-            raise SchemaError(f"bench: unknown kind {kind!r}")
-    except (OSError, json.JSONDecodeError, SchemaError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _read_json_object(args.config)
+    kind = _need(cfg, "kind", str, "bench")
+    seed = _opt(cfg, "seed", int, 0, "bench")
+    out_path = _need(cfg, "out", str, "bench")
+    workers = _opt(cfg, "workers", int, 1, "bench")
+    if kind == "k_sweep":
+        k_max = _opt(cfg, "k_max", int, 200, "bench")
+        header, fn = "n,k,f,error,envelope", _bench_k_point
+        payloads = [(n, k_max, seed) for n in _need_list(cfg, "n_values", int, "bench")]
+    elif kind == "t_sweep":
+        t_values = _need_list(cfg, "t_values", float, "bench")
+        data = _need(cfg, "data", str, "bench")
+        fmt = _choice(cfg, "format", ("tab_100k", "dat_1m"), "bench")
+        steps = _opt(cfg, "steps", int, 15, "bench")
+        rho = _opt(cfg, "rho", float, 0.5, "bench")
+        header, fn = "t,rmse_train,rmse_test,nmae_test,steps", _bench_t_point
+        payloads = [(data, fmt, t, steps, seed, rho) for t in t_values]
+    else:
+        raise ValueError(f"bench: unknown kind {kind!r}")
 
-    try:
-        if workers > 1 and payloads:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(fn, payloads))
-        else:
-            results = [fn(p) for p in payloads]
-    except (OSError, ValueError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-
-    results.sort(key=lambda r: r[0])  # deterministic order however workers land
-    lines = [header]
-    for (idx, rows), payload in zip(results, payloads):
-        lines.extend(fmt_rows(payload, rows))
+    if workers > 1 and payloads:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fn, payloads))  # in payload order
+    else:
+        results = [fn(p) for p in payloads]
+    lines = [header] + [line for rows in results for line in rows]
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {out_path}")
@@ -443,6 +408,15 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
+    """Run one subcommand and map what it raises to an exit code.
+
+    EXIT_DATA: a DataError (the contents of a --data, --problem or
+    custom-quadratic file), or a FloatingPointError from a solve (the
+    problem's numbers overflow float64).  EXIT_CONFIG: any other ValueError
+    or OSError (the config file, its fields, flag values the library
+    rejects, unwritable output paths).  Anything else is a bug and keeps its
+    traceback.
+    """
     p = argparse.ArgumentParser(prog="condgrad",
                                 description="Projection-free convex optimization "
                                             "with duality-gap certificates")
@@ -482,7 +456,14 @@ def main(argv=None) -> int:
     pb.set_defaults(fn=cmd_bench)
 
     args = p.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (DataError, FloatingPointError) as e:
+        print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except (OSError, ValueError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

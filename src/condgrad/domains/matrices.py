@@ -324,7 +324,7 @@ class HazanResult:
     ledger: IterateLedger
     matvecs: int
 
-    def _replace(self, **changes) -> "HazanResult":  # its NamedTuple-era name
+    def _replace(self, **changes) -> "HazanResult":  # NamedTuple-era name; perfbench tests call it
         return replace(self, **changes)
 
 

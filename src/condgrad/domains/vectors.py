@@ -77,11 +77,14 @@ def cube_gap(x, grad) -> float:
 # domain objects
 
 def _check_size(n, t=1.0):
-    """Domain constructor validation: a dimension n >= 1 and a radius t > 0."""
-    if not n >= 1:
-        raise ValueError(f"domain dimension n must be >= 1, got {n!r}")
+    """Domain constructor validation: a dimension n >= 1 that numpy can index
+    and a radius t > 0 whose squared diameter (at most (2t)^2) is finite."""
+    if not 1 <= n <= np.iinfo(np.intp).max:
+        raise ValueError(f"domain dimension n must be >= 1 and fit an array index, got {n!r}")
     if not t > 0:  # NaN too
         raise ValueError(f"domain radius t must be positive, got {t!r}")
+    if not 4.0 * t * t < np.inf:
+        raise ValueError(f"domain radius t is too large for a finite diameter, got {t!r}")
 
 
 class SimplexDomain:

@@ -152,7 +152,8 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
         if gamma <= 0:
             raise ValueError("eps must be positive when no iteration budget is given")
         c_log_n = POWER_C * math.log(max(op.dim, 2))
-        iterations = max(1, math.ceil(c_log_n / gamma))
+        # min: a subnormal gamma makes the quotient inf, and math.ceil(inf) raises
+        iterations = max(1, math.ceil(min(c_log_n / gamma, 2.0 ** 62)))
         if method == "lanczos":
             iterations = min(iterations + 1, math.ceil(c_log_n / math.sqrt(gamma)),
                              op.dim)
@@ -225,9 +226,11 @@ def dense_eig_oracle(M: np.ndarray):
     """Full eigendecomposition test oracle: eigenvalues sorted descending,
     orthonormal eigenvectors as columns, reconstruction residual <= 1e-9."""
     M = np.asarray(M, dtype=float)
-    assert np.allclose(M, M.T, atol=1e-10), "oracle needs a symmetric matrix"
+    if not np.allclose(M, M.T, atol=1e-10):
+        raise ValueError("dense eigen oracle needs a symmetric matrix")
     vals, vecs = np.linalg.eigh(M)
     vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
     resid = np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - M)
-    assert resid <= 1e-9 * max(1.0, np.linalg.norm(M)), "eigh reconstruction failed"
+    if not resid <= 1e-9 * max(1.0, np.linalg.norm(M)):  # NaN too
+        raise ValueError(f"eigh reconstruction failed (residual {float(resid)!r})")
     return vals, vecs

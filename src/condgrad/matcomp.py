@@ -85,9 +85,11 @@ def load_movielens(path, fmt: str = "tab_100k") -> RatingDataset:
 
     tab_100k lines are `user<TAB>item<TAB>rating<TAB>timestamp`; dat_1m lines
     use `::` separators.  1-based sparse ids are remapped to dense 0-based.
-    A (user, item) pair rated on two lines is a data error (ValueError).
+    A (user, item) pair rated on two lines, or a rating that is not a finite
+    number, is a data error (ValueError).
     """
-    assert fmt in ("tab_100k", "dat_1m")
+    if fmt not in ("tab_100k", "dat_1m"):
+        raise ValueError(f"unknown ratings format {fmt!r}")
     sep = "\t" if fmt == "tab_100k" else "::"
     users, items, ys = [], [], []
     with open(path) as fh:
@@ -102,6 +104,8 @@ def load_movielens(path, fmt: str = "tab_100k") -> RatingDataset:
                 u, it, y = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
+            if not math.isfinite(y):
+                raise ValueError(f"{path}:{lineno}: rating {parts[2]!r} is not a finite number")
             users.append(u)
             items.append(it)
             ys.append(y)

@@ -132,12 +132,14 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     Infeasibility is only ever reported with a certified gap; otherwise the
     outcome is undetermined at this budget.
     """
-    if not eps > 0:  # NaN too
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not 0 < eps < math.inf:  # NaN too
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     sigma = math.log(max(sdp.m, 2)) / eps
     C = curvature_estimate(sdp, sigma)
     objective = softmax_objective(sdp, sigma, curvature_bound=C)
     domain = SpectrahedronDomain(sdp.n, sdp.t)
+    if not 8.0 * C / eps < math.inf:
+        raise ValueError(f"eps {eps!r} leaves no finite iteration budget")
     max_iters = int(math.ceil(8.0 * C / eps)) + 2
     run = fw_run(objective, domain, stop=StopRule(max_iters=max_iters, target_f=eps),
                  lmo_mode=lmo_mode, seed=seed)

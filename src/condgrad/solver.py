@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Atom, CoordinateAtom, IterateLedger, LazyPoint, LmoResult, ObjectiveOracle,
+from .core import (CoordinateAtom, IterateLedger, LazyPoint, LmoResult, ObjectiveOracle,
                    RunClock, RunTrace, StepSchedule, StopRule, make_rng, move_toward)
 
 LINE_SEARCH_DERIV_TOL = 1e-10
@@ -107,13 +107,13 @@ def duality_gap(x, grad, domain) -> float:
 
 
 def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
-           schedule: Optional[StepSchedule] = None, start: Optional[Atom] = None,
-           lmo_mode: str = "exact", seed=0,
+           schedule: Optional[StepSchedule] = None, lmo_mode: str = "exact", seed=0,
            curvature_bound: Optional[float] = None,
            inner_tol: Optional[Callable[[int], float]] = None,
            track_best_gap: bool = False,
            on_iterate: Optional[Callable] = None) -> RunResult:
-    """Run the greedy iteration until the stop rule fires.
+    """Run the greedy iteration from domain.start_atom() until the stop rule
+    fires.
 
     Every visited iterate gets a trace row (f, certified gap, step taken);
     the final iterate's row has alpha = 0.  In approx mode the oracle is
@@ -127,18 +127,18 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     from then on, also for on_iterate, and gives f, the gradient operator,
     the gap and the line search in closed form; the point is built when read.
     """
-    assert lmo_mode in ("exact", "approx")
+    if lmo_mode not in ("exact", "approx"):
+        raise ValueError(f"lmo_mode must be 'exact' or 'approx', got {lmo_mode!r}")
     schedule = schedule or StepSchedule.harmonic()
     C = curvature_bound if curvature_bound is not None else objective.curvature_bound
-    if lmo_mode == "approx" and inner_tol is None:
-        assert C is not None, "approximate LMO mode needs a curvature bound"
-    if getattr(domain, "requires_line_search", False):
-        assert schedule.kind == "line_search", \
-            "randomized oracles need line search so failed samples cannot hurt"
+    if lmo_mode == "approx" and inner_tol is None and C is None:
+        raise ValueError("approximate LMO mode needs a curvature bound or inner_tol")
+    if getattr(domain, "requires_line_search", False) and schedule.kind != "line_search":
+        raise ValueError("randomized oracles need line search so failed samples cannot hurt")
     rng = make_rng(seed)
     clock = RunClock()
 
-    start_atom = start if start is not None else domain.start_atom()
+    start_atom = domain.start_atom()
     ledger = IterateLedger()
     ledger.seed(start_atom)
     x, dense = start_atom.dense(), True
@@ -229,8 +229,10 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
     if not eps > 0:  # NaN too
         raise ValueError(f"eps must be positive, got {eps!r}")
     C = objective.curvature_bound
-    if C is None or not C >= 0:
-        raise ValueError(f"certified runs need a curvature bound >= 0, got {C!r}")
+    if C is None or not 0 <= C < math.inf:
+        raise ValueError(f"certified runs need a finite curvature bound >= 0, got {C!r}")
+    if not 8.0 * C / eps < math.inf:
+        raise ValueError(f"eps {eps!r} leaves no finite iteration budget")
     K = certified_iteration_count(C, eps, lmo_mode)
     schedule = StepSchedule.two_phase(K)
     inner_tol = None
@@ -262,7 +264,8 @@ class RandomizedLMO:
     requires_line_search = True
 
     def __init__(self, domain, sampler, success_prob: float):
-        assert 0.0 < success_prob <= 1.0
+        if not 0.0 < success_prob <= 1.0:  # NaN too
+            raise ValueError(f"success_prob must lie in (0, 1], got {success_prob!r}")
         self.inner = domain
         self.sampler = sampler
         self.success_prob = success_prob

@@ -1,9 +1,15 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from condgrad.cli import main
 from condgrad.core import make_rng
@@ -453,3 +459,269 @@ def test_module_entry_point_subprocess(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["iterations"] == 8
+
+
+# ---------------------------------------------------------------------------
+# the error boundary: every input gives an exit code in 0-3, never a traceback
+
+INPUT_FILES = {
+    "@ratings": "1\t1\t4\t0\n1\t2\t3\t0\n2\t1\t5\t0\n2\t3\t2\t0\n3\t2\t1\t0\n",
+    "@ratings_inf": "1\t1\t4\t0\n2\t1\tinf\t0\n",
+    "@ratings_nan": "1\t1\t4\t0\n2\t1\t3\t0\n2\t2\tnan\t0\n",
+    "@feasible": "n 2\nt 1.0\nconstraint b=1.0\n0 0 1.0\n1 1 1.0\n",
+    "@infeasible": "n 2\nconstraint b=-2.0\n0 0 -1.0\n1 1 -1.0\n",
+    "@bad_problem": "n 2\nconstraint b=1.0\n0 1 inf\n",
+    "@quad": json.dumps({"Q": [[2.0, 0.0], [0.0, 2.0]], "c": [-2.0, 0.0]}),
+    "@quad_huge": json.dumps({"Q": [[1e308, 1e308], [1e308, 1e308]]}),
+    "@quad_bad": "{\"Q\": [[1.0, 2.0]]}",
+    "@not_json": "{nope",
+}
+
+
+def run_case(argv, cfg=None):
+    """main(argv) in a fresh directory, with each @-token in argv and cfg
+    replaced by a path there: an INPUT_FILES file, @config (cfg as JSON),
+    @out (writable), @missing, @nodir (a file in a missing directory) or @dir
+    (the directory itself).  Returns (exit code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        paths = {"@config": root / "config.json", "@out": root / "out.txt",
+                 "@missing": root / "missing", "@nodir": root / "no" / "out.txt",
+                 "@dir": root}
+        for token, text in INPUT_FILES.items():
+            paths[token] = root / token[1:]
+            paths[token].write_text(text)
+
+        def resolve(v):
+            if isinstance(v, str) and v in paths:
+                return str(paths[v])
+            if isinstance(v, list):
+                return [resolve(x) for x in v]
+            if isinstance(v, dict):
+                return {k: resolve(x) for k, x in v.items()}
+            return v
+
+        if cfg is not None:
+            paths["@config"].write_text(json.dumps(resolve(cfg)))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(resolve(argv))
+            except SystemExit as e:  # argparse rejected a flag
+                code = e.code
+        return code, out.getvalue(), err.getvalue()
+
+
+QUAD_SIMPLEX = {"objective": {"kind": "quadratic"}, "domain": {"kind": "simplex", "n": 2},
+                "max_iters": 3}
+RATINGS = ["complete", "--data", "@ratings", "--t", "2", "--steps", "2"]
+SDP = ["sdpfeas", "--problem", "@feasible", "--eps", "0.5"]
+
+# inputs that once exited 1 with a traceback, or with the wrong code
+PROBES = [
+    (["solve", "@config"], {**QUAD_SIMPLEX, "out": {"trace": "@nodir"}}, 2),
+    (["solve", "@config"], {**QUAD_SIMPLEX, "out": {"summary": "@dir"}}, 2),
+    (RATINGS + ["--trace", "@nodir"], None, 2),
+    (RATINGS + ["--summary", "@nodir"], None, 2),
+    (SDP + ["--trace", "@nodir"], None, 2),
+    (SDP + ["--summary", "@nodir"], None, 2),
+    (["solve", "@config"], {"objective": {"kind": "sdpfeas", "path": "@feasible", "eps": 0.5},
+                            "out": {"trace": "@nodir"}}, 2),
+    (["bench", "@config"], {"kind": "k_sweep", "n_values": [2], "k_max": 2, "out": "@nodir"}, 2),
+    (["bench", "@config"], {"kind": "k_sweep", "n_values": ["x"], "out": "@out"}, 2),
+    (["bench", "@config"], {"kind": "k_sweep", "n_values": [0], "out": "@out"}, 2),
+    (["bench", "@config"], {"kind": "t_sweep", "t_values": ["a"], "data": "@ratings",
+                            "out": "@out"}, 2),
+    (["bench", "@config"], {"kind": "t_sweep", "t_values": [0], "data": "@ratings",
+                            "out": "@out"}, 2),
+    (["bench", "@config"], {"kind": "t_sweep", "t_values": [1.0], "data": "@missing",
+                            "out": "@out"}, 3),
+    (["bench", "@config"], {"kind": "t_sweep", "t_values": [1.0], "data": "@ratings",
+                            "format": "csv", "out": "@out"}, 2),
+    (["solve", "@config"], {**QUAD_SIMPLEX, "objective": {"kind": "quadratic",
+                                                          "target": [1e308, -1e308]}}, 3),
+    (["solve", "@config"], {**QUAD_SIMPLEX, "domain": {"kind": "cube", "n": 2},
+                            "objective": {"kind": "custom_quadratic", "path": "@quad_huge"}}, 3),
+    (["complete", "--data", "@ratings_inf", "--t", "2"], None, 3),
+    (["solve", "@config"], {"objective": {"kind": "matcomp", "path": "@ratings", "t": 2.0,
+                                          "preset": "normalised"}}, 2),
+    (["solve", "@config"], {**QUAD_SIMPLEX, "objective": {"kind": "quadratic",
+                                                          "target": {"a": 1}}}, 2),
+    (["solve", "@config"], {**QUAD_SIMPLEX, "domain": {"kind": "l1", "n": 2, "t": 1e308},
+                            "eps": 0.5}, 2),
+    (["sdpfeas", "--problem", "@feasible", "--eps", "inf"], None, 2),
+    (["sdpfeas", "--problem", "@feasible", "--eps", "1e308"], None, 0),
+    (["sdpfeas", "--problem", "@feasible", "--eps", "1e-300"], None, 2),
+]
+
+
+@pytest.mark.parametrize("argv,cfg,code", PROBES)
+def test_bad_input_probes_exit_with_one_error_line(argv, cfg, code):
+    got, out, err = run_case(argv, cfg)
+    assert got == code, err
+    if code:
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("data error:" if code == 3 else "config error:")
+
+
+@pytest.mark.parametrize("data,where", [("@ratings_inf", "ratings_inf:2:"),
+                                        ("@ratings_nan", "ratings_nan:3:")])
+def test_complete_non_finite_rating_names_file_and_line(data, where):
+    code, _, err = run_case(["complete", "--data", data, "--t", "2"])
+    assert code == 3
+    assert where in err and "not a finite number" in err
+
+
+def test_bench_worker_data_error_exits_3():
+    # the DataError crosses the process pool by pickling
+    cfg = {"kind": "t_sweep", "t_values": [1.0, 2.0], "data": "@missing", "workers": 2,
+           "out": "@out"}
+    code, out, err = run_case(["bench", "@config"], cfg)
+    assert code == 3 and out == ""
+    assert err.startswith("data error:") and len(err.strip().splitlines()) == 1
+
+
+NAN, INF = float("nan"), float("inf")
+# for any field: wrong types, numbers as strings, non-finite and huge values
+ODD = [None, True, "3", "x", [], {}, NAN, INF, -INF, -1, 0, 1e308, -1e308, 10 ** 400]
+# a budget (max_iters, steps, k_max) never gets the huge int: a huge budget
+# is a valid run that does not end, not bad input
+ODD_BUDGET = ODD[:-1]
+OUT_PATHS = ["@out", "@missing", "@nodir", "@dir"]  # the last two are unwritable
+
+
+def field(sane, odd=ODD):
+    """Mostly sane values, so that a run gets past the schema now and then."""
+    return st.one_of(*[sane] * 5, st.sampled_from(odd))
+
+
+def flag(sane, odd=ODD_BUDGET):
+    return field(sane, odd).map(str)
+
+
+MISSING = object()
+
+
+def often(strategy):
+    """The field is usually there."""
+    return st.one_of(*[strategy] * 5, st.just(MISSING))
+
+
+def sometimes(strategy):
+    return st.one_of(strategy, st.just(MISSING))
+
+
+def record(**fields):
+    return st.fixed_dictionaries(fields).map(
+        lambda d: {k: v for k, v in d.items() if v is not MISSING})
+
+
+# sane magnitudes are small so a certified run's budget 8 C_f / eps stays short
+small = st.floats(0.5, 1.0)
+vector = st.lists(field(st.floats(-1.0, 1.0)), min_size=1, max_size=3)
+objectives = st.one_of(
+    record(kind=st.just("quadratic"), target=sometimes(field(vector))),
+    record(kind=st.sampled_from(["least_squares", "lasso"]),
+           A=often(field(st.lists(vector, min_size=1, max_size=3))),
+           b=often(field(vector)), t=sometimes(field(small)), scale=sometimes(field(small))),
+    record(kind=st.just("custom_quadratic"),
+           path=st.sampled_from(["@quad", "@quad_huge", "@quad_bad", "@not_json", "@missing",
+                                 "@dir"])),
+    record(kind=st.just("matcomp"),
+           path=st.sampled_from(["@ratings", "@ratings_inf", "@missing"]),
+           t=often(field(small)), steps=sometimes(field(st.integers(0, 2), ODD_BUDGET)),
+           split=sometimes(st.sampled_from(["random:0.5", "peruser:1", "random:nan", "odd"])),
+           preset=sometimes(st.sampled_from(["as_is", "normalized", "normalised"])),
+           format=sometimes(st.sampled_from(["tab_100k", "dat_1m", "x"]))),
+    record(kind=st.just("sdpfeas"),
+           path=st.sampled_from(["@feasible", "@infeasible", "@bad_problem", "@missing"]),
+           eps=often(field(small))),
+    record(kind=st.sampled_from(ODD)),
+)
+solve_configs = record(
+    objective=often(objectives),
+    domain=often(record(
+        kind=often(st.sampled_from(["simplex", "l1", "cube", "spectahedron", "torus"])),
+        n=often(field(st.integers(1, 3))), t=sometimes(field(small)))),
+    eps=sometimes(field(small)),
+    max_iters=sometimes(field(st.integers(0, 6), ODD_BUDGET)),
+    schedule=sometimes(st.sampled_from(["harmonic", "line_search", "momentum", 1])),
+    mode=sometimes(st.sampled_from(["exact", "approx", "apprx"])),
+    seed=sometimes(field(st.integers(0, 3))),
+    out=sometimes(record(trace=sometimes(st.sampled_from(OUT_PATHS + [1])),
+                         summary=sometimes(st.sampled_from(OUT_PATHS)))),
+)
+bench_configs = record(
+    kind=often(st.sampled_from(["k_sweep", "t_sweep", "volume"])),
+    out=often(st.sampled_from(OUT_PATHS + [None, 1])),
+    n_values=often(st.lists(field(st.integers(1, 3)), max_size=2)),
+    k_max=sometimes(field(st.integers(0, 4), ODD_BUDGET)),
+    t_values=often(st.lists(field(small), max_size=2)),
+    data=often(st.sampled_from(["@ratings", "@ratings_nan", "@missing"])),
+    steps=sometimes(field(st.integers(0, 2), ODD_BUDGET)),
+    rho=sometimes(field(small)),
+    format=sometimes(st.sampled_from(["tab_100k", "dat_1m", "x"])),
+    workers=sometimes(st.sampled_from([1, 0, -1, None, "2", 1.5])),  # never > 1: no processes
+    seed=sometimes(field(st.integers(0, 3))),
+)
+
+
+def _with_outputs(argv, trace, summary):
+    return argv + (["--trace", trace] if trace else []) + (
+        ["--summary", summary] if summary else [])
+
+
+complete_argvs = st.builds(
+    lambda data, t, steps, split, extra, trace, summary: _with_outputs(
+        ["complete", "--data", data, "--t", t, "--steps", steps, "--split", split] + extra,
+        trace, summary),
+    st.sampled_from(["@ratings", "@ratings_inf", "@ratings_nan", "@missing", "@dir"]),
+    flag(small, ODD), flag(st.integers(0, 2)),
+    st.sampled_from(["random:0.5", "random:1", "peruser:1", "random:nan", "random:2",
+                     "peruser:x", "odd"]),
+    st.sampled_from([[], ["--normalize"], ["--grad-avg"], ["--no-line-search"],
+                     ["--format", "dat_1m"]]),
+    st.sampled_from(OUT_PATHS + [None]), st.sampled_from(OUT_PATHS + [None]))
+sdpfeas_argvs = st.builds(
+    lambda problem, eps, seed, trace, summary: _with_outputs(
+        ["sdpfeas", "--problem", problem, "--eps", eps, "--seed", seed], trace, summary),
+    st.sampled_from(["@feasible", "@infeasible", "@bad_problem", "@quad", "@missing"]),
+    flag(small, ODD), flag(st.integers(0, 3)),
+    st.sampled_from(OUT_PATHS + [None]), st.sampled_from(OUT_PATHS + [None]))
+
+cases = st.one_of(
+    st.tuples(st.just(["solve", "@config"]),
+              st.one_of(solve_configs, st.sampled_from([[1, 2], "x", NAN]))),
+    st.tuples(st.sampled_from([["solve", "@missing"], ["solve", "@not_json"],
+                               ["solve", "@dir"]]), st.none()),
+    st.tuples(complete_argvs, st.none()),
+    st.tuples(sdpfeas_argvs, st.none()),
+    st.tuples(st.just(["bench", "@config"]), bench_configs),
+)
+
+
+def _pin_probes(test):
+    for argv, cfg, _ in PROBES:
+        test = example(case=(argv, cfg))(test)
+    return test
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=cases)
+@_pin_probes
+def test_fuzzed_input_exits_0_to_3_without_traceback(case):
+    argv, cfg = case
+    code, out, err = run_case(argv, cfg)
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if code == 1:
+        # only an honest "budget exhausted": an uncertified certified run or
+        # an undetermined sdpfeas outcome, with its summary on stdout
+        summary = json.loads(out)
+        assert summary.get("certified") is False or summary.get("status") == "undetermined"
+    elif code in (2, 3) and "usage:" not in err:  # argparse prints a usage line
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("data error:" if code == 3 else "config error:")

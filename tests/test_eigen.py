@@ -194,3 +194,20 @@ def test_matvec_count_is_reported():
     op = SymmetricOperator.from_dense(np.diag([5.0, 1.0, 1.0]))
     res = approx_largest_ev(op, 0.5, seed=0, iterations=12)
     assert res.iterations == 12 and res.matvecs == 13  # final rayleigh matvec
+
+
+def test_dense_oracle_rejects_asymmetric_and_overflowing_input():
+    with pytest.raises(ValueError, match="symmetric"):
+        dense_eig_oracle(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            dense_eig_oracle(np.full((2, 2), 1e308) * 2.0)
+
+
+def test_lanczos_budget_caps_at_dimension_for_subnormal_accuracy():
+    # c log(n) / gamma overflows to inf; the Lanczos count is still n
+    M = np.diag([3.0, 1.0, -2.0])
+    res = approx_largest_ev(SymmetricOperator.from_dense(M), 1e-310, seed=0,
+                            method="lanczos")
+    assert res.iterations <= 3
+    assert res.rayleigh == pytest.approx(3.0)

@@ -88,6 +88,21 @@ def test_load_movielens_malformed_lines(tmp_path):
         load_movielens(f)
 
 
+@pytest.mark.parametrize("rating", ["inf", "-inf", "nan", "1e999"])
+def test_load_movielens_rejects_non_finite_ratings(tmp_path, rating):
+    f = tmp_path / "bad.data"
+    f.write_text(f"1\t1\t3\t0\n2\t1\t{rating}\t0\n")
+    with pytest.raises(ValueError, match=r"bad\.data:2: rating .* not a finite number"):
+        load_movielens(f)
+
+
+def test_load_movielens_rejects_unknown_format(tmp_path):
+    f = tmp_path / "ok.data"
+    f.write_text("1\t1\t3\t0\n")
+    with pytest.raises(ValueError, match="unknown ratings format"):
+        load_movielens(f, "csv")
+
+
 def test_split_random_fraction_sizes_and_disjointness():
     rng = make_rng(11)
     triples = [(i, j, float(rng.uniform(1, 5)))

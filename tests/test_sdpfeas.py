@@ -160,6 +160,16 @@ def test_solve_eps_feasible_rejects_nonpositive_eps(eps):
         solve_eps_feasible(sdp, eps=eps, seed=0)
 
 
+@pytest.mark.parametrize("eps,what", [
+    (float("inf"), "eps must be positive and finite"),
+    (1e-300, "no finite iteration budget"),
+])
+def test_solve_eps_feasible_rejects_eps_without_a_finite_budget(eps, what):
+    sdp = FeasibilitySDP(n=3, A=[np.eye(3)], b=[1.0])
+    with pytest.raises(ValueError, match=what):
+        solve_eps_feasible(sdp, eps=eps, seed=0)
+
+
 def test_binary_search_trace_objective():
     # C = Id: C.X = 1 on the whole domain, bracket closes onto 1
     res = binary_search_objective(np.eye(3), None, eps=0.1, n=3, t=1.0,

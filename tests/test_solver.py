@@ -253,3 +253,30 @@ def test_nonfinite_evaluation_aborts():
                           name="bad")
     with pytest.raises(FloatingPointError):
         fw_run(obj, SimplexDomain(3), stop=StopRule(max_iters=2))
+
+
+def test_fw_run_argument_checks_survive_python_O():
+    obj = squared_norm(curvature_bound=2.0)
+    dom = SimplexDomain(3)
+    with pytest.raises(ValueError, match="lmo_mode"):
+        fw_run(obj, dom, stop=StopRule(max_iters=2), lmo_mode="apprx")
+    with pytest.raises(ValueError, match="curvature bound"):
+        fw_run(squared_norm(), dom, stop=StopRule(max_iters=2), lmo_mode="approx")
+    rand = RandomizedLMO(dom, uniform_simplex_sampler(3), success_prob=0.5)
+    with pytest.raises(ValueError, match="line search"):
+        fw_run(obj, rand, stop=StopRule(max_iters=2), schedule=StepSchedule.harmonic())
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5, 1.5, float("nan")])
+def test_randomized_lmo_rejects_bad_success_probability(p):
+    with pytest.raises(ValueError, match="success_prob"):
+        RandomizedLMO(SimplexDomain(3), uniform_simplex_sampler(3), success_prob=p)
+
+
+@pytest.mark.parametrize("C,eps,what", [
+    (float("inf"), 0.1, "finite curvature bound"),
+    (2.0, 5e-324, "no finite iteration budget"),
+])
+def test_gap_certified_run_rejects_an_endless_budget(C, eps, what):
+    with pytest.raises(ValueError, match=what):
+        gap_certified_run(squared_norm(curvature_bound=C), SimplexDomain(3), eps)

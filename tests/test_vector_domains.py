@@ -181,3 +181,13 @@ def test_slack_variable_simplex_reduction_matches_l1_domain():
     # the embedding maps any simplex point into the ball with equal value
     z = np.full(2 * n + 1, 1.0 / (2 * n + 1))
     assert obj.eval(E @ z) == pytest.approx(emb.eval(z), abs=1e-12)
+
+
+@pytest.mark.parametrize("make,what", [
+    (lambda: SimplexDomain(10 ** 400), "fit an array index"),
+    (lambda: CubeDomain(2 ** 63), "fit an array index"),
+    (lambda: L1BallDomain(3, t=1e200), "finite diameter"),
+])
+def test_domains_reject_sizes_past_numeric_range(make, what):
+    with pytest.raises(ValueError, match=what):
+        make()
