@@ -28,7 +28,8 @@ from .domains.matrices import SpectrahedronDomain
 from .domains.vectors import CubeDomain, L1BallDomain, SimplexDomain
 from .eigen import dense_eig_oracle
 from .objectives import least_squares, squared_distance, squared_norm
-from .solver import curvature_from_hessian, fw_run, gap_certified_run
+from .solver import (certified_iteration_count, curvature_from_hessian, fw_run,
+                     gap_certified_run)
 
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 1
@@ -224,6 +225,11 @@ def cmd_solve(args) -> int:
     seed = _opt(cfg, "seed", int, 0, "config")
     trace_path, summary_path = _out_paths(cfg)
     objective = _build_objective(obj_spec, domain)
+    if eps is not None and max_iters is not None:
+        budget = 2 * certified_iteration_count(objective.curvature_bound, eps, mode) + 1
+        if budget > max_iters:
+            raise ValueError(f"config: a certified run to eps {eps!r} takes {budget:.12g} "
+                             f"steps, more than max_iters {max_iters}")
 
     certified = None
     if eps is not None:
@@ -348,6 +354,10 @@ def cmd_sdpfeas(args) -> int:
 # ---------------------------------------------------------------------------
 # bench
 
+# Overflow reaches the solvers' finiteness checks and exits 3; numpy's
+# RuntimeWarning on the way would add lines to stderr.  The bench point
+# functions also run in worker processes, outside main.
+@np.errstate(over="ignore", invalid="ignore")
 def _bench_k_point(payload):
     n, k_max, seed = payload
     domain = SimplexDomain(n)
@@ -359,6 +369,7 @@ def _bench_k_point(payload):
             for r in res.trace.rows]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _bench_t_point(payload):
     data, fmt, t, steps, seed, rho = payload
     ds = _data(matcomp.load_movielens, data, fmt)
@@ -407,6 +418,7 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # see _bench_k_point
 def main(argv=None) -> int:
     """Run one subcommand and map what it raises to an exit code.
 

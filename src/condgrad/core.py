@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import time
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -58,31 +58,23 @@ class LazyPoint:
         obj.__dict__[self.key] = value
 
 
-def move_toward(x: np.ndarray, s: np.ndarray, alpha: float):
-    """x += alpha (s - x) in place, using s as the scratch array; the bits
-    of x + alpha * (s - x) without its two temporaries."""
-    s -= x
-    s *= alpha
-    x += s
-
-
 class DenseApply:
-    """inner and step_into through the dense point.
-
-    fw_run applies such atoms through one dense copy of the point per step
-    (apply_dense), which keeps the gap and the step bit-for-bit equal to
-    <s, grad> and x + alpha (s - x).
-    """
+    """inner and step_into through the dense point, so the gap and the step
+    are bit-for-bit <s, grad> and x + alpha (s - x)."""
 
     __slots__ = ()
-    apply_dense: ClassVar[bool] = True
 
     def inner(self, grad) -> float:
         return float(np.vdot(self.point, grad))
 
     def step_into(self, x: np.ndarray, alpha: float):
-        """x += alpha (point - x), in place."""
-        move_toward(x, self.dense(), alpha)
+        """x += alpha (point - x) in place, with a dense copy of the point as
+        the scratch array: the bits of x + alpha * (point - x) without its
+        two temporaries."""
+        s = self.dense()
+        s -= x
+        s *= alpha
+        x += s
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,6 @@ class CoordinateAtom:
 
     __slots__ = ("n", "index", "value", "label")
     vector = None
-    apply_dense = False
 
     def __init__(self, n: int, index: int, value: float, label: str):
         self.n, self.index, self.value, self.label = n, index, value, label
@@ -316,7 +307,8 @@ class RunTrace:
     @staticmethod
     def from_csv(text: str) -> "RunTrace":
         lines = [ln for ln in text.strip().splitlines() if ln]
-        assert lines and lines[0] == TRACE_HEADER, "bad trace header"
+        if not (lines and lines[0] == TRACE_HEADER):
+            raise ValueError("bad trace header")
         tr = RunTrace()
         for ln in lines[1:]:
             k, f, gap, alpha, atom, mv, ms = ln.split(",")

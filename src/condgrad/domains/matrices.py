@@ -40,9 +40,9 @@ def _digest_label(prefix: str, arr: np.ndarray) -> str:
 class RankOneAtom(DenseApply):
     """t * v v^T for a unit vector v, kept as (v, t).
 
-    point is built on every access and never cached.  fw_run applies these
-    atoms through that dense point once per step (apply_dense), because
-    v^T G v would not reproduce the bits of <t vv^T, G>.
+    point is built on every access and never cached.  inner and step_into
+    go through that dense point (DenseApply), because v^T G v would not
+    reproduce the bits of <t vv^T, G>.
     """
 
     __slots__ = ("vector", "t", "label")
@@ -330,8 +330,7 @@ class HazanResult:
 
 def hazan_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
               stop: Optional[StopRule] = None, variant: str = "plain",
-              lmo_mode: str = "approx", seed=0,
-              curvature_bound: Optional[float] = None) -> HazanResult:
+              lmo_mode: str = "approx", seed=0) -> HazanResult:
     """Greedy rank-1 solver on the trace-t spectahedron: fw_run over
     SpectrahedronDomain(n, t), with the iterate's factors read off the ledger.
 
@@ -351,8 +350,7 @@ def hazan_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
         domain = SpectrahedronDomain(n, t)
     schedule = StepSchedule.line_search() if variant == "line_search" else StepSchedule.harmonic()
     run = solver.fw_run(objective, domain, stop=stop or StopRule(max_iters=100),
-                        schedule=schedule, lmo_mode=lmo_mode, seed=seed,
-                        curvature_bound=curvature_bound)
+                        schedule=schedule, lmo_mode=lmo_mode, seed=seed)
     return HazanResult(factored=FactoredPSD.from_ledger(run.ledger, n, t),
                        trace=run.trace, point=lambda: run.point, ledger=run.ledger,
                        matvecs=run.matvecs)
@@ -442,7 +440,8 @@ def sparsepsd_lmo(G, mode: str = "both") -> SparsePsdAtom:
     n = G.shape[0]
     if n < 2:
         raise ValueError("sparse-PSD atoms need n >= 2")
-    assert mode in ("both", "plus", "minus")
+    if mode not in ("both", "plus", "minus"):
+        raise ValueError(f"sparse-PSD mode must be both, plus or minus, got {mode!r}")
     iu, ju = np.triu_indices(n, 1)  # lexicographic order
     d = np.diag(G)
     base = d[iu] + d[ju]
@@ -564,18 +563,6 @@ def boundeddiag_lmo(G, t: float = 1.0, eps: float = 0.0, rng=None,
                           best_val, flagged)
 
 
-def boundeddiag_grid_oracle_2x2(G, t: float = 1.0, grid_step: float = 1e-3) -> float:
-    """Exhaustive reference for n = 2: Y = [[a, c], [c, b]] with the optimal
-    off-diagonal c = -sign(G_01)*sqrt(ab) closed-form, grid over (a, b)."""
-    G = np.asarray(G, dtype=float)
-    assert G.shape == (2, 2)
-    ax = np.arange(0.0, t + grid_step / 2, grid_step)
-    A, B = np.meshgrid(ax, ax, indexing="ij")
-    root = np.sqrt(A * B)
-    vals = A * G[0, 0] + B * G[1, 1] - 2.0 * abs(G[0, 1]) * root
-    return float(vals.min())
-
-
 class BoundedDiagDomain:
     """PSD matrices with diagonal entries at most t (no trace constraint)."""
 
@@ -585,7 +572,7 @@ class BoundedDiagDomain:
         self.n = n
         self.t = float(t)
         self.name = f"boundeddiag(n={n},t={self.t:g})"
-        # provable cap ||X - Y||_F <= tr(X) + tr(Y) <= 2nt; see measure below
+        # provable cap ||X - Y||_F <= tr(X) + tr(Y) <= 2nt
         self.diam_sq = 4.0 * (n * self.t) ** 2
 
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
@@ -602,35 +589,6 @@ class BoundedDiagDomain:
         if np.diag(X).max() > self.t * (1.0 + 1e-12) + tol:
             return False
         return bool(np.linalg.eigvalsh(X).min() >= -1e-10 * max(1.0, self.t))
-
-
-def measure_bounded_diag_diam_sq(n: int, t: float = 1.0, samples: int = 200,
-                                 seed=0) -> float:
-    """Empirical squared Frobenius diameter of the bounded-diagonal box.
-
-    Scans all +-1 sign-pattern rank-1 members t*ss^T (for n <= 10) plus random
-    PSD members; a lower bound on the true diameter, used only to calibrate
-    empirical curvature estimates.
-    """
-    rng = make_rng(seed)
-    pts = []
-    if n <= 10:
-        for mask in range(1 << (n - 1)):  # global sign is irrelevant
-            s = np.array([1.0] + [1.0 if (mask >> i) & 1 else -1.0
-                                  for i in range(n - 1)])
-            pts.append(t * np.outer(s, s))
-    for _ in range(samples):
-        B = rng.standard_normal((n, n))
-        X = B @ B.T
-        d = np.diag(X).max()
-        if d > 0:
-            pts.append(X * (t / d))
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            D = pts[i] - pts[j]
-            best = max(best, float(np.vdot(D, D)))
-    return best
 
 
 def maxdiag_run(objective: ObjectiveOracle, n: int, t: float = 1.0,

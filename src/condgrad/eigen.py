@@ -128,6 +128,8 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
     the top eigenvalue dominant in magnitude).
     """
     assert eps >= 0
+    if method not in ("power", "lanczos"):
+        raise ValueError(f"unknown eigensolver method {method!r}")
     if rng is None:
         rng = make_rng(seed)
     L = spectral_range_bound(op)
@@ -161,7 +163,6 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
 
     if method == "lanczos":
         return _lanczos_largest(op, v, iterations, offset)
-    assert method == "power", f"unknown method {method!r}"
 
     history = []
     for _ in range(iterations):

@@ -16,7 +16,7 @@ power method separate the two extremes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -257,57 +257,6 @@ def residual_operator(ds: RatingDataset, resid: np.ndarray) -> SymmetricOperator
         nnz=2 * len(resid))
 
 
-def squared_loss_objective(ds: RatingDataset, t: float):
-    """(ObjectiveOracle, PredictionStore) for f = 1/2 sum (X_ij - y_ij)^2.
-
-    The oracle's callables ignore their argument and read the store, which
-    the caller keeps in sync with the factored iterate; grad returns the
-    sparse SymmetricOperator.  curvature_bound is the t^2 upper bound for the
-    scaled embedding.
-    """
-    store = PredictionStore(ds)
-    y = ds.train_y
-
-    def ev(_x=None):
-        r = store.train_values - y
-        return 0.5 * float(r @ r)
-
-    def gr(_x=None):
-        return residual_operator(ds, store.train_values - y)
-
-    oracle = ObjectiveOracle(eval=ev, grad=gr, curvature_bound=t * t,
-                             name="completion")
-    return oracle, store
-
-
-def rect_squared_loss(ds: RatingDataset) -> ObjectiveOracle:
-    """Dense rectangular view f(Z) = 1/2 sum_{ij in train} (Z_ij - y_ij)^2
-    over Z of shape (ds.m, ds.n) (test-scale reference; compose with
-    transforms.nuclear_to_spect)."""
-    m, n = ds.m, ds.n
-    i, j, y = ds.train_i, ds.train_j, ds.train_y
-
-    def ev(Z):
-        r = Z[i, j] - y
-        return 0.5 * float(r @ r)
-
-    def gr(Z):
-        G = np.zeros((m, n))
-        np.add.at(G, (i, j), Z[i, j] - y)
-        return G
-
-    def hook(Zx, Zs):
-        rx = Zx[i, j] - y
-        d = Zs[i, j] - Zx[i, j]
-        den = float(d @ d)
-        if den <= 0.0:
-            return 0.0
-        return float(min(1.0, max(0.0, -float(rx @ d) / den)))
-
-    return ObjectiveOracle(eval=ev, grad=gr, name="completion-dense",
-                           alpha_hook=hook)
-
-
 def closed_form_alpha(store: PredictionStore, ratings: np.ndarray,
                       v: np.ndarray, t: float) -> float:
     """Exact line-search step for the squared loss:
@@ -330,7 +279,8 @@ def metrics(predictions, ratings):
     by the 1..5 rating span (5-1)."""
     predictions = np.asarray(predictions, dtype=float)
     ratings = np.asarray(ratings, dtype=float)
-    assert predictions.shape == ratings.shape
+    if predictions.shape != ratings.shape:
+        raise ValueError(f"{predictions.shape} predictions for {ratings.shape} ratings")
     if len(ratings) == 0:
         return float("nan"), float("nan")
     err = predictions - ratings
@@ -477,8 +427,7 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
 
     factored = FactoredPSD(n=mn, scale=float(t), weights=weights, vectors=vectors)
     L, R = extract_factorization(factored, ds.m, ds.n)
-    final = {"k": k, "f": history[-1]["f"], **raw_metrics(),
-             "gap_estimate": trace.final().gap, "matvecs": matvecs}
+    final = {**history[-1], "gap_estimate": trace.final().gap, "matvecs": matvecs}
     return CompletionResult(L=L, R=R, factored=factored, store=store,
                             trace=trace, history=history, final=final,
                             matvecs=matvecs, denormalizer=denorm)

@@ -93,16 +93,11 @@ def softmax_objective(sdp: FeasibilitySDP, sigma: float,
         name=f"softmax(m={sdp.m},sigma={sigma:g})")
 
 
-def _lambda_max(Ai: np.ndarray) -> float:
-    vals, _ = dense_eig_oracle(Ai)
-    return float(vals[0])
-
-
 def curvature_estimate(sdp: FeasibilitySDP, sigma: float) -> float:
     """sigma * t^2 * max_i lambda_max(A_i)^2, the budget constant for the
     soft-max potential; lambda_max values come from one upfront dense
     eigensolve per constraint (residual <= 1e-9, well inside the 1e-6 ask)."""
-    lam = max(abs(_lambda_max(Ai)) for Ai in sdp.A)
+    lam = max(abs(float(dense_eig_oracle(Ai)[0][0])) for Ai in sdp.A)
     return sigma * (sdp.t * lam) ** 2
 
 
@@ -143,30 +138,19 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     max_iters = int(math.ceil(8.0 * C / eps)) + 2
     run = fw_run(objective, domain, stop=StopRule(max_iters=max_iters, target_f=eps),
                  lmo_mode=lmo_mode, seed=seed)
-    X = run.point
-    f = float(objective.eval(X))
-    viol = max_violation(sdp, X)
-    if f <= eps:
-        return FeasibilityOutcome("feasible", X, f, viol, run.trace.final().k,
-                                  run.matvecs, run.trace, sigma, C)
-
-    if certify_infeasible:
+    # a trace row's f is the objective at that row's iterate, so no re-evaluation
+    X, f, f_lower, gap_bound = run.point, run.trace.final().f, None, None
+    status = "feasible" if f <= eps else "undetermined"
+    if status == "undetermined" and certify_infeasible:
         cert = gap_certified_run(objective, domain, eps / 2.0, lmo_mode=lmo_mode,
                                  seed=seed)
-        f_hat = float(objective.eval(cert.point))
-        f_lower = f_hat - cert.gap_bound
+        f_hat = cert.trace.rows[cert.k_hat].f
+        f_lower, gap_bound = f_hat - cert.gap_bound, cert.gap_bound
         if cert.certified and f_lower > eps:
-            return FeasibilityOutcome("infeasible", cert.point, f_hat,
-                                      max_violation(sdp, cert.point),
-                                      run.trace.final().k, run.matvecs,
-                                      run.trace, sigma, C,
-                                      f_lower=f_lower, gap_bound=cert.gap_bound)
-        return FeasibilityOutcome("undetermined", X, f, viol,
-                                  run.trace.final().k, run.matvecs, run.trace,
-                                  sigma, C, f_lower=f_lower,
-                                  gap_bound=cert.gap_bound)
-    return FeasibilityOutcome("undetermined", X, f, viol, run.trace.final().k,
-                              run.matvecs, run.trace, sigma, C)
+            status, X, f = "infeasible", cert.point, f_hat
+    return FeasibilityOutcome(status, X, f, max_violation(sdp, X), run.trace.final().k,
+                              run.matvecs, run.trace, sigma, C,
+                              f_lower=f_lower, gap_bound=gap_bound)
 
 
 @dataclass
@@ -196,13 +180,15 @@ def binary_search_objective(C: np.ndarray, sdp: Optional[FeasibilitySDP],
     C = np.asarray(C, dtype=float)
     if sdp is not None:
         n, t = sdp.n, sdp.t
-    assert n is not None
+    if n is None:
+        raise ValueError("binary_search_objective needs n when sdp is None")
     if value_range is None:
         span = 2.0 * float(np.linalg.norm(C)) * t
         lo, hi = -span, span
     else:
         lo, hi = map(float, value_range)
-    assert hi >= lo
+    if not hi >= lo:  # NaN too
+        raise ValueError(f"value_range must have lo <= hi, got {value_range!r}")
     rounds = max(1, int(math.ceil(math.log2(max((hi - lo) / max(eps, 1e-12), 2.0)))))
 
     best_X = None

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (CoordinateAtom, IterateLedger, LazyPoint, LmoResult, ObjectiveOracle,
-                   RunClock, RunTrace, StepSchedule, StopRule, make_rng, move_toward)
+                   RunClock, RunTrace, StepSchedule, StopRule, make_rng)
 
 LINE_SEARCH_DERIV_TOL = 1e-10
 LINE_SEARCH_MAX_ITERS = 60
@@ -88,17 +88,16 @@ def line_search_alpha(objective: ObjectiveOracle, x, s) -> float:
     return mid
 
 
-def certified_gap(x, grad, res: LmoResult, s=None) -> float:
+def certified_gap(x, grad, res: LmoResult) -> float:
     """<x, grad> - <s, grad> + slack for the atom s that certifies the gap:
-    res.cert when the oracle set one, else the step atom, whose dense point
-    fw_run may pass as s (a factored x computes it in closed form).  Weak
-    duality makes this an upper bound on the primal error."""
+    res.cert when the oracle set one, else the step atom (a factored x
+    computes it in closed form).  Weak duality makes this an upper bound on
+    the primal error."""
     if res.cert is not None:
-        res, s = res.cert, None
+        res = res.cert
     if not isinstance(x, np.ndarray):
         return x.atom_terms(res.atom)[0] + res.slack
-    s_grad = res.atom.inner(grad) if s is None else np.vdot(s, grad)
-    return float(np.vdot(x, grad) - s_grad) + res.slack
+    return float(np.vdot(x, grad) - res.atom.inner(grad)) + res.slack
 
 
 def duality_gap(x, grad, domain) -> float:
@@ -119,8 +118,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     the final iterate's row has alpha = 0.  In approx mode the oracle is
     called with inner accuracy eps' = alpha_k * C_f unless inner_tol
     overrides it.  Atoms apply themselves to x; a dense point s is made only
-    for line search and for atoms flagged apply_dense, and is dropped after
-    the step.
+    for line search, and is dropped after the step.
 
     In approx mode a domain's factored_ledger hook may take over after the
     first step (the spectahedron's does for ||X - R||^2): that ledger is x
@@ -167,9 +165,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         res = domain.lmo(grad, eps_in, rng)
         matvecs += res.matvecs
         atom = res.atom
-        s = atom.dense() if dense and atom.apply_dense else None
-
-        gap_cert = certified_gap(x, grad, res, s)
+        gap_cert = certified_gap(x, grad, res)
 
         if track_best_gap and (best is None or gap_cert < best[0]):
             best = (gap_cert, k, x.copy() if dense else x.point_builder(),
@@ -190,18 +186,16 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         elif not dense:
             alpha = x.line_search(atom, schedule.alpha_at(k))
         else:
-            s_ls = atom.dense() if s is None else s
-            alpha = line_search_alpha(objective, x, s_ls)
+            s = atom.dense()
+            alpha = line_search_alpha(objective, x, s)
             a_fix = schedule.alpha_at(k)
             # the searched step must be at least as good as the scheduled one
-            if objective.eval(x + a_fix * (s_ls - x)) < objective.eval(x + alpha * (s_ls - x)):
+            if objective.eval(x + a_fix * (s - x)) < objective.eval(x + alpha * (s - x)):
                 alpha = a_fix
 
         trace.append(k, fx, gap_cert, alpha, atom.label, matvecs, clock.millis())
-        if dense and s is None:
+        if dense:
             atom.step_into(x, alpha)
-        elif dense:
-            move_toward(x, s, alpha)
         ledger.step(atom, alpha)  # a factored x moves with its ledger
         k += 1
 
@@ -211,9 +205,17 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
 
 
 def certified_iteration_count(curvature_bound: float, eps: float, lmo_mode: str) -> int:
-    """K such that some iterate in [K, 2K+1] has duality gap <= eps."""
+    """K such that some iterate in [K, 2K+1] has duality gap <= eps; raises
+    ValueError when eps and the curvature bound leave no finite K."""
+    if not eps > 0:  # NaN too
+        raise ValueError(f"eps must be positive, got {eps!r}")
+    C = curvature_bound
+    if C is None or not 0 <= C < math.inf:
+        raise ValueError(f"certified runs need a finite curvature bound >= 0, got {C!r}")
+    if not 8.0 * C / eps < math.inf:
+        raise ValueError(f"eps {eps!r} leaves no finite iteration budget")
     scale = 4.0 if lmo_mode == "exact" else 8.0
-    return int(math.ceil(scale * curvature_bound / eps))
+    return int(math.ceil(scale * C / eps))
 
 
 def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
@@ -226,13 +228,7 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
     tolerance below the slack margin the schedule leaves, so a true-gap
     guarantee turns into a certified (estimate + slack) one.
     """
-    if not eps > 0:  # NaN too
-        raise ValueError(f"eps must be positive, got {eps!r}")
     C = objective.curvature_bound
-    if C is None or not 0 <= C < math.inf:
-        raise ValueError(f"certified runs need a finite curvature bound >= 0, got {C!r}")
-    if not 8.0 * C / eps < math.inf:
-        raise ValueError(f"eps {eps!r} leaves no finite iteration budget")
     K = certified_iteration_count(C, eps, lmo_mode)
     schedule = StepSchedule.two_phase(K)
     inner_tol = None
@@ -249,7 +245,7 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
 
     run = fw_run(objective, domain, stop=StopRule(max_iters=2 * K + 1),
                  schedule=schedule, lmo_mode=lmo_mode, seed=seed,
-                 curvature_bound=C, inner_tol=inner_tol, track_best_gap=True)
+                 inner_tol=inner_tol, track_best_gap=True)
     gap_bound, k_hat, x_best, atoms, weights = run.best
     ledger = IterateLedger(atoms=atoms, weights=weights)
     return CertifiedRun(point=x_best, ledger=ledger, trace=run.trace,

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveOracle, make_rng
-from .domains.matrices import FactoredPSD, _project_rows
+from .core import ObjectiveOracle
+from .domains.matrices import FactoredPSD
 from .eigen import dense_eig_oracle
 
 GRADIENT_BLOCK_SCALE = 0.5
@@ -62,7 +62,8 @@ def nuclear_to_spect(objective: ObjectiveOracle, m: int, n: int, t: float):
     the curvature bound pass through unchanged (both depend only on f along
     segments, and the Z block moves affinely with X).
     """
-    assert t > 0
+    if not t > 0:  # NaN too
+        raise ValueError(f"trace bound t must be positive, got {t!r}")
     emb = BlockEmbedding(m, n)
 
     def ev(X):
@@ -140,98 +141,10 @@ def weighted_nuclear_norm(Z, p, q) -> float:
 
 
 # ---------------------------------------------------------------------------
-# small-scale norm oracles and the SDP characterizations (test support)
+# small-scale nuclear norm (test oracle)
 
 def nuclear_norm_oracle(Z) -> float:
     """Sum of singular values via the eigenvalues of Z^T Z."""
     Z = np.asarray(Z, dtype=float)
     vals, _ = dense_eig_oracle(Z.T @ Z)
     return float(np.sqrt(np.clip(vals, 0.0, None)).sum())
-
-
-def _sqrtm_psd(M: np.ndarray) -> np.ndarray:
-    vals, vecs = dense_eig_oracle(M)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
-PROBE_TOL = 1e-9  # nuclear_sdp_feasible's eigenvalue and trace tolerance
-MAXNORM_RESTARTS = 4
-MAXNORM_ITERATIONS = 400  # alternating least-squares sweeps per restart
-MAXNORM_RESID_TOL = 1e-6  # relative residual that counts as L R^T = Z
-
-
-def nuclear_sdp_feasible(Z, t: float):
-    """||Z||_nuc <= t/2 decided through the PSD characterization: the minimal
-    completion V = (ZZ^T)^1/2, W = (Z^T Z)^1/2 makes [[V, Z], [Z^T, W]] PSD
-    with the smallest possible trace, so feasibility reduces to an eigen
-    probe of the assembled block matrix plus its trace against t."""
-    Z = np.asarray(Z, dtype=float)
-    m, n = Z.shape
-    M = np.zeros((m + n, m + n))
-    M[:m, :m] = _sqrtm_psd(Z @ Z.T)
-    M[m:, m:] = _sqrtm_psd(Z.T @ Z)
-    M[:m, m:] = Z
-    M[m:, :m] = Z.T
-    scale = max(1.0, float(np.abs(M).max()))
-    psd_ok = bool(np.linalg.eigvalsh(M).min() >= -PROBE_TOL * scale)
-    return psd_ok and float(np.trace(M)) <= t + PROBE_TOL * max(1.0, t)
-
-
-def maxnorm_sdp_feasible(Z, t: float) -> bool:
-    """||Z||_max <= t decided through the factored PSD characterization:
-    search L (m x d), R (n x d) with rows in the sqrt(t) ball and L R^T = Z
-    by alternating least squares with row projection; the assembled
-    [[LL^T, Z], [Z^T, RR^T]] is the eigen-probed completion.  Approximate:
-    nonconvex search, trust it only with a tolerance band (tests use 1e-3)."""
-    Z = np.asarray(Z, dtype=float)
-    m, n = Z.shape
-    d = m + n
-    radius = math.sqrt(t)
-    rng = make_rng(0)
-    lam = 1e-10
-    best = math.inf
-    for r in range(MAXNORM_RESTARTS):
-        if r == 0:
-            # balanced SVD factors, the natural candidate
-            U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-            L = np.zeros((m, d))
-            R = np.zeros((n, d))
-            L[:, :len(s)] = U * np.sqrt(s)
-            R[:, :len(s)] = Vt.T * np.sqrt(s)
-            L, R = _project_rows(L, radius), _project_rows(R, radius)
-        else:
-            L = _project_rows(rng.standard_normal((m, d)), radius)
-            R = _project_rows(rng.standard_normal((n, d)), radius)
-        for _ in range(MAXNORM_ITERATIONS):
-            G = R.T @ R + lam * np.eye(d)
-            L = _project_rows(np.linalg.solve(G, R.T @ Z.T).T, radius)
-            G = L.T @ L + lam * np.eye(d)
-            R = _project_rows(np.linalg.solve(G, L.T @ Z).T, radius)
-        resid = float(np.abs(L @ R.T - Z).max())
-        best = min(best, resid)
-        if best <= MAXNORM_RESID_TOL * max(1.0, float(np.abs(Z).max())):
-            return True
-    return best <= MAXNORM_RESID_TOL * max(1.0, float(np.abs(Z).max()))
-
-
-def max_norm_oracle(Z, tol: float = 1e-4) -> float:
-    """Factorization norm min max(||L||_{2,inf}^2, ||R||_{2,inf}^2) over
-    L R^T = Z, by bisection on t with the factored feasibility check.
-    Approximate (nonconvex inner search); intended for <= 6x6 test sizes."""
-    Z = np.asarray(Z, dtype=float)
-    if not np.any(Z):
-        return 0.0
-    lo = float(np.abs(Z).max())  # ||Z||_max >= max |Z_ij|
-    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-    L = U * np.sqrt(s)
-    R = Vt.T * np.sqrt(s)
-    hi = float(max((L ** 2).sum(axis=1).max(), (R ** 2).sum(axis=1).max()))
-    if hi <= lo * (1.0 + 1e-12):
-        return lo
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if maxnorm_sdp_feasible(Z, mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)

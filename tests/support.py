@@ -1,0 +1,202 @@
+"""Reference code that only the tests use: small-scale SDP characterizations
+of the nuclear and max norms, an exhaustive bounded-diagonal oracle, an
+empirical diameter, and the completion losses that tests compare against.
+"""
+
+import math
+
+import numpy as np
+
+from condgrad.core import ObjectiveOracle, make_rng
+from condgrad.domains.matrices import _project_rows
+from condgrad.eigen import dense_eig_oracle
+from condgrad.matcomp import PredictionStore, RatingDataset, residual_operator
+
+
+# ---------------------------------------------------------------------------
+# the SDP characterizations of the nuclear and max norms
+
+def _sqrtm_psd(M: np.ndarray) -> np.ndarray:
+    vals, vecs = dense_eig_oracle(M)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+PROBE_TOL = 1e-9  # nuclear_sdp_feasible's eigenvalue and trace tolerance
+MAXNORM_RESTARTS = 4
+MAXNORM_ITERATIONS = 400  # alternating least-squares sweeps per restart
+MAXNORM_RESID_TOL = 1e-6  # relative residual that counts as L R^T = Z
+
+
+def nuclear_sdp_feasible(Z, t: float):
+    """||Z||_nuc <= t/2 decided through the PSD characterization: the minimal
+    completion V = (ZZ^T)^1/2, W = (Z^T Z)^1/2 makes [[V, Z], [Z^T, W]] PSD
+    with the smallest possible trace, so feasibility reduces to an eigen
+    probe of the assembled block matrix plus its trace against t."""
+    Z = np.asarray(Z, dtype=float)
+    m, n = Z.shape
+    M = np.zeros((m + n, m + n))
+    M[:m, :m] = _sqrtm_psd(Z @ Z.T)
+    M[m:, m:] = _sqrtm_psd(Z.T @ Z)
+    M[:m, m:] = Z
+    M[m:, :m] = Z.T
+    scale = max(1.0, float(np.abs(M).max()))
+    psd_ok = bool(np.linalg.eigvalsh(M).min() >= -PROBE_TOL * scale)
+    return psd_ok and float(np.trace(M)) <= t + PROBE_TOL * max(1.0, t)
+
+
+def maxnorm_sdp_feasible(Z, t: float) -> bool:
+    """||Z||_max <= t decided through the factored PSD characterization:
+    search L (m x d), R (n x d) with rows in the sqrt(t) ball and L R^T = Z
+    by alternating least squares with row projection; the assembled
+    [[LL^T, Z], [Z^T, RR^T]] is the eigen-probed completion.  Approximate:
+    nonconvex search, trust it only with a tolerance band (tests use 1e-3)."""
+    Z = np.asarray(Z, dtype=float)
+    m, n = Z.shape
+    d = m + n
+    radius = math.sqrt(t)
+    rng = make_rng(0)
+    lam = 1e-10
+    best = math.inf
+    for r in range(MAXNORM_RESTARTS):
+        if r == 0:
+            # balanced SVD factors, the natural candidate
+            U, s, Vt = np.linalg.svd(Z, full_matrices=False)
+            L = np.zeros((m, d))
+            R = np.zeros((n, d))
+            L[:, :len(s)] = U * np.sqrt(s)
+            R[:, :len(s)] = Vt.T * np.sqrt(s)
+            L, R = _project_rows(L, radius), _project_rows(R, radius)
+        else:
+            L = _project_rows(rng.standard_normal((m, d)), radius)
+            R = _project_rows(rng.standard_normal((n, d)), radius)
+        for _ in range(MAXNORM_ITERATIONS):
+            G = R.T @ R + lam * np.eye(d)
+            L = _project_rows(np.linalg.solve(G, R.T @ Z.T).T, radius)
+            G = L.T @ L + lam * np.eye(d)
+            R = _project_rows(np.linalg.solve(G, L.T @ Z).T, radius)
+        resid = float(np.abs(L @ R.T - Z).max())
+        best = min(best, resid)
+        if best <= MAXNORM_RESID_TOL * max(1.0, float(np.abs(Z).max())):
+            return True
+    return best <= MAXNORM_RESID_TOL * max(1.0, float(np.abs(Z).max()))
+
+
+def max_norm_oracle(Z, tol: float = 1e-4) -> float:
+    """Factorization norm min max(||L||_{2,inf}^2, ||R||_{2,inf}^2) over
+    L R^T = Z, by bisection on t with the factored feasibility check.
+    Approximate (nonconvex inner search); intended for <= 6x6 test sizes."""
+    Z = np.asarray(Z, dtype=float)
+    if not np.any(Z):
+        return 0.0
+    lo = float(np.abs(Z).max())  # ||Z||_max >= max |Z_ij|
+    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
+    L = U * np.sqrt(s)
+    R = Vt.T * np.sqrt(s)
+    hi = float(max((L ** 2).sum(axis=1).max(), (R ** 2).sum(axis=1).max()))
+    if hi <= lo * (1.0 + 1e-12):
+        return lo
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if maxnorm_sdp_feasible(Z, mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# bounded-diagonal PSD box
+
+def boundeddiag_grid_oracle_2x2(G, t: float = 1.0, grid_step: float = 1e-3) -> float:
+    """Exhaustive reference for n = 2: Y = [[a, c], [c, b]] with the optimal
+    off-diagonal c = -sign(G_01)*sqrt(ab) closed-form, grid over (a, b)."""
+    G = np.asarray(G, dtype=float)
+    assert G.shape == (2, 2)
+    ax = np.arange(0.0, t + grid_step / 2, grid_step)
+    A, B = np.meshgrid(ax, ax, indexing="ij")
+    root = np.sqrt(A * B)
+    vals = A * G[0, 0] + B * G[1, 1] - 2.0 * abs(G[0, 1]) * root
+    return float(vals.min())
+
+
+def measure_bounded_diag_diam_sq(n: int, t: float = 1.0, samples: int = 200,
+                                 seed=0) -> float:
+    """Empirical squared Frobenius diameter of the bounded-diagonal box.
+
+    Scans all +-1 sign-pattern rank-1 members t*ss^T (for n <= 10) plus random
+    PSD members; a lower bound on the true diameter, used only to calibrate
+    empirical curvature estimates.
+    """
+    rng = make_rng(seed)
+    pts = []
+    if n <= 10:
+        for mask in range(1 << (n - 1)):  # global sign is irrelevant
+            s = np.array([1.0] + [1.0 if (mask >> i) & 1 else -1.0
+                                  for i in range(n - 1)])
+            pts.append(t * np.outer(s, s))
+    for _ in range(samples):
+        B = rng.standard_normal((n, n))
+        X = B @ B.T
+        d = np.diag(X).max()
+        if d > 0:
+            pts.append(X * (t / d))
+    best = 0.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            D = pts[i] - pts[j]
+            best = max(best, float(np.vdot(D, D)))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# matrix completion
+
+def squared_loss_objective(ds: RatingDataset, t: float):
+    """(ObjectiveOracle, PredictionStore) for f = 1/2 sum (X_ij - y_ij)^2.
+
+    The oracle's callables ignore their argument and read the store, which
+    the caller keeps in sync with the factored iterate; grad returns the
+    sparse SymmetricOperator.  curvature_bound is the t^2 upper bound for the
+    scaled embedding.
+    """
+    store = PredictionStore(ds)
+    y = ds.train_y
+
+    def ev(_x=None):
+        r = store.train_values - y
+        return 0.5 * float(r @ r)
+
+    def gr(_x=None):
+        return residual_operator(ds, store.train_values - y)
+
+    oracle = ObjectiveOracle(eval=ev, grad=gr, curvature_bound=t * t,
+                             name="completion")
+    return oracle, store
+
+
+def rect_squared_loss(ds: RatingDataset) -> ObjectiveOracle:
+    """Dense rectangular view f(Z) = 1/2 sum_{ij in train} (Z_ij - y_ij)^2
+    over Z of shape (ds.m, ds.n) (test-scale reference; compose with
+    transforms.nuclear_to_spect)."""
+    m, n = ds.m, ds.n
+    i, j, y = ds.train_i, ds.train_j, ds.train_y
+
+    def ev(Z):
+        r = Z[i, j] - y
+        return 0.5 * float(r @ r)
+
+    def gr(Z):
+        G = np.zeros((m, n))
+        np.add.at(G, (i, j), Z[i, j] - y)
+        return G
+
+    def hook(Zx, Zs):
+        rx = Zx[i, j] - y
+        d = Zs[i, j] - Zx[i, j]
+        den = float(d @ d)
+        if den <= 0.0:
+            return 0.0
+        return float(min(1.0, max(0.0, -float(rx @ d) / den)))
+
+    return ObjectiveOracle(eval=ev, grad=gr, name="completion-dense",
+                           alpha_hook=hook)

@@ -43,7 +43,6 @@ from condgrad.matcomp import (
     complete,
     load_movielens,
     split_train_test,
-    squared_loss_objective,
 )
 from condgrad.objectives import squared_distance, squared_norm
 from condgrad.sdpfeas import FeasibilitySDP, solve_eps_feasible
@@ -54,11 +53,12 @@ from condgrad.solver import (
     line_search_alpha,
 )
 from condgrad.core import ObjectiveOracle
-from condgrad.transforms import (
+from condgrad.transforms import nuclear_norm_oracle
+from support import (
     max_norm_oracle,
     maxnorm_sdp_feasible,
-    nuclear_norm_oracle,
     nuclear_sdp_feasible,
+    squared_loss_objective,
 )
 
 

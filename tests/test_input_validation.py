@@ -1,0 +1,88 @@
+"""Library input checks raise real exceptions, so `python -O` keeps them; a
+certified `solve` respects `max_iters`; overflowing input leaves one line
+on stderr."""
+
+import json
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from condgrad.cli import main
+from condgrad.core import RunTrace
+from condgrad.domains.matrices import sparsepsd_lmo
+from condgrad.eigen import SymmetricOperator, approx_largest_ev
+from condgrad.matcomp import metrics
+from condgrad.objectives import squared_norm
+from condgrad.sdpfeas import binary_search_objective
+from condgrad.transforms import nuclear_to_spect
+
+
+@pytest.mark.parametrize("call,what", [
+    (lambda: approx_largest_ev(SymmetricOperator.from_dense(np.eye(3)), 0.1,
+                               method="lanczso"), "lanczso"),
+    (lambda: RunTrace.from_csv(""), "header"),
+    (lambda: metrics([3.0], [1, 2, 3, 4, 5]), "ratings"),
+    (lambda: binary_search_objective(np.eye(3), None, 0.5, value_range=(1.0, -1.0), n=3),
+     "lo <= hi"),
+    (lambda: binary_search_objective(np.eye(3), None, 0.5), "needs n"),
+    (lambda: sparsepsd_lmo(np.eye(3), mode="bogus"), "bogus"),
+    (lambda: nuclear_to_spect(squared_norm(), 2, 2, t=-1.0), "positive"),
+], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
+        "sparsepsd_mode", "embedding_t"])
+def test_bad_library_input_raises_value_error(call, what):
+    with pytest.raises(ValueError, match=what):
+        call()
+
+
+def _solve(tmp_path, capsys, cfg):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["solve", str(path)])
+    return code, capsys.readouterr()
+
+
+SIMPLEX = {"objective": {"kind": "quadratic"}, "domain": {"kind": "simplex", "n": 30},
+           "eps": 0.1}  # C_f = 2, K = 80: a certified run takes 2K + 1 = 161 steps
+
+
+def test_certified_solve_within_max_iters_runs_as_without_it(tmp_path, capsys):
+    code, plain = _solve(tmp_path, capsys, SIMPLEX)
+    assert code == 0
+    code, capped = _solve(tmp_path, capsys, {**SIMPLEX, "max_iters": 161})
+    assert code == 0
+    assert capped.out == plain.out
+
+
+@pytest.mark.parametrize("cfg,steps", [
+    ({**SIMPLEX, "max_iters": 160}, "161"),
+    ({"objective": {"kind": "quadratic"}, "domain": {"kind": "l1", "n": 2, "t": 1e150},
+      "eps": 0.5, "max_iters": 10}, "6.4e+301"),
+])
+def test_certified_solve_over_max_iters_is_a_config_error(tmp_path, capsys, cfg, steps):
+    code, captured = _solve(tmp_path, capsys, cfg)
+    assert code == 2 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert f"takes {steps} steps" in lines[0]
+    assert f"max_iters {cfg['max_iters']}" in lines[0]
+
+
+@pytest.mark.parametrize("objective", [
+    {"kind": "quadratic", "target": [1e308, -1e308]},
+    {"kind": "custom_quadratic", "path": "@huge"},
+])
+def test_overflow_leaves_one_data_error_line_on_stderr(tmp_path, objective):
+    # numpy's RuntimeWarning goes to the real stderr, past pytest's capture
+    huge = tmp_path / "q.json"
+    huge.write_text(json.dumps({"Q": [[1e308, 1e308], [1e308, 1e308]]}))
+    objective = {k: str(huge) if v == "@huge" else v for k, v in objective.items()}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(
+        {"objective": objective, "domain": {"kind": "cube", "n": 2}, "max_iters": 3}))
+    proc = subprocess.run([sys.executable, "-m", "condgrad.cli", "solve", str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:"), proc.stderr

@@ -13,11 +13,10 @@ from condgrad.matcomp import (
     load_movielens,
     metrics,
     normalize_means,
-    rect_squared_loss,
     residual_operator,
     split_train_test,
-    squared_loss_objective,
 )
+from support import rect_squared_loss, squared_loss_objective
 
 
 def small_ds(seed=0, m=5, n=4, frac=0.7, test_frac=0.2):

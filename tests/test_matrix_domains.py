@@ -10,11 +10,9 @@ from condgrad.domains.matrices import (
     SparsePsdAtom,
     SparsePsdDomain,
     SpectrahedronDomain,
-    boundeddiag_grid_oracle_2x2,
     boundeddiag_lmo,
     hazan_run,
     maxdiag_run,
-    measure_bounded_diag_diam_sq,
     random_low_rank_psd,
     rank_one_atom,
     sparsepsd_lmo,
@@ -27,6 +25,7 @@ from condgrad import solver
 from condgrad.eigen import SymmetricOperator, approx_smallest_ev, dense_eig_oracle
 from condgrad.objectives import squared_distance, squared_norm
 from condgrad.solver import curvature_from_hessian, fw_run
+from support import boundeddiag_grid_oracle_2x2, measure_bounded_diag_diam_sq
 
 
 def _sym(rng, n):

@@ -8,14 +8,12 @@ from condgrad.solver import fw_run
 from condgrad.transforms import (
     BlockEmbedding,
     extract_factorization,
-    max_norm_oracle,
-    maxnorm_sdp_feasible,
     nuclear_norm_oracle,
-    nuclear_sdp_feasible,
     nuclear_to_spect,
     weighted_nuclear_norm,
     weighted_nuclear_wrap,
 )
+from support import max_norm_oracle, maxnorm_sdp_feasible, nuclear_sdp_feasible
 
 
 def test_block_embedding_round_trip():
@@ -202,11 +200,10 @@ def test_nuclear_regularized_solve_recovers_low_rank_target():
     m, n = 4, 3
     Zs = np.outer(rng.standard_normal(m), rng.standard_normal(n))
     t = 2.0 * nuclear_norm_oracle(Zs)
-    obj = squared_distance(Zs, name="dist2")
+    obj = squared_distance(Zs, curvature_bound=t * t, name="dist2")
     hat, emb = nuclear_to_spect(obj, m, n, t=t)
     run = hazan_run(hat, n=m + n, t=t, stop=StopRule(max_iters=300),
-                    variant="line_search", lmo_mode="approx",
-                    curvature_bound=t * t, seed=0)
+                    variant="line_search", lmo_mode="approx", seed=0)
     L, R = extract_factorization(run.factored, m, n)
     assert np.max(np.abs(L @ R.T - Zs)) <= 0.05
     assert nuclear_norm_oracle(L @ R.T) <= t / 2 + 1e-6
