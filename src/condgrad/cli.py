@@ -234,7 +234,7 @@ def cmd_solve(args) -> int:
     certified = None
     if eps is not None:
         run = gap_certified_run(objective, domain, eps, lmo_mode=mode, seed=seed)
-        trace, point, ledger = run.trace, run.point, run.ledger
+        trace, ledger = run.trace, run.ledger
         gap = run.gap_bound
         certified = run.certified
         iters = run.k_hat
@@ -244,7 +244,7 @@ def cmd_solve(args) -> int:
                      schedule=StepSchedule.line_search() if schedule == "line_search"
                      else StepSchedule.harmonic(),
                      lmo_mode=mode, seed=seed)
-        trace, point, ledger = res.trace, res.point, res.ledger
+        trace, ledger = res.trace, res.ledger
         gap = res.trace.final().gap
         iters = res.trace.final().k
 
@@ -253,7 +253,7 @@ def cmd_solve(args) -> int:
     summary = {
         "objective": okind,
         "domain": dom_spec["kind"],
-        "f": float(objective.eval(point)),
+        "f": trace.rows[iters].f,  # the reported iterate's row: no dense point is built
         "gap": float(gap),
         "iterations": int(iters),
         "support": ledger.support_size(),

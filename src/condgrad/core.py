@@ -208,6 +208,21 @@ class IterateLedger:
         return float(sum(self.weights.tolist()))
 
 
+class FactoredLedger(IterateLedger):
+    """A ledger that is also fw_run's iterate x for f(x) = ||x - r||^2, kept
+    in a compact form.  Subclasses give value_and_grad() -> (f, gradient),
+    atom_terms(atom) -> (<x - s, grad f(x)>, ||s - x||^2) and
+    point_builder() (a callable that builds the dense x of now); the exact
+    line search follows in closed form."""
+
+    def line_search(self, atom, a_fix: float) -> float:
+        """argmin of the quadratic f(x + a (s - x)) on [0, 1], unless a_fix is lower."""
+        g, dd = self.atom_terms(atom)
+        alpha = min(1.0, max(0.0, g / (2.0 * dd))) if dd > 0.0 else 0.0
+        phi = lambda a: a * (a * dd - g)  # phi(a) - f(x)
+        return a_fix if phi(a_fix) < phi(alpha) else alpha
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Step-size rule: harmonic 2/(k+2), line search, or two-phase.

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..core import (Atom, DenseApply, IterateLedger, LazyPoint, LmoResult,
+from ..core import (Atom, DenseApply, FactoredLedger, IterateLedger, LazyPoint, LmoResult,
                     ObjectiveOracle, RunTrace, StepSchedule, StopRule, make_rng)
 from .. import solver
 from ..eigen import SymmetricOperator, approx_smallest_ev
@@ -110,7 +110,7 @@ class FactoredPSD:
                                       for w, v in zip(self.weights, self.vectors)))
 
 
-class GramLedger(IterateLedger):
+class GramLedger(FactoredLedger):
     """The ledger of a spectahedron run on f(X) = ||X - R||_F^2 (R None for
     0), which is also its iterate X = t * sum_j w_j v_j v_j^T, kept factored.
 
@@ -170,13 +170,6 @@ class GramLedger(IterateLedger):
         vXv = t * float(self.weights @ (Vv * Vv))
         return (2.0 * (xx - xr) - 2.0 * t * (vXv - vRv),
                 t * t * float(v @ v) ** 2 - 2.0 * t * vXv + xx)
-
-    def line_search(self, atom, a_fix: float) -> float:
-        """argmin of the quadratic f(X + a (S - X)) on [0, 1], unless a_fix is lower."""
-        g, dd = self.atom_terms(atom)
-        alpha = min(1.0, max(0.0, g / (2.0 * dd))) if dd > 0.0 else 0.0
-        phi = lambda a: a * (a * dd - g)  # phi(a) - f(X)
-        return a_fix if phi(a_fix) < phi(alpha) else alpha
 
     def point_builder(self):
         """A callable that builds today's dense X, as FactoredPSD.dense does."""
@@ -264,12 +257,15 @@ class SpectrahedronDomain:
         e0[0] = 1.0
         return rank_one_atom(e0, self.t)
 
-    def factored_ledger(self, objective: ObjectiveOracle, ledger) -> Optional[GramLedger]:
+    def factored_ledger(self, objective: ObjectiveOracle, ledger,
+                        exact_lmo: bool) -> Optional[GramLedger]:
         """fw_run's factored iterate for f = ||X - R||^2 with a symmetric
-        n x n (or zero) R and rank-one atoms in the ledger, else None."""
+        n x n (or zero) R and rank-one atoms in the ledger, else None.  The
+        exact oracle (eps 0) needs a dense gradient, so exact_lmo runs stay
+        dense."""
         R = objective.target
         zero = R is not None and np.ndim(R) == 0 and R == 0
-        if not (zero or (np.shape(R) == (self.n, self.n) and np.array_equal(R, R.T))) \
+        if exact_lmo or not (zero or (np.shape(R) == (self.n, self.n) and np.array_equal(R, R.T))) \
                 or not all(isinstance(a, RankOneAtom) and a.t == self.t for a in ledger.atoms):
             return None
         return GramLedger(ledger, None if zero else np.asarray(R, dtype=float))

@@ -6,16 +6,20 @@ gap off the oracle's atom.  The closed-form gap formulas are free functions
 (simplex_gap, l1_gap, cube_gap) for the tests and the lower-bound suites.
 Tie-breaks are lowest-index; sign(0) := +1.
 Simplex and l1-ball vertices, and the origin, are CoordinateAtoms (index and
-value); cube vertices are dense sign vectors.
+value); cube vertices are dense sign vectors.  For f = ||x - r||^2 on the
+simplex, fw_run keeps x on its support after its first step (SupportLedger)
+and builds the dense x when it is read.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
-from ..core import Atom, CoordinateAtom, LmoResult, make_rng
+from ..core import Atom, CoordinateAtom, FactoredLedger, LmoResult, ObjectiveOracle, make_rng
 
 
 def _sign_pos(v):
@@ -26,12 +30,21 @@ def _sign_pos(v):
 # ---------------------------------------------------------------------------
 # oracles as free functions (domain objects below delegate to these)
 
+def _check_finite(c):
+    if not np.all(np.isfinite(c)):
+        raise ValueError("non-finite linearization")
+
+
 def simplex_lmo(c) -> CoordinateAtom:
-    """Best simplex vertex for the linearization c: e_i at i = argmin c_i."""
-    c = np.asarray(c, dtype=float)
-    assert np.all(np.isfinite(c)), "non-finite linearization"
-    i = int(np.argmin(c))  # np.argmin takes the first (lowest-index) minimum
-    return CoordinateAtom(c.shape[0], i, 1.0, f"e{i}")
+    """Best simplex vertex for the linearization c (an array or a
+    SupportGradient): e_i at i = argmin c_i."""
+    if isinstance(c, SupportGradient):
+        i, n = c.argmin(), c.n
+    else:
+        c = np.asarray(c, dtype=float)
+        _check_finite(c)
+        i, n = int(np.argmin(c)), c.shape[0]  # np.argmin takes the lowest-index minimum
+    return CoordinateAtom(n, i, 1.0, f"e{i}")
 
 
 def simplex_gap(x, grad) -> float:
@@ -43,7 +56,7 @@ def simplex_gap(x, grad) -> float:
 def l1_lmo(c, t=1.0) -> CoordinateAtom:
     """Signed scaled basis vector: i = argmax |c_i|, sign(-c_i), radius t."""
     c = np.asarray(c, dtype=float)
-    assert np.all(np.isfinite(c)), "non-finite linearization"
+    _check_finite(c)
     i = int(np.argmax(np.abs(c)))
     sgn = float(_sign_pos(-c[i]))
     return CoordinateAtom(c.shape[0], i, sgn * t, ("+e%d" % i) if sgn > 0 else ("-e%d" % i))
@@ -58,7 +71,7 @@ def l1_gap(x, grad, t=1.0) -> float:
 def cube_lmo(c) -> Atom:
     """Sign vertex of the unit cube: s_i = sign(-c_i), with sign(0) := +1."""
     c = np.asarray(c, dtype=float)
-    assert np.all(np.isfinite(c)), "non-finite linearization"
+    _check_finite(c)
     point = _sign_pos(-c)
     mask = 0
     for i in range(point.shape[0]):
@@ -71,6 +84,146 @@ def cube_gap(x, grad) -> float:
     x = np.asarray(x, dtype=float)
     grad = np.asarray(grad, dtype=float)
     return float(np.abs(grad).sum() + x @ grad)
+
+
+# ---------------------------------------------------------------------------
+# the simplex iterate on its support
+
+class SupportGradient:
+    """The gradient 2(x - r) of a SupportLedger's x, without its n entries:
+    values[j] = 2(x_i - r_i) for i = index[j] on the support, and off it,
+    where x_i = 0, off = (2(0 - r_i), i) for the smallest entry (largest
+    r_i, lowest i on ties), or None when every coordinate is on the support.
+    Each entry has the bits of the dense gradient's."""
+
+    __slots__ = ("n", "index", "values", "off")
+
+    def __init__(self, n: int, index: np.ndarray, values: np.ndarray, off: Optional[tuple]):
+        self.n, self.index, self.values, self.off = n, index, values, off
+
+    def argmin(self) -> int:
+        """np.argmin of the dense gradient: its smallest entry, lowest index
+        on ties.  Raises ValueError on a non-finite entry."""
+        g = self.values
+        p = int(g.argmin())
+        gi = g[p]
+        if not (math.isfinite(gi) and math.isfinite(g.max())):
+            raise ValueError("non-finite linearization")
+        i = int(self.index[p])
+        if np.count_nonzero(g == gi) > 1:  # slots are not in index order
+            i = int(self.index[g == gi].min())
+        if self.off is not None and self.off < (gi, i):
+            return self.off[1]
+        return i
+
+
+class SupportLedger(FactoredLedger):
+    """The ledger of a simplex run on f(x) = ||x - r||^2 (r None for 0),
+    which is also its iterate x, kept on its support S: the coordinates a
+    step has moved toward.  Off S, x is 0.
+
+    Per coordinate of S it keeps the index, x_i and r_i.  Steps use
+    CoordinateAtom.step_into's arithmetic, so x_i has the dense iterate's
+    bits, and f = sum_S (x_i - r_i)^2 + sum_{i not in S} r_i^2, the gradient,
+    the gap and the line search cost O(|S|).  The gradient's smallest entry
+    off S sits at the largest r_i there: r's maxima over blocks of about
+    sqrt(n) coordinates off S, each recomputed when its holder enters S,
+    find it without a pass over r or a sorted copy of it.
+    """
+
+    def __init__(self, ledger, r: Optional[np.ndarray], n: int):
+        super().__init__(ledger.atoms, ledger.weights)
+        self.n, self._r = n, r
+        self._r_sq = 0.0 if r is None else float(np.dot(r, r))
+        self._idx, self._x, self._rs = np.empty(8, np.intp), np.empty(8), np.empty(8)
+        self._pos, self._m, self._g = {}, 0, None  # index -> slot in S, |S|, gradient on S
+        self._block = math.isqrt(n)
+        self._members = {}  # block -> offsets of its coordinates in S
+        # one step from e0 (fw_run's switch) leaves x's entries in the
+        # weights, bit for bit: 1 - alpha and alpha, or e0 after alpha 0 or 1
+        for a, w in zip(ledger.atoms, ledger.weights):
+            self._append(a.index, w)
+        nb = -(-n // self._block)
+        self._bval, self._bidx = np.empty(nb), np.empty(nb, np.intp)
+        for b in range(nb):
+            self._refresh(b)
+        self._pick_off()
+
+    def _append(self, i: int, xi: float):
+        m = self._m
+        if m == self._idx.shape[0]:
+            self._idx, self._x, self._rs = (np.concatenate([a, np.empty_like(a)])
+                                            for a in (self._idx, self._x, self._rs))
+        self._idx[m], self._x[m] = i, xi
+        self._rs[m] = 0.0 if self._r is None else self._r[i]
+        self._pos[i], self._m = m, m + 1
+        rs = self._rs[:m + 1]
+        self._rest = max(0.0, self._r_sq - float(np.dot(rs, rs)))  # sum of r_i^2 off S
+        b = i // self._block
+        self._members.setdefault(b, []).append(i - b * self._block)
+
+    def _refresh(self, b: int):
+        """The largest r_i off S in block b, lowest i on ties (-inf if none)."""
+        lo = b * self._block
+        hi = min(lo + self._block, self.n)
+        vals = np.zeros(hi - lo) if self._r is None else self._r[lo:hi].copy()
+        for j in self._members.get(b, ()):
+            vals[j] = -np.inf
+        j = int(vals.argmax())
+        self._bval[b], self._bidx[b] = vals[j], lo + j
+
+    def _pick_off(self):
+        b = int(self._bval.argmax())  # the first block wins ties
+        r_i = self._bval[b]
+        self._off = None if r_i == -np.inf else (2.0 * (0.0 - r_i), int(self._bidx[b]))
+
+    def step(self, atom, alpha: float):
+        super().step(atom, alpha)
+        self._g = None
+        i, p = atom.index, self._pos.get(atom.index)
+        x = self._x[:self._m]
+        xi = 0.0 if p is None else x[p]
+        x -= alpha * x
+        xi = xi + alpha * (atom.value - xi)
+        if p is not None:
+            x[p] = xi
+            return
+        self._append(i, xi)
+        if self._bidx[i // self._block] == i:
+            self._refresh(i // self._block)
+            self._pick_off()
+
+    def value_and_grad(self) -> tuple:
+        m = self._m
+        d = self._x[:m] - self._rs[:m]
+        f = float(np.dot(d, d)) + self._rest
+        d *= 2.0
+        self._g = d  # kept for atom_terms until the next step
+        return f, SupportGradient(self.n, self._idx[:m], d, self._off)
+
+    def atom_terms(self, atom) -> tuple:
+        """(<x - s, grad f(x)>, ||s - x||^2) for the atom s = value * e_index."""
+        if self._g is None:
+            self.value_and_grad()
+        x, g = self._x[:self._m], self._g
+        p = self._pos.get(atom.index)
+        if p is None:
+            xi, gi = 0.0, 2.0 * (0.0 - (0.0 if self._r is None else self._r[atom.index]))
+        else:
+            xi, gi = x[p], g[p]
+        v = atom.value
+        return (float(np.dot(x, g) - v * gi),
+                float(v * v - 2.0 * v * xi + np.dot(x, x)))
+
+    def point_builder(self):
+        """A callable that builds today's dense x: S's entries scattered into zeros."""
+        n, idx, vals = self.n, self._idx[:self._m].copy(), self._x[:self._m].copy()
+
+        def build():
+            p = np.zeros(n)
+            p[idx] = vals
+            return p
+        return build
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +254,17 @@ class SimplexDomain:
 
     def start_atom(self) -> CoordinateAtom:
         return CoordinateAtom(self.n, 0, 1.0, "e0")
+
+    def factored_ledger(self, objective: ObjectiveOracle, ledger,
+                        exact_lmo: bool) -> Optional[SupportLedger]:
+        """fw_run's iterate on its support for f = ||x - r||^2 with a
+        length-n (or zero) r, else None.  The oracle reads the support
+        gradient at any eps, so exact_lmo does not matter here."""
+        r = objective.target
+        zero = r is not None and np.ndim(r) == 0 and r == 0
+        if not (zero or np.shape(r) == (self.n,)):
+            return None
+        return SupportLedger(ledger, None if zero else np.asarray(r, dtype=float), self.n)
 
     def contains(self, x, tol=1e-12) -> bool:
         x = np.asarray(x, dtype=float)

@@ -120,10 +120,12 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     overrides it.  Atoms apply themselves to x; a dense point s is made only
     for line search, and is dropped after the step.
 
-    In approx mode a domain's factored_ledger hook may take over after the
-    first step (the spectahedron's does for ||X - R||^2): that ledger is x
-    from then on, also for on_iterate, and gives f, the gradient operator,
-    the gap and the line search in closed form; the point is built when read.
+    A domain's factored_ledger hook may take over after the first step, told
+    whether the oracle is asked for eps 0: for f = ||x - r||^2 the simplex's
+    keeps x on its support in either mode, and the spectahedron's keeps X
+    factored in approx mode.  That ledger is x from then on, also for
+    on_iterate, and gives f, the gradient, the gap and the line search in
+    closed form; the point is built when read.
     """
     if lmo_mode not in ("exact", "approx"):
         raise ValueError(f"lmo_mode must be 'exact' or 'approx', got {lmo_mode!r}")
@@ -140,18 +142,21 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     ledger = IterateLedger()
     ledger.seed(start_atom)
     x, dense = start_atom.dense(), True
-    # an exact oracle (eps 0, asked for when C is 0) needs a dense gradient
-    factored = getattr(domain, "factored_ledger", None) if lmo_mode == "approx" and C else None
+    factored = getattr(domain, "factored_ledger", None)
+    exact_lmo = not (lmo_mode == "approx" and C)  # eps 0, also asked for when C is 0
     trace = RunTrace(seed=seed if not isinstance(seed, np.random.Generator) else None)
     matvecs = 0
-    best = None  # (gap, k, point or its builder, ledger atoms, ledger weights copy)
+    # (gap, k, point or its builder, ledger atoms list, its length then, weights copy):
+    # the ledger only appends to its atoms list until a prune replaces it
+    best = None
 
     k = 0
     while True:
-        if k == 1 and factored is not None and (gram := factored(objective, ledger)) is not None:
+        if k == 1 and factored is not None \
+                and (fl := factored(objective, ledger, exact_lmo)) is not None:
             # the first row, at the start atom, is dense in every run, so it
             # has the same bits whatever the oracle, dense-only ones included
-            x, ledger, dense = gram, gram, False
+            x, ledger, dense = fl, fl, False
         fx, grad = (float(objective.eval(x)), objective.grad(x)) if dense else x.value_and_grad()
         if not math.isfinite(fx) or (dense and not np.all(np.isfinite(grad))):
             raise FloatingPointError(f"non-finite objective value or gradient at step {k}")
@@ -169,7 +174,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
 
         if track_best_gap and (best is None or gap_cert < best[0]):
             best = (gap_cert, k, x.copy() if dense else x.point_builder(),
-                    list(ledger.atoms), ledger.weights.copy())
+                    ledger.atoms, len(ledger.atoms), ledger.weights.copy())
         if on_iterate is not None:
             on_iterate(k, x, fx, gap_cert)
 
@@ -199,9 +204,11 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         ledger.step(atom, alpha)  # a factored x moves with its ledger
         k += 1
 
+    if best is not None:
+        gap_b, k_b, point_b, atoms, m, weights = best
+        best = (gap_b, k_b, point_b, atoms[:m], weights)
     return RunResult(point=x if dense else x.point_builder(), ledger=ledger, trace=trace,
-                     stopped_on=stopped, matvecs=matvecs,
-                     best=best if track_best_gap else None)
+                     stopped_on=stopped, matvecs=matvecs, best=best)
 
 
 def certified_iteration_count(curvature_bound: float, eps: float, lmo_mode: str) -> int:

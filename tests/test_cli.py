@@ -70,6 +70,31 @@ def test_solve_certified_quadratic_on_simplex(tmp_path, capsys):
     assert disk == summary
 
 
+def _spect_target(n, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, 3)))
+    R = (Q * np.array([0.5, 0.3, 0.2])) @ Q.T
+    return (0.5 * (R + R.T)).tolist()
+
+
+@pytest.mark.parametrize("run_cfg", [
+    {"domain": {"kind": "simplex", "n": 40}, "target": [1.0 / 40] * 40, "eps": 0.1},
+    {"domain": {"kind": "simplex", "n": 40}, "target": [1.0 / 40] * 40, "max_iters": 30},
+    {"domain": {"kind": "spectahedron", "n": 30}, "target": _spect_target(30, 1),
+     "mode": "approx", "max_iters": 40},
+], ids=["simplex_certified", "simplex_max_iters", "spectahedron_approx"])
+def test_solve_summary_f_is_the_reported_row_of_the_trace(tmp_path, capsys, run_cfg):
+    # these runs keep their iterate factored; f comes from the trace, exactly
+    trace = tmp_path / "trace.csv"
+    cfg = {k: v for k, v in run_cfg.items() if k != "target"}
+    cfg["objective"] = {"kind": "quadratic", "target": run_cfg["target"]}
+    cfg["out"] = {"trace": str(trace)}
+    code, summary = run_main(capsys, ["solve", write_json(tmp_path / "run.json", cfg)])
+    assert code == 0
+    row = trace.read_text().splitlines()[1 + summary["iterations"]].split(",")
+    assert int(row[0]) == summary["iterations"]
+    assert summary["f"] == float(row[1])
+
+
 def test_solve_max_iters_path(tmp_path, capsys):
     cfg = write_json(tmp_path / "run.json", {
         "objective": {"kind": "quadratic"},

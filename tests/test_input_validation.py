@@ -12,6 +12,7 @@ import pytest
 from condgrad.cli import main
 from condgrad.core import RunTrace
 from condgrad.domains.matrices import sparsepsd_lmo
+from condgrad.domains.vectors import cube_lmo, l1_lmo, simplex_lmo
 from condgrad.eigen import SymmetricOperator, approx_largest_ev
 from condgrad.matcomp import metrics
 from condgrad.objectives import squared_norm
@@ -29,8 +30,11 @@ from condgrad.transforms import nuclear_to_spect
     (lambda: binary_search_objective(np.eye(3), None, 0.5), "needs n"),
     (lambda: sparsepsd_lmo(np.eye(3), mode="bogus"), "bogus"),
     (lambda: nuclear_to_spect(squared_norm(), 2, 2, t=-1.0), "positive"),
+    (lambda: simplex_lmo([0.0, np.nan]), "finite"),
+    (lambda: l1_lmo([np.inf, 1.0]), "finite"),
+    (lambda: cube_lmo([1.0, -np.inf]), "finite"),
 ], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
-        "sparsepsd_mode", "embedding_t"])
+        "sparsepsd_mode", "embedding_t", "simplex_lmo", "l1_lmo", "cube_lmo"])
 def test_bad_library_input_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
         call()
