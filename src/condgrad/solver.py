@@ -88,6 +88,17 @@ def line_search_alpha(objective: ObjectiveOracle, x, s) -> float:
     return mid
 
 
+def _dense_line_search(objective: ObjectiveOracle, x, atom, a_fix: float) -> float:
+    """line_search_alpha toward the atom's dense point, unless the scheduled
+    step a_fix does better: the searched step must be at least as good.  The
+    dense point lives only for this call."""
+    s = atom.dense()
+    alpha = line_search_alpha(objective, x, s)
+    if objective.eval(x + a_fix * (s - x)) < objective.eval(x + alpha * (s - x)):
+        return a_fix
+    return alpha
+
+
 def certified_gap(x, grad, res: LmoResult) -> float:
     """<x, grad> - <s, grad> + slack for the atom s that certifies the gap:
     res.cert when the oracle set one, else the step atom (a factored x
@@ -191,12 +202,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         elif not dense:
             alpha = x.line_search(atom, schedule.alpha_at(k))
         else:
-            s = atom.dense()
-            alpha = line_search_alpha(objective, x, s)
-            a_fix = schedule.alpha_at(k)
-            # the searched step must be at least as good as the scheduled one
-            if objective.eval(x + a_fix * (s - x)) < objective.eval(x + alpha * (s - x)):
-                alpha = a_fix
+            alpha = _dense_line_search(objective, x, atom, schedule.alpha_at(k))
 
         trace.append(k, fx, gap_cert, alpha, atom.label, matvecs, clock.millis())
         if dense:

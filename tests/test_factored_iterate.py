@@ -1,11 +1,16 @@
-"""The factored spectahedron iterate against the dense one.
+"""The factored spectahedron iterate and the simplex iterate on its support,
+against the dense ones.
 
 fw_run keeps X = t * sum_j w_j v_j v_j^T factored (GramLedger) for
-f = ||X - R||^2 with the approximate oracle.  The same objective without a
-recorded target takes the dense path, so every run here is made twice and
-the two traces must agree row by row: same length, f and the certified gap
-within 1e-10 relative (one long run excepted, see below).  The floating-point order differs, so the
-eigenvectors (and the atom labels) differ in their last bits.
+f = ||X - R||^2 with the approximate oracle, and a simplex x on its support
+(SupportLedger) for f = ||x - r||^2 in either mode.  The same objective
+without a recorded target takes the dense path, so every run here is made
+twice and the two traces must agree row by row: same length, f and the
+certified gap within 1e-10 relative (one long run excepted, see below).  On
+the spectahedron the floating-point order differs, so the eigenvectors (and
+the atom labels) differ in their last bits.  On the simplex the gradient
+entries, the oracle's atoms and the steps keep the dense bits, so harmonic
+and certified runs return the same labels, weights and point bit for bit.
 """
 
 from __future__ import annotations
@@ -20,9 +25,12 @@ from condgrad.core import IterateLedger, StepSchedule, StopRule
 from condgrad.domains.matrices import (FactoredPSD, GramLedger, SparsePsdDomain,
                                        SpectrahedronDomain, BoundedDiagDomain,
                                        hazan_run, maxdiag_run, rank_one_atom)
+from condgrad.domains.vectors import (SimplexDomain, SupportGradient, SupportLedger,
+                                      simplex_lmo)
 from condgrad.objectives import squared_distance, squared_norm
 from condgrad.sdpfeas import FeasibilitySDP
-from condgrad.solver import curvature_from_hessian, fw_run, gap_certified_run
+from condgrad.solver import (RandomizedLMO, curvature_from_hessian, fw_run, gap_certified_run,
+                             uniform_simplex_sampler)
 
 REL = 1e-10
 
@@ -151,6 +159,147 @@ def test_factored_run_memory_is_bounded_by_the_factors():
     assert isinstance(run.ledger, GramLedger) and len(run.trace) == 31
     assert peaks[0] < n * n * 8 / 4
     assert run.point.shape == (n, n)
+
+
+# ---------------------------------------------------------------------------
+# the simplex iterate on its support
+
+C = curvature_from_hessian(2.0, 2.0)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def _assert_same_iterate(fact, dense):
+    assert [a.label for a in fact.ledger.atoms] == [a.label for a in dense.ledger.atoms]
+    assert _bits(fact.ledger.weights) == _bits(dense.ledger.weights)
+    assert _bits(fact.point) == _bits(dense.point)
+
+
+def _quantized(n, seed):
+    """A point of the simplex with many equal entries, so the oracle breaks
+    ties, on and off the support, in most steps."""
+    r = np.random.default_rng(seed).integers(1, 4, size=n).astype(float)
+    return r / r.sum()
+
+
+SIMPLEX_PROBLEMS = [  # (n, objective); gaps stay above 1e-3 for 60 steps
+    (40, squared_distance(np.random.default_rng(0).dirichlet(np.ones(40)), C)),
+    (200, squared_distance(np.random.default_rng(1).dirichlet(np.ones(200)), C)),
+    (50, squared_distance(0.3 * np.random.default_rng(2).standard_normal(50), C)),  # outside
+    (90, squared_distance(_quantized(90, 3), C)),
+    (100, squared_norm(C)),  # the support cannot cover all 100 coordinates
+]
+
+
+@pytest.mark.parametrize("n,obj", SIMPLEX_PROBLEMS)
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+@pytest.mark.parametrize("schedule", [StepSchedule.harmonic(), StepSchedule.line_search()],
+                         ids=["harmonic", "line_search"])
+def test_support_and_dense_runs_agree_on_every_row(n, obj, mode, schedule):
+    runs = [fw_run(o, SimplexDomain(n), stop=StopRule(max_iters=60), schedule=schedule,
+                   lmo_mode=mode, seed=5) for o in (obj, _dense_twin(obj))]
+    assert isinstance(runs[0].ledger, SupportLedger)
+    assert not isinstance(runs[1].ledger, SupportLedger)
+    assert min(r.gap for r in runs[1].trace.rows) > 1e-3
+    _assert_rows_agree(runs[0].trace, runs[1].trace)
+    if schedule.kind == "harmonic":
+        assert [r.atom for r in runs[0].trace.rows] == [r.atom for r in runs[1].trace.rows]
+        _assert_same_iterate(*runs)
+
+
+@pytest.mark.parametrize("n,obj", SIMPLEX_PROBLEMS)
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_support_and_dense_certified_runs_return_the_same_iterate(n, obj, mode):
+    runs = [gap_certified_run(o, SimplexDomain(n), eps=0.1, lmo_mode=mode, seed=2)
+            for o in (obj, _dense_twin(obj))]
+    assert callable(vars(runs[0])["_point"])  # a builder: the run was kept on its support
+    assert runs[0].k_hat == runs[1].k_hat and runs[0].certified == runs[1].certified
+    assert abs(runs[0].gap_bound - runs[1].gap_bound) <= REL * runs[1].gap_bound
+    _assert_rows_agree(runs[0].trace, runs[1].trace)
+    assert [r.atom for r in runs[0].trace.rows] == [r.atom for r in runs[1].trace.rows]
+    _assert_same_iterate(*runs)
+
+
+def test_support_gradient_has_the_dense_bits_and_argmin():
+    # quantized r: many equal entries, spread over blocks of isqrt(n) = 15
+    n = 240
+    r = _quantized(n, 4)
+    obj = squared_distance(r, C)
+    seen = []
+
+    def check(k, x, fx, gap):
+        if k == 0:
+            return
+        _, g = x.value_and_grad()
+        dense = 2.0 * (x.point_builder()() - r)
+        assert isinstance(g, SupportGradient) and g.n == n
+        assert _bits(g.values) == _bits(dense[g.index])
+        off = np.setdiff1d(np.arange(n), g.index)
+        j = off[np.argmin(dense[off])]
+        assert g.off[1] == j and _bits(g.off[0]) == _bits(dense[j])
+        assert g.argmin() == np.argmin(dense)
+        assert simplex_lmo(g).label == simplex_lmo(dense).label
+        seen.append(g.argmin() in g.index)
+
+    fw_run(obj, SimplexDomain(n), stop=StopRule(max_iters=120), on_iterate=check)
+    assert any(seen) and not all(seen)  # the oracle picked on and off the support
+
+
+def test_support_ledger_covering_every_coordinate_has_no_off_entry():
+    n = 5
+    run = fw_run(squared_norm(C), SimplexDomain(n), stop=StopRule(max_iters=30))
+    _, g = run.ledger.value_and_grad()
+    assert g.off is None and sorted(g.index) == list(range(n))
+
+
+def test_randomized_simplex_and_eps_zero_spectahedron_runs_stay_dense():
+    n = 10
+    obj = squared_distance(np.random.default_rng(6).dirichlet(np.ones(n)), C)
+    dom = RandomizedLMO(SimplexDomain(n), uniform_simplex_sampler(n), 0.5)
+    run = fw_run(obj, dom, stop=StopRule(max_iters=20), schedule=StepSchedule.line_search(),
+                 seed=1)
+    assert not isinstance(run.ledger, SupportLedger)
+
+    R = np.diag(np.linspace(0.0, 0.2, n))
+    spect = SpectrahedronDomain(n)
+    for mode, bound in (("exact", C), ("approx", 0.0)):  # both ask for eps 0
+        run = fw_run(squared_distance(R, bound), spect, stop=StopRule(max_iters=5),
+                     lmo_mode=mode)
+        assert not isinstance(run.ledger, GramLedger)
+    assert spect.factored_ledger(squared_distance(R, C), run.ledger, exact_lmo=True) is None
+
+
+@pytest.mark.parametrize("schedule", [StepSchedule.harmonic(), StepSchedule.line_search()],
+                         ids=["harmonic", "line_search"])
+def test_support_run_memory_after_the_first_row_is_below_half_a_dense_vector(schedule):
+    # the first row's dense line search must not leave its 0.8 MB point behind
+    n = 100_000
+    r = np.random.default_rng(7).dirichlet(np.ones(n))
+    obj = squared_distance(r, C)
+
+    def reset_peak(k, x, fx, gap):
+        if k == 1:  # the first row and step are dense in every run
+            tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        run = fw_run(obj, SimplexDomain(n), stop=StopRule(max_iters=200), schedule=schedule,
+                     on_iterate=reset_peak)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(run.ledger, SupportLedger) and len(run.trace) == 201
+    assert peak < n * 8 / 2
+    assert run.point.shape == (n,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_support_gradient_rejects_non_finite_entries(bad):
+    g = SupportGradient(4, np.array([2, 0]), np.array([0.5, bad]), (0.0, 1))
+    with pytest.raises(ValueError, match="finite"):
+        simplex_lmo(g)
 
 
 # validation that python -O keeps
