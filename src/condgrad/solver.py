@@ -89,9 +89,9 @@ def line_search_alpha(objective: ObjectiveOracle, x, s) -> float:
 
 
 def _dense_line_search(objective: ObjectiveOracle, x, atom, a_fix: float) -> float:
-    """line_search_alpha toward the atom's dense point, unless the scheduled
-    step a_fix does better: the searched step must be at least as good.  The
-    dense point lives only for this call."""
+    """The exact step toward the atom's dense point (line_search_alpha), or
+    the scheduled a_fix where that gives a lower f, so the searched step is
+    never worse than the scheduled one.  The point lives only for this call."""
     s = atom.dense()
     alpha = line_search_alpha(objective, x, s)
     if objective.eval(x + a_fix * (s - x)) < objective.eval(x + alpha * (s - x)):
