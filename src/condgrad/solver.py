@@ -163,11 +163,6 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
 
     k = 0
     while True:
-        if k == 1 and factored is not None \
-                and (fl := factored(objective, ledger, exact_lmo)) is not None:
-            # the first row, at the start atom, is dense in every run, so it
-            # has the same bits whatever the oracle, dense-only ones included
-            x, ledger, dense = fl, fl, False
         fx, grad = (float(objective.eval(x)), objective.grad(x)) if dense else x.value_and_grad()
         if not math.isfinite(fx) or (dense and not np.all(np.isfinite(grad))):
             raise FloatingPointError(f"non-finite objective value or gradient at step {k}")
@@ -184,8 +179,9 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         gap_cert = certified_gap(x, grad, res)
 
         if track_best_gap and (best is None or gap_cert < best[0]):
-            best = (gap_cert, k, x.copy() if dense else x.point_builder(),
-                    ledger.atoms, len(ledger.atoms), ledger.weights.copy())
+            # row 0's x is the start atom's point, so it is built again if read
+            point = x.point_builder() if not dense else start_atom.dense if k == 0 else x.copy()
+            best = (gap_cert, k, point, ledger.atoms, len(ledger.atoms), ledger.weights.copy())
         if on_iterate is not None:
             on_iterate(k, x, fx, gap_cert)
 
@@ -205,9 +201,15 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
             alpha = _dense_line_search(objective, x, atom, schedule.alpha_at(k))
 
         trace.append(k, fx, gap_cert, alpha, atom.label, matvecs, clock.millis())
-        if dense:
-            atom.step_into(x, alpha)
         ledger.step(atom, alpha)  # a factored x moves with its ledger
+        if k == 0 and factored is not None \
+                and (fl := factored(objective, ledger, exact_lmo)) is not None:
+            # the first row, at the start atom, is dense in every run, so it
+            # has the same bits whatever the oracle, dense-only ones included;
+            # the dense x is dropped unstepped, the ledger is x from here on
+            x, ledger, dense = fl, fl, False
+        elif dense:
+            atom.step_into(x, alpha)
         k += 1
 
     if best is not None:

@@ -295,6 +295,21 @@ def test_support_run_memory_after_the_first_row_is_below_half_a_dense_vector(sch
     assert run.point.shape == (n,)
 
 
+def test_certified_support_run_peaks_at_its_dense_first_row_x_and_gradient():
+    # the first row's x is dropped unstepped and its best-gap snapshot is the
+    # start atom's builder: a copy and a stepped x would make the peak 4 vectors
+    n = 100_000
+    r = np.random.default_rng(7).dirichlet(np.ones(n))
+    tracemalloc.start()
+    try:
+        run = gap_certified_run(squared_distance(r, C), SimplexDomain(n), eps=0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.certified and len(run.trace) == 82
+    assert peak < 3 * n * 8
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_support_gradient_rejects_non_finite_entries(bad):
     g = SupportGradient(4, np.array([2, 0]), np.array([0.5, bad]), (0.0, 1))
