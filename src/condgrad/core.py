@@ -4,7 +4,7 @@ Iterates live in a real inner-product space: 1-d arrays for vector domains,
 symmetric 2-d arrays (or their factors) for matrix domains.  The inner
 product is always the full Euclidean/Frobenius one, np.vdot.  Atoms keep
 their compact form (a coordinate and a value, a unit vector and a scale)
-where they have one and apply themselves to an iterate; the ledger holds
+where they have one and take inner products with a gradient; the ledger holds
 atoms, not dense points, so its memory grows with the support, not with
 iterations times dimension.
 """
@@ -59,22 +59,12 @@ class LazyPoint:
 
 
 class DenseApply:
-    """inner and step_into through the dense point, so the gap and the step
-    are bit-for-bit <s, grad> and x + alpha (s - x)."""
+    """inner through the dense point, so the gap is bit-for-bit <s, grad>."""
 
     __slots__ = ()
 
     def inner(self, grad) -> float:
         return float(np.vdot(self.point, grad))
-
-    def step_into(self, x: np.ndarray, alpha: float):
-        """x += alpha (point - x) in place, with a dense copy of the point as
-        the scratch array: the bits of x + alpha * (point - x) without its
-        two temporaries."""
-        s = self.dense()
-        s -= x
-        s *= alpha
-        x += s
 
 
 @dataclass(frozen=True)
@@ -85,8 +75,8 @@ class Atom(DenseApply):
     with equal labels must be the same point.  vector optionally keeps a
     low-rank factor.  Atoms with a compact form (CoordinateAtom here,
     RankOneAtom for the spectahedron) offer the same interface: label,
-    point (built on demand and never cached), vector, dense(), inner(grad)
-    and step_into(x, alpha).
+    point (built on demand and never cached), vector, dense() and
+    inner(grad).
     """
 
     point: np.ndarray
@@ -100,8 +90,7 @@ class Atom(DenseApply):
 
 class CoordinateAtom:
     """value * e_index in R^n: simplex and l1-ball vertices, and the origin
-    (value 0).  inner is one product and step_into one scaling of x plus one
-    coordinate; both give the bits of the dense arithmetic."""
+    (value 0).  inner is one product, with the bits of the dense one."""
 
     __slots__ = ("n", "index", "value", "label")
     vector = None
@@ -120,14 +109,6 @@ class CoordinateAtom:
 
     def inner(self, grad) -> float:
         return float(self.value * grad[self.index])
-
-    def step_into(self, x: np.ndarray, alpha: float):
-        """x += alpha (point - x), in place: off the index that is
-        x - alpha x, the same bits as x + alpha (0 - x)."""
-        i = self.index
-        xi = x[i]
-        x -= alpha * x
-        x[i] = xi + alpha * (self.value - xi)
 
 
 class LmoResult(NamedTuple):
@@ -212,8 +193,11 @@ class FactoredLedger(IterateLedger):
     """A ledger that is also fw_run's iterate x for f(x) = ||x - r||^2, kept
     in a compact form.  Subclasses give value_and_grad() -> (f, gradient),
     atom_terms(atom) -> (<x - s, grad f(x)>, ||s - x||^2) and
-    point_builder() (a callable that builds the dense x of now); the exact
-    line search follows in closed form."""
+    point_builder(final=False) (a callable that builds the dense x of now,
+    final when x steps no more); the gap and line search follow in closed form."""
+
+    def gap(self, atom) -> float:
+        return self.atom_terms(atom)[0]
 
     def line_search(self, atom, a_fix: float) -> float:
         """argmin of the quadratic f(x + a (s - x)) on [0, 1], unless a_fix is lower."""
@@ -244,7 +228,8 @@ class StepSchedule:
 
     @staticmethod
     def two_phase(K: int) -> "StepSchedule":
-        assert K >= 0
+        if not K >= 0:
+            raise ValueError(f"two_phase needs K >= 0, got {K!r}")
         return StepSchedule("two_phase", fix_after=K)
 
     def alpha_at(self, k: int) -> float:

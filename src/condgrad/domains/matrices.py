@@ -4,8 +4,8 @@ bounded-diagonal PSD box, with their linear oracles.
 Spectahedron atoms are kept as (v, t) (RankOneAtom), so the ledger holds
 the iterate's factored (sum of weighted rank-1) representation at O(n)
 memory per atom.  For f = ||X - R||^2 with the approximate oracle, fw_run
-keeps only that after its first step (GramLedger) and builds the dense X
-when it is read; other runs step dense symmetric arrays.
+keeps only that from its first row on (GramLedger), grad averaging too, and
+builds the dense X when it is read; other runs step dense symmetric arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from ..core import (Atom, DenseApply, FactoredLedger, IterateLedger, LazyPoint, LmoResult,
                     ObjectiveOracle, RunTrace, StepSchedule, StopRule, make_rng)
 from .. import solver
-from ..eigen import SymmetricOperator, approx_smallest_ev
+from ..eigen import SymmetricOperator, approx_smallest_ev, eigh_descending
 from ..solver import RunResult
 from .vectors import _check_size
 
@@ -40,9 +40,9 @@ def _digest_label(prefix: str, arr: np.ndarray) -> str:
 class RankOneAtom(DenseApply):
     """t * v v^T for a unit vector v, kept as (v, t).
 
-    point is built on every access and never cached.  inner and step_into
-    go through that dense point (DenseApply), because v^T G v would not
-    reproduce the bits of <t vv^T, G>.
+    point is built on every access and never cached.  inner goes through
+    that dense point (DenseApply), because v^T G v would not reproduce the
+    bits of <t vv^T, G>.
     """
 
     __slots__ = ("vector", "t", "label")
@@ -171,7 +171,7 @@ class GramLedger(FactoredLedger):
         return (2.0 * (xx - xr) - 2.0 * t * (vXv - vRv),
                 t * t * float(v @ v) ** 2 - 2.0 * t * vXv + xx)
 
-    def point_builder(self):
+    def point_builder(self, final: bool = False):
         """A callable that builds today's dense X, as FactoredPSD.dense does."""
         B = self._V.T * np.sqrt(self.t * self.weights)
         return lambda: B @ B.T
@@ -179,16 +179,6 @@ class GramLedger(FactoredLedger):
 
 # ---------------------------------------------------------------------------
 # spectahedron {X PSD, tr X = t}
-
-def _eigh_descending(M):
-    """(eigenvalues descending, eigenvectors as columns): dense_eig_oracle's
-    order and bits, without its O(n^3) reconstruction self-check."""
-    M = np.asarray(M, dtype=float)
-    if not (np.array_equal(M, M.T) or np.allclose(M, M.T, atol=1e-10)):
-        raise ValueError("exact eigensolve needs a symmetric matrix")
-    vals, vecs = np.linalg.eigh(M)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
 
 def _as_operator(grad) -> SymmetricOperator:
     if isinstance(grad, SymmetricOperator):
@@ -209,9 +199,7 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
     gradient.
     """
     if eps <= 0.0:
-        assert not isinstance(grad, SymmetricOperator), \
-            "exact spectahedron oracle needs a dense gradient"
-        vals, vecs = _eigh_descending(grad)
+        vals, vecs = eigh_descending(grad)
         return LmoResult(rank_one_atom(vecs[:, -1], t),
                          matvecs=np.asarray(grad).shape[0], slack=0.0)
     res = approx_smallest_ev(_as_operator(grad), eps, rng=rng, seed=seed,
@@ -227,9 +215,7 @@ def spect_gap(X: FactoredPSD, grad, eps: float, seed=0) -> tuple:
     op = _as_operator(grad)
     xg = X.inner(op)
     if eps <= 0.0:
-        assert not isinstance(grad, SymmetricOperator), \
-            "exact gap evaluation needs a dense gradient"
-        vals, _ = _eigh_descending(grad)
+        vals, _ = eigh_descending(grad)
         return xg - X.scale * float(vals[-1]), 0.0
     res = approx_smallest_ev(op, eps, seed=seed, method="lanczos")
     return xg - X.scale * res.rayleigh, X.scale * eps
@@ -259,14 +245,12 @@ class SpectrahedronDomain:
 
     def factored_ledger(self, objective: ObjectiveOracle, ledger,
                         exact_lmo: bool) -> Optional[GramLedger]:
-        """fw_run's factored iterate for f = ||X - R||^2 with a symmetric
-        n x n (or zero) R and rank-one atoms in the ledger, else None.  The
-        exact oracle (eps 0) needs a dense gradient, so exact_lmo runs stay
-        dense."""
+        """fw_run's factored iterate, from the start ledger, for f = ||X - R||^2
+        with a symmetric n x n (or zero) R, else None.  The exact oracle
+        (eps 0) needs a dense gradient, so exact_lmo runs stay dense."""
         R = objective.target
         zero = R is not None and np.ndim(R) == 0 and R == 0
-        if exact_lmo or not (zero or (np.shape(R) == (self.n, self.n) and np.array_equal(R, R.T))) \
-                or not all(isinstance(a, RankOneAtom) and a.t == self.t for a in ledger.atoms):
+        if exact_lmo or not (zero or (np.shape(R) == (self.n, self.n) and np.array_equal(R, R.T))):
             return None
         return GramLedger(ledger, None if zero else np.asarray(R, dtype=float))
 
@@ -280,32 +264,42 @@ class SpectrahedronDomain:
 
 
 class AveragedGradientOracle(SpectrahedronDomain):
-    """Spectahedron oracle for the grad_averaging heuristic: from step k = 1
-    on, the step atom is the eigenvector of (grad f(X) + grad f(Xbar))/2 with
-    Xbar = (1 - 1/k) X + (1/k) * (previous step atom), and a second
-    eigensolve on grad f(X) itself, returned as the result's cert, keeps the
-    traced gap certified.  Run it on `.objective`, whose grad records X; it
-    counts steps, so one per run.
-    """
+    """Spectahedron oracle for the grad_averaging heuristic on f = ||X - R||^2:
+    from step k = 1 on, the step atom is the eigenvector of (grad f(X) +
+    grad f(Xbar))/2, Xbar = (1 - 1/k) X + (1/k) t v v^T for the previous step
+    atom, which is (1 - 1/(2k)) grad f(X) + (1/k)(t v v^T - R) (an operator
+    when grad f(X) is one) as the gradient is affine.  A second eigensolve on
+    grad f(X) itself, returned as the result's cert, keeps the traced gap
+    certified.  It counts steps, so one per run."""
 
     def __init__(self, f: ObjectiveOracle, n, t=1.0):
         super().__init__(n, t)
-        self.f = f
-        self.objective = replace(f, grad=self._grad_at, target=None)  # _grad_at needs a dense X
-        self.k, self.x, self.prev_v = 0, None, None
+        R = f.target
+        if not (np.shape(R) == (n, n) or (R is not None and np.ndim(R) == 0 and R == 0)):
+            raise ValueError("grad_averaging needs f = ||X - R||^2 with its target R "
+                             f"recorded, n x n or 0; {f.name} has {np.shape(R)}")
+        self.R = np.asarray(R, dtype=float)  # 0-d for R = 0, which np.dot takes too
+        self.r_tr = float(np.trace(self.R)) if self.R.ndim else 0.0
+        self.r_fro = float(np.linalg.norm(self.R))
+        self.k, self.prev_v = 0, None
 
-    def _grad_at(self, x):
-        self.x = x
-        return self.f.grad(x)
+    def _averaged(self, grad, k: int):
+        c, v, t, R = 1.0 - 0.5 / k, self.prev_v, self.t, self.R
+        if not isinstance(grad, SymmetricOperator):
+            return c * grad + (1.0 / k) * (t * np.outer(v, v) - R)
+        # ||t v v^T - R||_F <= t + ||R||_F bounds the added term
+        return SymmetricOperator(
+            dim=grad.dim,
+            matvec=lambda u: c * grad.matvec(u) + (1.0 / k) * (t * (v @ u) * v - np.dot(R, u)),
+            trace=None if grad.trace is None else c * grad.trace + (t - self.r_tr) / k,
+            fro_norm=None if grad.fro_norm is None else c * grad.fro_norm + (t + self.r_fro) / k)
 
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
         k, self.k = self.k, self.k + 1
         if k == 0:
             res = super().lmo(grad, eps, rng)
         else:
-            Xbar = (1.0 - 1.0 / k) * self.x \
-                + (1.0 / k) * self.t * np.outer(self.prev_v, self.prev_v)
-            res = super().lmo(0.5 * (grad + self.f.grad(Xbar)), eps, rng)
+            res = super().lmo(self._averaged(grad, k), eps, rng)
             cert = super().lmo(grad, eps, rng)
             res = res._replace(matvecs=res.matvecs + cert.matvecs, cert=cert)
         self.prev_v = res.atom.vector
@@ -335,13 +329,13 @@ def hazan_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
     variant line_search replaces the harmonic step, grad_averaging feeds the
     eigensolver the averaged matrix (grad f(X) + grad f(Xbar))/2 instead of
     the gradient (a heuristic without the rate guarantee; the traced gap is
-    still measured against the true gradient at extra eigensolver cost).
+    still measured against the true gradient at extra eigensolver cost; it
+    needs f = ||X - R||^2 with its target recorded, else ValueError).
     """
     if variant not in ("plain", "line_search", "grad_averaging"):
         raise ValueError(f"unknown hazan_run variant {variant!r}")
     if variant == "grad_averaging":
         domain = AveragedGradientOracle(objective, n, t)
-        objective = domain.objective
     else:
         domain = SpectrahedronDomain(n, t)
     schedule = StepSchedule.line_search() if variant == "line_search" else StepSchedule.harmonic()
@@ -598,7 +592,7 @@ def maxdiag_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
     dom = BoundedDiagDomain(n, t)
 
     def on_iterate(k, x, fx, gap):
-        if not dom.contains(x):
+        if not dom.contains(x.x):
             raise AssertionError(f"iterate left the domain at step {k}")
 
     return solver.fw_run(objective, dom, stop=stop or StopRule(max_iters=50),

@@ -7,7 +7,7 @@ gap off the oracle's atom.  The closed-form gap formulas are free functions
 Tie-breaks are lowest-index; sign(0) := +1.
 Simplex and l1-ball vertices, and the origin, are CoordinateAtoms (index and
 value); cube vertices are dense sign vectors.  For f = ||x - r||^2 on the
-simplex, fw_run keeps x on its support after its first step (SupportLedger)
+simplex, fw_run keeps x on its support from its first row on (SupportLedger)
 and builds the dense x when it is read.
 """
 
@@ -122,9 +122,9 @@ class SupportLedger(FactoredLedger):
     which is also its iterate x, kept on its support S: the coordinates a
     step has moved toward.  Off S, x is 0.
 
-    Per coordinate of S it keeps the index, x_i and r_i.  Steps use
-    CoordinateAtom.step_into's arithmetic, so x_i has the dense iterate's
-    bits, and f = sum_S (x_i - r_i)^2 + sum_{i not in S} r_i^2, the gradient,
+    Per coordinate of S it keeps the index, x_i and r_i.  Steps give x_i
+    the dense iterate's bits (x - alpha x off the atom's index), and
+    f = sum_S (x_i - r_i)^2 + sum_{i not in S} r_i^2, the gradient,
     the gap and the line search cost O(|S|).  The gradient's smallest entry
     off S sits at the largest r_i there: r's maxima over blocks of about
     sqrt(n) coordinates off S, each recomputed when its holder enters S,
@@ -139,8 +139,7 @@ class SupportLedger(FactoredLedger):
         self._pos, self._m, self._g = {}, 0, None  # index -> slot in S, |S|, gradient on S
         self._block = math.isqrt(n)
         self._members = {}  # block -> offsets of its coordinates in S
-        # one step from e0 (fw_run's switch) leaves x's entries in the
-        # weights, bit for bit: 1 - alpha and alpha, or e0 after alpha 0 or 1
+        # fw_run's start ledger: x = e0, its one atom at weight 1
         for a, w in zip(ledger.atoms, ledger.weights):
             self._append(a.index, w)
         nb = -(-n // self._block)
@@ -215,7 +214,7 @@ class SupportLedger(FactoredLedger):
         return (float(np.dot(x, g) - v * gi),
                 float(v * v - 2.0 * v * xi + np.dot(x, x)))
 
-    def point_builder(self):
+    def point_builder(self, final: bool = False):
         """A callable that builds today's dense x: S's entries scattered into zeros."""
         n, idx, vals = self.n, self._idx[:self._m].copy(), self._x[:self._m].copy()
 

@@ -223,14 +223,21 @@ def _lanczos_largest(op, v0, iterations, offset) -> EigResult:
     return EigResult(ritz, ray, k, k + 1, (float(vals[-1]) - offset, ray))
 
 
-def dense_eig_oracle(M: np.ndarray):
-    """Full eigendecomposition test oracle: eigenvalues sorted descending,
-    orthonormal eigenvectors as columns, reconstruction residual <= 1e-9."""
+def eigh_descending(M: np.ndarray):
+    """(eigenvalues descending, orthonormal eigenvectors as columns) of a
+    symmetric matrix, from one np.linalg.eigh."""
+    if isinstance(M, SymmetricOperator):
+        raise ValueError("an exact eigensolve needs a dense matrix, not an operator")
     M = np.asarray(M, dtype=float)
-    if not np.allclose(M, M.T, atol=1e-10):
-        raise ValueError("dense eigen oracle needs a symmetric matrix")
+    if not (np.array_equal(M, M.T) or np.allclose(M, M.T, atol=1e-10)):
+        raise ValueError("eigensolve needs a symmetric matrix")
     vals, vecs = np.linalg.eigh(M)
-    vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
+    return vals[::-1].copy(), vecs[:, ::-1].copy()
+
+
+def dense_eig_oracle(M: np.ndarray):
+    """Test oracle: eigh_descending with its reconstruction residual checked <= 1e-9."""
+    vals, vecs = eigh_descending(M)
     resid = np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - M)
     if not resid <= 1e-9 * max(1.0, np.linalg.norm(M)):  # NaN too
         raise ValueError(f"eigh reconstruction failed (residual {float(resid)!r})")

@@ -61,7 +61,8 @@ def line_search_alpha(objective: ObjectiveOracle, x, s) -> float:
         return 0.0
     if objective.alpha_hook is not None:
         a = float(objective.alpha_hook(x, s))
-        assert 0.0 <= a <= 1.0
+        if not 0.0 <= a <= 1.0:  # NaN too
+            raise ValueError(f"{objective.name}'s alpha_hook returned {a!r}, outside [0, 1]")
         return a
 
     def dphi(a):
@@ -88,32 +89,59 @@ def line_search_alpha(objective: ObjectiveOracle, x, s) -> float:
     return mid
 
 
-def _dense_line_search(objective: ObjectiveOracle, x, atom, a_fix: float) -> float:
-    """The exact step toward the atom's dense point (line_search_alpha), or
-    the scheduled a_fix where that gives a lower f, so the searched step is
-    never worse than the scheduled one.  The point lives only for this call."""
-    s = atom.dense()
-    alpha = line_search_alpha(objective, x, s)
-    if objective.eval(x + a_fix * (s - x)) < objective.eval(x + alpha * (s - x)):
-        return a_fix
-    return alpha
-
-
-def certified_gap(x, grad, res: LmoResult) -> float:
-    """<x, grad> - <s, grad> + slack for the atom s that certifies the gap:
-    res.cert when the oracle set one, else the step atom (a factored x
-    computes it in closed form).  Weak duality makes this an upper bound on
-    the primal error."""
-    if res.cert is not None:
-        res = res.cert
-    if not isinstance(x, np.ndarray):
-        return x.atom_terms(res.atom)[0] + res.slack
+def duality_gap(x, grad, domain) -> float:
+    """<x - s, grad> for the domain's best atom s, from its exact oracle."""
+    res = domain.lmo(grad)
     return float(np.vdot(x, grad) - res.atom.inner(grad)) + res.slack
 
 
-def duality_gap(x, grad, domain) -> float:
-    """<x - s, grad> for the domain's best atom s, from its exact oracle."""
-    return certified_gap(x, grad, domain.lmo(grad))
+class DenseIterate(IterateLedger):
+    """fw_run's iterate as a dense array x, and its ledger, where the domain
+    has no factored one.  start_ledger holds the start atom alone.  The gap
+    <x - s, grad f(x)> reads the gradient of the last value_and_grad."""
+
+    def __init__(self, objective: ObjectiveOracle, start_ledger: IterateLedger):
+        super().__init__(start_ledger.atoms, start_ledger.weights)
+        self.objective, self.x, self._grad = objective, self.atoms[0].dense(), None
+        self._moved = False
+
+    def value_and_grad(self) -> tuple:
+        fx, grad = float(self.objective.eval(self.x)), self.objective.grad(self.x)
+        if not np.all(np.isfinite(grad)):
+            raise FloatingPointError("non-finite objective gradient")
+        self._grad = grad
+        return fx, grad
+
+    def gap(self, atom) -> float:
+        return float(np.vdot(self.x, self._grad) - atom.inner(self._grad))
+
+    def line_search(self, atom, a_fix: float) -> float:
+        """The exact step toward the atom's dense point (line_search_alpha), or
+        a_fix where that gives a lower f, so the searched step is never worse
+        than the scheduled one.  The point lives only for this call."""
+        x, s, f = self.x, atom.dense(), self.objective.eval
+        alpha = line_search_alpha(self.objective, x, s)
+        if f(x + a_fix * (s - x)) < f(x + alpha * (s - x)):
+            return a_fix
+        return alpha
+
+    def step(self, atom, alpha: float):
+        """x += alpha (s - x) in place, the atom's dense copy s as scratch: the
+        bits of x + alpha * (s - x) without its two temporaries."""
+        super().step(atom, alpha)
+        s = atom.dense()
+        s -= self.x
+        s *= alpha
+        self.x += s
+        self._moved = True
+
+    def point_builder(self, final: bool = False):
+        """A copy of x (before the first step, the start atom's builder); when
+        final, x itself, and the gradient is dropped: a result holds x alone."""
+        if final:
+            self._grad = None
+            return self.x
+        return self.x.copy() if self._moved else self.atoms[0].dense
 
 
 def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
@@ -128,15 +156,14 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     Every visited iterate gets a trace row (f, certified gap, step taken);
     the final iterate's row has alpha = 0.  In approx mode the oracle is
     called with inner accuracy eps' = alpha_k * C_f unless inner_tol
-    overrides it.  Atoms apply themselves to x; a dense point s is made only
-    for line search, and is dropped after the step.
+    overrides it.
 
-    A domain's factored_ledger hook may take over after the first step, told
-    whether the oracle is asked for eps 0: for f = ||x - r||^2 the simplex's
-    keeps x on its support in either mode, and the spectahedron's keeps X
-    factored in approx mode.  That ledger is x from then on, also for
-    on_iterate, and gives f, the gradient, the gap and the line search in
-    closed form; the point is built when read.
+    The domain's factored_ledger hook is asked once, before row 0, with the
+    start ledger and whether the oracle is asked for eps 0: for
+    f = ||x - r||^2 the simplex's keeps x on its support in either mode, and
+    the spectahedron's keeps X factored in approx mode.  Otherwise x is a
+    DenseIterate.  x is also the ledger and on_iterate(k, x, f, gap)'s x; it
+    gives f, the gradient, the gap, the line search and the step.
     """
     if lmo_mode not in ("exact", "approx"):
         raise ValueError(f"lmo_mode must be 'exact' or 'approx', got {lmo_mode!r}")
@@ -149,12 +176,11 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     rng = make_rng(seed)
     clock = RunClock()
 
-    start_atom = domain.start_atom()
-    ledger = IterateLedger()
-    ledger.seed(start_atom)
-    x, dense = start_atom.dense(), True
+    start = IterateLedger([domain.start_atom()], [1.0])
     factored = getattr(domain, "factored_ledger", None)
     exact_lmo = not (lmo_mode == "approx" and C)  # eps 0, also asked for when C is 0
+    x = factored(objective, start, exact_lmo) if factored is not None else None
+    x = x if x is not None else DenseIterate(objective, start)
     trace = RunTrace(seed=seed if not isinstance(seed, np.random.Generator) else None)
     matvecs = 0
     # (gap, k, point or its builder, ledger atoms list, its length then, weights copy):
@@ -163,9 +189,9 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
 
     k = 0
     while True:
-        fx, grad = (float(objective.eval(x)), objective.grad(x)) if dense else x.value_and_grad()
-        if not math.isfinite(fx) or (dense and not np.all(np.isfinite(grad))):
-            raise FloatingPointError(f"non-finite objective value or gradient at step {k}")
+        fx, grad = x.value_and_grad()
+        if not math.isfinite(fx):
+            raise FloatingPointError(f"non-finite objective value at step {k}")
 
         if inner_tol is not None:
             eps_in = float(inner_tol(k))
@@ -176,12 +202,13 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         res = domain.lmo(grad, eps_in, rng)
         matvecs += res.matvecs
         atom = res.atom
-        gap_cert = certified_gap(x, grad, res)
+        # the gap is certified by res.cert when the oracle set one, else by
+        # the step atom; weak duality makes it an upper bound on the primal error
+        cert = res if res.cert is None else res.cert
+        gap_cert = x.gap(cert.atom) + cert.slack
 
         if track_best_gap and (best is None or gap_cert < best[0]):
-            # row 0's x is the start atom's point, so it is built again if read
-            point = x.point_builder() if not dense else start_atom.dense if k == 0 else x.copy()
-            best = (gap_cert, k, point, ledger.atoms, len(ledger.atoms), ledger.weights.copy())
+            best = (gap_cert, k, x.point_builder(), x.atoms, len(x.atoms), x.weights.copy())
         if on_iterate is not None:
             on_iterate(k, x, fx, gap_cert)
 
@@ -193,29 +220,17 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
             stopped = "gap" if hit_gap else ("f_target" if hit_f else "max_iters")
             break
 
-        if schedule.kind != "line_search":
-            alpha = schedule.alpha_at(k)
-        elif not dense:
-            alpha = x.line_search(atom, schedule.alpha_at(k))
-        else:
-            alpha = _dense_line_search(objective, x, atom, schedule.alpha_at(k))
-
+        alpha = schedule.alpha_at(k)
+        if schedule.kind == "line_search":
+            alpha = x.line_search(atom, alpha)  # the scheduled step is its fallback
         trace.append(k, fx, gap_cert, alpha, atom.label, matvecs, clock.millis())
-        ledger.step(atom, alpha)  # a factored x moves with its ledger
-        if k == 0 and factored is not None \
-                and (fl := factored(objective, ledger, exact_lmo)) is not None:
-            # the first row, at the start atom, is dense in every run, so it
-            # has the same bits whatever the oracle, dense-only ones included;
-            # the dense x is dropped unstepped, the ledger is x from here on
-            x, ledger, dense = fl, fl, False
-        elif dense:
-            atom.step_into(x, alpha)
+        x.step(atom, alpha)
         k += 1
 
     if best is not None:
         gap_b, k_b, point_b, atoms, m, weights = best
         best = (gap_b, k_b, point_b, atoms[:m], weights)
-    return RunResult(point=x if dense else x.point_builder(), ledger=ledger, trace=trace,
+    return RunResult(point=x.point_builder(final=True), ledger=x, trace=trace,
                      stopped_on=stopped, matvecs=matvecs, best=best)
 
 

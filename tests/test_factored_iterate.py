@@ -1,16 +1,18 @@
 """The factored spectahedron iterate and the simplex iterate on its support,
 against the dense ones.
 
-fw_run keeps X = t * sum_j w_j v_j v_j^T factored (GramLedger) for
-f = ||X - R||^2 with the approximate oracle, and a simplex x on its support
-(SupportLedger) for f = ||x - r||^2 in either mode.  The same objective
-without a recorded target takes the dense path, so every run here is made
-twice and the two traces must agree row by row: same length, f and the
-certified gap within 1e-10 relative (one long run excepted, see below).  On
-the spectahedron the floating-point order differs, so the eigenvectors (and
-the atom labels) differ in their last bits.  On the simplex the gradient
-entries, the oracle's atoms and the steps keep the dense bits, so harmonic
-and certified runs return the same labels, weights and point bit for bit.
+From its first row on, fw_run keeps X = t * sum_j w_j v_j v_j^T factored
+(GramLedger) for f = ||X - R||^2 with the approximate oracle, and a simplex
+x on its support (SupportLedger) for f = ||x - r||^2 in either mode.  The
+same objective without a recorded target takes the dense path
+(DenseIterate), so every run here is made twice and the two traces must
+agree row by row: same length, f and the certified gap within 1e-10
+relative (one long run excepted, see below).  On the spectahedron the
+floating-point order differs, so the eigenvectors (and the atom labels)
+differ in their last bits.  On the simplex the gradient entries, the
+oracle's atoms and the steps keep the dense bits, so harmonic and certified
+runs return the same labels, weights and point bit for bit; f and the gap
+come from closed forms, so they agree only to rounding.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from condgrad.domains.vectors import (SimplexDomain, SupportGradient, SupportLed
                                       simplex_lmo)
 from condgrad.objectives import squared_distance, squared_norm
 from condgrad.sdpfeas import FeasibilitySDP
-from condgrad.solver import (RandomizedLMO, curvature_from_hessian, fw_run, gap_certified_run,
-                             uniform_simplex_sampler)
+from condgrad.solver import (DenseIterate, RandomizedLMO, curvature_from_hessian, fw_run,
+                             gap_certified_run, uniform_simplex_sampler)
 
 REL = 1e-10
 
@@ -49,7 +51,6 @@ def _dense_twin(objective):
 
 def _assert_rows_agree(fact, dense, rel=REL):
     assert len(fact.rows) == len(dense.rows)
-    assert fact.rows[0][:-1] == dense.rows[0][:-1]  # the start row is dense in both
     for a, b in zip(fact.rows, dense.rows):
         assert a.k == b.k
         for x, y in ((a.f, b.f), (a.gap, b.gap)):
@@ -90,12 +91,18 @@ def test_factored_and_dense_certified_runs_agree(n, obj, rel):
     assert np.allclose(runs[0].point, runs[1].point, atol=1e-9)
 
 
-def test_exact_mode_and_grad_averaging_stay_dense():
+def test_exact_mode_stays_dense_and_approx_grad_averaging_is_factored():
     obj = squared_distance(_target(10, 4), curvature_bound=2.0)
-    for mode, variant in (("exact", "plain"), ("approx", "grad_averaging")):
-        run = hazan_run(obj, n=10, stop=StopRule(max_iters=5), variant=variant,
-                        lmo_mode=mode)
-        assert not isinstance(run.ledger, GramLedger)
+    run = hazan_run(obj, n=10, stop=StopRule(max_iters=5), lmo_mode="exact")
+    assert isinstance(run.ledger, DenseIterate)
+    run = hazan_run(obj, n=10, stop=StopRule(max_iters=5), variant="grad_averaging")
+    assert isinstance(run.ledger, GramLedger)
+
+
+def test_grad_averaging_without_a_target_raises_value_error():
+    obj = dataclasses.replace(squared_norm(curvature_bound=2.0), target=None)
+    with pytest.raises(ValueError, match="target"):
+        hazan_run(obj, n=4, variant="grad_averaging")
 
 
 def test_factored_point_is_built_once_when_read():
@@ -138,21 +145,17 @@ def test_gram_ledger_follows_merges_and_prunes():
 
 
 def test_factored_run_memory_is_bounded_by_the_factors():
-    # past the first row (evaluated densely, like every spectahedron run's)
-    # no step may allocate a dense n x n array: 8 MB is a quarter of one
+    # no row, the first included, may allocate a dense n x n array: 8 MB is
+    # a quarter of one
     n = 2000
     R = _target(n, 7, (0.4, 0.3, 0.2, 0.1))
     obj = squared_distance(R, curvature_bound=curvature_from_hessian(2.0, 2.0))
     peaks = []
 
-    def reset_peak(k, x, fx, gap):
-        if k == 1:
-            tracemalloc.reset_peak()
-
     tracemalloc.start()
     try:
         run = fw_run(obj, SpectrahedronDomain(n), stop=StopRule(max_iters=30),
-                     lmo_mode="approx", seed=0, on_iterate=reset_peak)
+                     lmo_mode="approx", seed=0)
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
@@ -230,8 +233,6 @@ def test_support_gradient_has_the_dense_bits_and_argmin():
     seen = []
 
     def check(k, x, fx, gap):
-        if k == 0:
-            return
         _, g = x.value_and_grad()
         dense = 2.0 * (x.point_builder()() - r)
         assert isinstance(g, SupportGradient) and g.n == n
@@ -274,19 +275,14 @@ def test_randomized_simplex_and_eps_zero_spectahedron_runs_stay_dense():
 @pytest.mark.parametrize("schedule", [StepSchedule.harmonic(), StepSchedule.line_search()],
                          ids=["harmonic", "line_search"])
 def test_support_run_memory_after_the_first_row_is_below_half_a_dense_vector(schedule):
-    # the first row's dense line search must not leave its 0.8 MB point behind
+    # the whole run, first row included: no row builds a dense n-vector
     n = 100_000
     r = np.random.default_rng(7).dirichlet(np.ones(n))
     obj = squared_distance(r, C)
 
-    def reset_peak(k, x, fx, gap):
-        if k == 1:  # the first row and step are dense in every run
-            tracemalloc.reset_peak()
-
     tracemalloc.start()
     try:
-        run = fw_run(obj, SimplexDomain(n), stop=StopRule(max_iters=200), schedule=schedule,
-                     on_iterate=reset_peak)
+        run = fw_run(obj, SimplexDomain(n), stop=StopRule(max_iters=200), schedule=schedule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -295,9 +291,8 @@ def test_support_run_memory_after_the_first_row_is_below_half_a_dense_vector(sch
     assert run.point.shape == (n,)
 
 
-def test_certified_support_run_peaks_at_its_dense_first_row_x_and_gradient():
-    # the first row's x is dropped unstepped and its best-gap snapshot is the
-    # start atom's builder: a copy and a stepped x would make the peak 4 vectors
+def test_certified_support_run_memory_is_below_half_a_dense_vector():
+    # every row, the first included, and every best-gap snapshot stay on the support
     n = 100_000
     r = np.random.default_rng(7).dirichlet(np.ones(n))
     tracemalloc.start()
@@ -307,7 +302,7 @@ def test_certified_support_run_peaks_at_its_dense_first_row_x_and_gradient():
     finally:
         tracemalloc.stop()
     assert run.certified and len(run.trace) == 82
-    assert peak < 3 * n * 8
+    assert peak < n * 8 / 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from condgrad.cli import main
-from condgrad.core import RunTrace
-from condgrad.domains.matrices import sparsepsd_lmo
+from condgrad.core import ObjectiveOracle, RunTrace, StepSchedule
+from condgrad.domains.matrices import sparsepsd_lmo, spect_lmo
 from condgrad.domains.vectors import cube_lmo, l1_lmo, simplex_lmo
 from condgrad.eigen import SymmetricOperator, approx_largest_ev
 from condgrad.matcomp import metrics
 from condgrad.objectives import squared_norm
 from condgrad.sdpfeas import binary_search_objective
+from condgrad.solver import line_search_alpha
 from condgrad.transforms import nuclear_to_spect
 
 
@@ -33,8 +34,14 @@ from condgrad.transforms import nuclear_to_spect
     (lambda: simplex_lmo([0.0, np.nan]), "finite"),
     (lambda: l1_lmo([np.inf, 1.0]), "finite"),
     (lambda: cube_lmo([1.0, -np.inf]), "finite"),
+    (lambda: line_search_alpha(ObjectiveOracle(eval=np.sum, grad=np.ones_like, name="bad",
+                                               alpha_hook=lambda x, s: 1.5),
+                               np.zeros(2), np.ones(2)), "alpha_hook"),
+    (lambda: StepSchedule.two_phase(-1), "K >= 0"),
+    (lambda: spect_lmo(SymmetricOperator.from_dense(np.eye(3)), 0.0), "dense matrix"),
 ], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
-        "sparsepsd_mode", "embedding_t", "simplex_lmo", "l1_lmo", "cube_lmo"])
+        "sparsepsd_mode", "embedding_t", "simplex_lmo", "l1_lmo", "cube_lmo",
+        "alpha_hook_range", "two_phase_K", "exact_spect_lmo_operator"])
 def test_bad_library_input_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
         call()

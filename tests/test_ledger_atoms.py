@@ -2,8 +2,8 @@
 
 The ledger must give the same weights, order and pruning, bit for bit, as
 the list implementation it replaced (kept below as the reference), and each
-atom's inner/step_into must give the bits of <point, grad> and
-x + alpha (point - x).  A tracemalloc test bounds the memory of a large
+atom's inner, and fw_run's dense step toward it, must give the bits of
+<point, grad> and x + alpha (point - x).  A tracemalloc test bounds the memory of a large
 simplex run by problem size, not by iterations times dimension.
 """
 
@@ -21,8 +21,8 @@ from hypothesis.extra import numpy as hnp
 from condgrad.core import WEIGHT_PRUNE_TOL, Atom, CoordinateAtom, IterateLedger
 from condgrad.domains.matrices import rank_one_atom
 from condgrad.domains.vectors import SimplexDomain
-from condgrad.objectives import squared_distance
-from condgrad.solver import curvature_from_hessian, gap_certified_run
+from condgrad.objectives import squared_distance, squared_norm
+from condgrad.solver import DenseIterate, curvature_from_hessian, gap_certified_run
 
 
 class ListLedger:
@@ -48,6 +48,17 @@ class ListLedger:
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _dense_step(x, atom, alpha):
+    """x + alpha (point - x) as fw_run's DenseIterate steps it: in place."""
+    start = IterateLedger()
+    start.seed(atom)
+    it = DenseIterate(squared_norm(), start)
+    it.x = x
+    it.step(atom, alpha)
+    assert it.x is x
+    return x
 
 
 FINITE = dict(allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100)
@@ -97,8 +108,7 @@ def test_coordinate_atom_matches_dense_arithmetic(data):
     assert atom.inner(grad) == dense_inner
     assert _bits(atom.inner(grad)) == _bits(dense_inner) or dense_inner == 0.0
     expect = x + alpha * (s - x)
-    atom.step_into(x, alpha)
-    assert _bits(x) == _bits(expect)
+    assert _bits(_dense_step(x, atom, alpha)) == _bits(expect)
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,15 +126,13 @@ def test_dense_and_rank_one_atoms_match_dense_arithmetic(data):
     assert s is not atom.point  # built on every access, never cached
     assert atom.inner(G) == float(np.vdot(s, G))
     expect = X + alpha * (s - X)
-    atom.step_into(X, alpha)
-    assert _bits(X) == _bits(expect)
+    assert _bits(_dense_step(X, atom, alpha)) == _bits(expect)
 
     generic = Atom(data.draw(hnp.arrays(np.float64, n, elements=unit)), "g")
     kept = generic.point.copy()
     x = data.draw(hnp.arrays(np.float64, n, elements=unit))
     expect = x + alpha * (generic.point - x)
-    generic.step_into(x, alpha)
-    assert _bits(x) == _bits(expect)
+    assert _bits(_dense_step(x, generic, alpha)) == _bits(expect)
     assert _bits(generic.point) == _bits(kept)  # the stored point is untouched
 
 
