@@ -21,6 +21,7 @@ import pytest
 from condgrad.core import StepSchedule, StopRule
 from condgrad.domains.matrices import SpectrahedronDomain, hazan_run, sparsepsd_run
 from condgrad.domains.vectors import CubeDomain, L1BallDomain, SimplexDomain
+from condgrad.matcomp import RatingDataset, complete, split_train_test
 from condgrad.objectives import least_squares, squared_distance
 from condgrad.sdpfeas import FeasibilitySDP, solve_eps_feasible
 from condgrad.solver import (RandomizedLMO, curvature_from_hessian, fw_run,
@@ -186,6 +187,44 @@ def case_sdpfeas_infeasible():
     return out.trace, _digest(out.X, status=out.status, f=out.f,
                               f_lower=out.f_lower, gap_bound=out.gap_bound,
                               matvecs=out.matvecs)
+
+
+def _ratings(seed, m=24, n=16, rank=2):
+    """Half of an m x n grid of rounded rank-2 ratings in 1..5, split 80/20."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(m * n, size=(m * n) // 2, replace=False)
+    i, j = keys // n, keys % n
+    U, V = rng.standard_normal((m, rank)), rng.standard_normal((n, rank))
+    y = np.clip(np.rint(3.0 + np.einsum("ij,ij->i", U[i], V[j])), 1, 5)
+    full = RatingDataset.from_triples(m, n, np.column_stack([i, j, y]))
+    return split_train_test(full, "random_fraction", rho=0.8, seed=seed)
+
+
+def _complete(ds, **kw):
+    res = complete(ds, **kw)
+    f = res.factored
+    return res.trace, {
+        "store": _sha1(res.store.x.tobytes()),
+        "L": _sha1(np.ascontiguousarray(res.L).tobytes()),
+        "R": _sha1(np.ascontiguousarray(res.R).tobytes()),
+        "weights": _sha1(np.asarray(f.weights, dtype=float).tobytes()),
+        "vectors": _sha1(np.array(f.vectors).tobytes()),
+        "history": _sha1(repr(res.history).encode()),
+        "final": _sha1(repr(res.final).encode()),
+        "matvecs": repr(res.matvecs)}
+
+
+def case_complete_line_search():
+    return _complete(_ratings(12), t=100.0, steps=30, seed=0)
+
+
+def case_complete_harmonic_grad_averaging():
+    return _complete(_ratings(13), t=100.0, steps=25, line_search=False,
+                     grad_averaging=True, seed=1)
+
+
+def case_complete_normalize_eps():
+    return _complete(_ratings(14), t=40.0, eps=1.0, normalize=True, seed=2)
 
 
 CASES = {name[len("case_"):]: fn for name, fn in sorted(globals().items())
