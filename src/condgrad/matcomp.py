@@ -1,10 +1,11 @@
 """Matrix completion over a nuclear-norm ball, solved in the PSD embedding.
 
 The rectangular unknown Z (m users x n items) is the off-diagonal block of a
-symmetric (m+n) matrix on the trace-t spectahedron, so ||Z||_nuc <= t/2.  The
-solver state is factored: a list of (weight, unit vector) rank-1 atoms plus a
-PredictionStore holding X_ij only at observed and test positions, so memory
-and per-step cost are O(|entries| + (m+n) * rank).
+symmetric (m+n) matrix on the trace-t spectahedron, so ||Z||_nuc <= t/2.
+complete is fw_run over one object that is both its domain (power-method
+eigensolves) and its iterate, kept factored: a list of (weight, unit vector)
+rank-1 atoms plus a PredictionStore holding X_ij only at observed and test
+positions, so memory and per-step cost are O(|entries| + (m+n) * rank).
 
 Gradient of the embedded loss f(Z) = 1/2 sum_{ij in Omega} (Z_ij - y_ij)^2 is
 (1/2) [[0, G], [G^T, 0]] with G the sparse residual (see transforms for the
@@ -21,8 +22,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ObjectiveOracle, RunClock, RunTrace, WEIGHT_PRUNE_TOL
-from .domains.matrices import FactoredPSD, _canonical_sign, _digest_label
+from . import solver
+from .core import LmoResult, RunTrace, StepSchedule, StopRule, WEIGHT_PRUNE_TOL, make_rng
+from .domains.matrices import (FactoredPSD, RankOneAtom, _canonical_sign, _digest_label,
+                               rank_one_atom)
 from .eigen import SymmetricOperator, approx_smallest_ev
 from .transforms import GRADIENT_BLOCK_SCALE, extract_factorization
 
@@ -136,7 +139,6 @@ def split_train_test(ds: RatingDataset, policy: str, rho: float = 0.5,
     per_user_holdout moves r random ratings of every user having more than r
     ratings into the test split.
     """
-    from .core import make_rng
     rng = make_rng(seed)
     i, j, y = ds.train_i, ds.train_j, ds.train_y
     if policy == "random_fraction":
@@ -295,6 +297,81 @@ def default_power_budget(k: int) -> int:
     return int(math.ceil(0.2 * k)) + 3
 
 
+class _CompletionIterate:
+    """complete's domain and iterate for fw_run, one object because the
+    eigensolve's shift and grad averaging read the iterate, and the gap
+    X.G - t*lambda reads the eigensolve.  factored_ledger returns it."""
+
+    def __init__(self, ds: RatingDataset, t: float, grad_averaging: bool, budget, seed):
+        self.ds, self.t, self.grad_averaging, self.budget, self.seed = \
+            ds, t, grad_averaging, budget, seed
+        self.store, self.y, self.k = PredictionStore(ds), ds.train_y, 0
+        self.prev_v = self.low_ray = None  # last step's v; lambda of the last certifying solve
+
+    def start_atom(self) -> RankOneAtom:  # e_1 e_1^T: every prediction is 0
+        return rank_one_atom(np.eye(1, self.ds.m + self.ds.n)[0], self.t)
+
+    def factored_ledger(self, objective, ledger, exact_lmo: bool):
+        self.weights, self.vectors = ledger.weights.tolist(), [a.vector for a in ledger.atoms]
+        return self
+
+    def _solve(self, op: SymmetricOperator, k: int, shift) -> tuple:
+        """(LmoResult, Rayleigh quotient) of budget(k) power iterations on op."""
+        res = approx_smallest_ev(op, 0.0, iterations=self.budget(k), start="ones",
+                                 shift=shift, seed=self.seed)
+        v = _canonical_sign(res.vector)
+        return LmoResult(RankOneAtom(v, self.t, _digest_label("v", v)), res.matvecs), res.rayleigh
+
+    def lmo(self, grad: SymmetricOperator, eps: float, rng) -> LmoResult:
+        """budget(k) power iterations from the all-ones vector; from row 1 grad averaging
+        solves at the mean of X and (1 - 1/k) X + (1/k) t v v^T, with grad's solve as cert."""
+        k, self.k = self.k, self.k + 1
+        shift = None
+        if self.low_ray is not None and self.low_ray < 0.0:
+            # half the previous eigenvalue estimate; an estimate that is not
+            # negative carries no information (the spectrum is symmetric), so
+            # fall back to the generic range-bound shift rather than running
+            # the power method unshifted on a +/- paired spectrum
+            shift = 0.5 * (-self.low_ray)
+        if self.grad_averaging and k >= 1:
+            store, m, v = self.store, self.ds.m, self.prev_v
+            pred_bar = (1.0 - 1.0 / k) * store.x + (1.0 / k) * self.t \
+                * v[:m][store.i_all] * v[m:][store.j_all]
+            resid_bar = pred_bar[:store.n_train] - self.y
+            res, _ = self._solve(residual_operator(self.ds, 0.5 * (self.resid + resid_bar)),
+                                 k, shift)
+            cert, self.low_ray = self._solve(grad, k, shift)
+            res = res._replace(matvecs=res.matvecs + cert.matvecs, cert=cert)
+        else:
+            res, self.low_ray = self._solve(grad, k, shift)
+        self.prev_v = res.atom.vector
+        return res
+
+    def value_and_grad(self) -> tuple:
+        self.resid = self.store.train_values - self.y
+        return 0.5 * float(self.resid @ self.resid), residual_operator(self.ds, self.resid)
+
+    def gap(self, atom: RankOneAtom) -> float:  # atom is the one lmo just certified with
+        return float(self.store.train_values @ self.resid) - self.t * self.low_ray
+
+    def line_search(self, atom: RankOneAtom, a_fix: float) -> float:
+        # the closed form is the exact minimum on [0, 1]; a_fix cannot beat it
+        return closed_form_alpha(self.store, self.y, atom.vector, self.t)
+
+    def step(self, atom: RankOneAtom, alpha: float):
+        self.store.update(alpha, atom.vector, self.t)
+        weights = [w * (1.0 - alpha) for w in self.weights] + [alpha]
+        vectors = self.vectors + [atom.vector]
+        keep = [idx for idx, w in enumerate(weights) if w >= WEIGHT_PRUNE_TOL]
+        self.weights, self.vectors = [weights[i] for i in keep], [vectors[i] for i in keep]
+
+    def factored(self) -> FactoredPSD:
+        return FactoredPSD(len(self.vectors[0]), float(self.t), self.weights, self.vectors)
+
+    def point_builder(self, final: bool):
+        return lambda: self.factored().dense()
+
+
 @dataclass
 class CompletionResult:
     L: np.ndarray
@@ -313,121 +390,39 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
              grad_averaging: bool = False, normalize: bool = False,
              seed=0, power_budget: Optional[Callable[[int], int]] = None
              ) -> CompletionResult:
-    """Greedy rank-1 completion run.
-
-    Per step: one approximate smallest-eigenvector of the sparse residual
-    gradient (power method from the all-ones vector, budget ceil(0.2k)+3
-    unless power_budget overrides it, with the previous-eigenvalue/2 diagonal
-    shift), closed-form line search (or harmonic step), a
-    PredictionStore update, and RMSE bookkeeping.  The trace gap column is
-    X.grad - t*rayleigh, an uncertified estimate under fixed eigensolver
-    budgets.  grad_averaging feeds the eigensolver the averaged gradient at
-    the cost of a second eigensolve for the honest gap estimate (heuristic,
-    no rate guarantee).
-    """
+    """Greedy rank-1 completion: fw_run until `steps` steps or a gap estimate
+    <= eps (uncertified under fixed eigensolver budgets), with closed-form line
+    search or harmonic steps, power_budget(k) power iterations (default
+    ceil(0.2k)+3), and per row the RMSE and NMAE on both splits in original
+    rating units (history)."""
     if steps is None and eps is None:
         raise ValueError("complete needs steps or eps")
     if not t > 0:
         raise ValueError(f"trace bound t must be positive, got {t!r}")
     if steps is not None and steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps!r}")
-    raw = ds
-    denorm = None
+    raw, denorm = ds, None
     if normalize:
         ds, denorm = normalize_means(ds)
-    store = PredictionStore(ds)
-    y = ds.train_y
-    budget = power_budget or default_power_budget
-    clock = RunClock()
-    trace = RunTrace(seed=seed)
-    mn = ds.m + ds.n
+    x = _CompletionIterate(ds, t, grad_averaging, power_budget or default_power_budget, seed)
+    store, history = x.store, []
 
-    v0 = np.zeros(mn)
-    v0[0] = 1.0
-    weights, vectors = [1.0], [v0]
-    prev_low_ray = None
-    prev_v = None
-    matvecs = 0
-    history = []
-
-    def raw_metrics():
-        """Metrics in original rating units on both splits."""
-        pt = store.train_values
-        ps = store.test_values
+    def on_iterate(k, _x, fx, _gap):
+        pt, ps = store.train_values, store.test_values
         if denorm is not None:
             pt = denorm(ds.train_i, ds.train_j, pt)
             ps = denorm(ds.test_i, ds.test_j, ps)
         rmse_tr, nmae_tr = metrics(pt, raw.train_y)
         rmse_te, nmae_te = metrics(ps, raw.test_y)
-        return {"rmse_train": rmse_tr, "nmae_train": nmae_tr,
-                "rmse_test": rmse_te, "nmae_test": nmae_te}
+        history.append({"k": k, "f": fx, "rmse_train": rmse_tr, "nmae_train": nmae_tr,
+                        "rmse_test": rmse_te, "nmae_test": nmae_te})
 
-    k = 0
-    while True:
-        resid = store.train_values - y
-        fx = 0.5 * float(resid @ resid)
-        if not math.isfinite(fx):
-            raise FloatingPointError(f"non-finite loss at step {k}")
-        history.append({"k": k, "f": fx, **raw_metrics()})
-
-        shift = None
-        if prev_low_ray is not None and prev_low_ray < 0.0:
-            # half the previous eigenvalue estimate; an estimate that is not
-            # negative carries no information (the spectrum is symmetric), so
-            # fall back to the generic range-bound shift rather than running
-            # the power method unshifted on a +/- paired spectrum
-            shift = 0.5 * (-prev_low_ray)
-        if grad_averaging and prev_v is not None and k >= 1:
-            pred_bar = (1.0 - 1.0 / k) * store.x + (1.0 / k) * t \
-                * prev_v[:ds.m][store.i_all] * prev_v[ds.m:][store.j_all]
-            resid_bar = pred_bar[:store.n_train] - y
-            op_step = residual_operator(ds, 0.5 * (resid + resid_bar))
-        else:
-            op_step = residual_operator(ds, resid)
-        res = approx_smallest_ev(op_step, 0.0, iterations=budget(k),
-                                 start="ones", shift=shift, seed=seed)
-        matvecs += res.matvecs
-        v = _canonical_sign(res.vector)
-
-        if grad_averaging and prev_v is not None and k >= 1:
-            gap_res = approx_smallest_ev(residual_operator(ds, resid), 0.0,
-                                         iterations=budget(k), start="ones",
-                                         shift=shift, seed=seed)
-            matvecs += gap_res.matvecs
-            low_ray = gap_res.rayleigh
-        else:
-            low_ray = res.rayleigh
-        gap_est = float(store.train_values @ resid) - t * low_ray
-
-        hit_iters = steps is not None and k >= steps
-        hit_gap = eps is not None and gap_est <= eps
-        if hit_iters or hit_gap:
-            trace.append(k, fx, gap_est, 0.0, _digest_label("v", v), matvecs,
-                         clock.millis())
-            break
-
-        if line_search:
-            alpha = closed_form_alpha(store, y, v, t)
-        else:
-            alpha = 2.0 / (k + 2.0)
-
-        trace.append(k, fx, gap_est, alpha, _digest_label("v", v), matvecs,
-                     clock.millis())
-        store.update(alpha, v, t)
-        weights = [w * (1.0 - alpha) for w in weights]
-        weights.append(alpha)
-        vectors.append(v)
-        keep = [idx for idx, w in enumerate(weights) if w >= WEIGHT_PRUNE_TOL]
-        if len(keep) != len(weights):
-            weights = [weights[idx] for idx in keep]
-            vectors = [vectors[idx] for idx in keep]
-        prev_low_ray = low_ray
-        prev_v = v
-        k += 1
-
-    factored = FactoredPSD(n=mn, scale=float(t), weights=weights, vectors=vectors)
+    schedule = StepSchedule.line_search() if line_search else StepSchedule.harmonic()
+    run = solver.fw_run(None, x, StopRule(max_iters=steps, target_gap=eps), schedule,
+                        seed=seed, on_iterate=on_iterate)
+    factored = x.factored()
     L, R = extract_factorization(factored, ds.m, ds.n)
-    final = {**history[-1], "gap_estimate": trace.final().gap, "matvecs": matvecs}
-    return CompletionResult(L=L, R=R, factored=factored, store=store,
-                            trace=trace, history=history, final=final,
-                            matvecs=matvecs, denormalizer=denorm)
+    final = {**history[-1], "gap_estimate": run.trace.final().gap, "matvecs": run.matvecs}
+    return CompletionResult(L=L, R=R, factored=factored, store=store, trace=run.trace,
+                            history=history, final=final, matvecs=run.matvecs,
+                            denormalizer=denorm)

@@ -29,7 +29,6 @@ class RunResult:
     trace: RunTrace
     stopped_on: str  # max_iters | gap | f_target
     matvecs: int
-    best: Optional[tuple] = None  # (gap, k, point, atoms, weights) when tracked
 
 
 @dataclass
@@ -148,7 +147,6 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
            schedule: Optional[StepSchedule] = None, lmo_mode: str = "exact", seed=0,
            curvature_bound: Optional[float] = None,
            inner_tol: Optional[Callable[[int], float]] = None,
-           track_best_gap: bool = False,
            on_iterate: Optional[Callable] = None) -> RunResult:
     """Run the greedy iteration from domain.start_atom() until the stop rule
     fires.
@@ -160,15 +158,20 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
 
     The domain's factored_ledger hook is asked once, before row 0, with the
     start ledger and whether the oracle is asked for eps 0: for
-    f = ||x - r||^2 the simplex's keeps x on its support in either mode, and
-    the spectahedron's keeps X factored in approx mode.  Otherwise x is a
-    DenseIterate.  x is also the ledger and on_iterate(k, x, f, gap)'s x; it
-    gives f, the gradient, the gap, the line search and the step.
+    f = ||x - r||^2 the simplex's keeps x on its support in either mode, the
+    spectahedron's keeps X factored in approx mode, and complete's builds its
+    own, so objective may be None there.  Otherwise x is a DenseIterate.  x
+    is also the ledger; it gives f, the gradient, the gap, the line search
+    and the step.  on_iterate(k, x, f, gap) sees each row before its stop
+    test and step: a caller keeps its per-row state there (a best row, a
+    history).
     """
     if lmo_mode not in ("exact", "approx"):
         raise ValueError(f"lmo_mode must be 'exact' or 'approx', got {lmo_mode!r}")
     schedule = schedule or StepSchedule.harmonic()
-    C = curvature_bound if curvature_bound is not None else objective.curvature_bound
+    C = curvature_bound
+    if C is None and objective is not None:
+        C = objective.curvature_bound
     if lmo_mode == "approx" and inner_tol is None and C is None:
         raise ValueError("approximate LMO mode needs a curvature bound or inner_tol")
     if getattr(domain, "requires_line_search", False) and schedule.kind != "line_search":
@@ -183,9 +186,6 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     x = x if x is not None else DenseIterate(objective, start)
     trace = RunTrace(seed=seed if not isinstance(seed, np.random.Generator) else None)
     matvecs = 0
-    # (gap, k, point or its builder, ledger atoms list, its length then, weights copy):
-    # the ledger only appends to its atoms list until a prune replaces it
-    best = None
 
     k = 0
     while True:
@@ -207,8 +207,6 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         cert = res if res.cert is None else res.cert
         gap_cert = x.gap(cert.atom) + cert.slack
 
-        if track_best_gap and (best is None or gap_cert < best[0]):
-            best = (gap_cert, k, x.point_builder(), x.atoms, len(x.atoms), x.weights.copy())
         if on_iterate is not None:
             on_iterate(k, x, fx, gap_cert)
 
@@ -227,11 +225,8 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         x.step(atom, alpha)
         k += 1
 
-    if best is not None:
-        gap_b, k_b, point_b, atoms, m, weights = best
-        best = (gap_b, k_b, point_b, atoms[:m], weights)
     return RunResult(point=x.point_builder(final=True), ledger=x, trace=trace,
-                     stopped_on=stopped, matvecs=matvecs, best=best)
+                     stopped_on=stopped, matvecs=matvecs)
 
 
 def certified_iteration_count(curvature_bound: float, eps: float, lmo_mode: str) -> int:
@@ -252,7 +247,7 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
                       lmo_mode: str = "exact", seed=0) -> CertifiedRun:
     """Two-phase schedule (K harmonic steps, then K+1 at fixed alpha=2/(K+2))
     guaranteeing an iterate with duality gap <= eps; returns the iterate with
-    the smallest measured certified gap.
+    the smallest measured certified gap, which fw_run's on_iterate keeps.
 
     For approximate oracles the gap of the window iterates is measured at a
     tolerance below the slack margin the schedule leaves, so a true-gap
@@ -273,11 +268,20 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
             step_tol = _s.alpha_at(k) * _C
             return min(step_tol, _m) if k >= _K else step_tol
 
+    # (gap, k, point or its builder, ledger atoms list, its length then, weights copy):
+    # the ledger only appends to its atoms list until a prune replaces it
+    best = None
+
+    def on_iterate(k, x, fx, gap):
+        nonlocal best
+        if best is None or gap < best[0]:
+            best = (gap, k, x.point_builder(), x.atoms, len(x.atoms), x.weights.copy())
+
     run = fw_run(objective, domain, stop=StopRule(max_iters=2 * K + 1),
                  schedule=schedule, lmo_mode=lmo_mode, seed=seed,
-                 inner_tol=inner_tol, track_best_gap=True)
-    gap_bound, k_hat, x_best, atoms, weights = run.best
-    ledger = IterateLedger(atoms=atoms, weights=weights)
+                 inner_tol=inner_tol, on_iterate=on_iterate)
+    gap_bound, k_hat, x_best, atoms, m, weights = best
+    ledger = IterateLedger(atoms=atoms[:m], weights=weights)
     return CertifiedRun(point=x_best, ledger=ledger, trace=run.trace,
                         gap_bound=gap_bound, k_hat=k_hat,
                         certified=bool(gap_bound <= eps))
