@@ -313,6 +313,7 @@ class HazanResult:
     point: np.ndarray = LazyPoint()  # built on first read for a factored run
     ledger: IterateLedger
     matvecs: int
+    stopped_on: str  # max_iters | gap | f_target, from fw_run
 
     def _replace(self, **changes) -> "HazanResult":  # NamedTuple-era name; perfbench tests call it
         return replace(self, **changes)
@@ -343,7 +344,7 @@ def hazan_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
                         schedule=schedule, lmo_mode=lmo_mode, seed=seed)
     return HazanResult(factored=FactoredPSD.from_ledger(run.ledger, n, t),
                        trace=run.trace, point=lambda: run.point, ledger=run.ledger,
-                       matvecs=run.matvecs)
+                       matvecs=run.matvecs, stopped_on=run.stopped_on)
 
 
 def random_low_rank_psd(n: int, k: int, rng, trace: float = 1.0) -> np.ndarray:
@@ -515,8 +516,9 @@ def boundeddiag_lmo(G, t: float = 1.0, eps: float = 0.0, rng=None,
     certificates derived from this oracle are conditional on it.
     """
     G = np.asarray(G, dtype=float)
+    if not (G.ndim == 2 and G.shape[0] == G.shape[1] and np.allclose(G, G.T, atol=1e-10)):
+        raise ValueError(f"boundeddiag_lmo needs a square symmetric G, got shape {G.shape}")
     n = G.shape[0]
-    assert G.shape == (n, n) and np.allclose(G, G.T, atol=1e-10)
     if rng is None:
         rng = make_rng(seed)
     gnorm = float(np.linalg.norm(G))

@@ -220,7 +220,9 @@ class PredictionStore:
         self.x = np.zeros(len(self.i_all))
 
     def update(self, alpha: float, v: np.ndarray, t: float):
-        assert 0.0 <= alpha <= 1.0 and len(v) == self.m + self.n
+        if not (0.0 <= alpha <= 1.0 and len(v) == self.m + self.n):  # NaN too
+            raise ValueError(f"update needs alpha in [0, 1] and an m+n = {self.m + self.n} "
+                             f"vector, got {alpha!r} and length {len(v)}")
         vt, vb = v[:self.m], v[self.m:]
         self.x *= (1.0 - alpha)
         self.x += alpha * t * vt[self.i_all] * vb[self.j_all]
@@ -382,6 +384,7 @@ class CompletionResult:
     history: list
     final: dict
     matvecs: int
+    stopped_on: str  # max_iters | gap, from fw_run
     denormalizer: Optional[MeanDenormalizer] = None
 
 
@@ -401,6 +404,8 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
         raise ValueError(f"trace bound t must be positive, got {t!r}")
     if steps is not None and steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps!r}")
+    if eps is not None and not eps > 0:  # NaN too; the gap test would never fire
+        raise ValueError(f"eps must be positive, got {eps!r}")
     raw, denorm = ds, None
     if normalize:
         ds, denorm = normalize_means(ds)
@@ -425,4 +430,4 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
     final = {**history[-1], "gap_estimate": run.trace.final().gap, "matvecs": run.matvecs}
     return CompletionResult(L=L, R=R, factored=factored, store=store, trace=run.trace,
                             history=history, final=final, matvecs=run.matvecs,
-                            denormalizer=denorm)
+                            stopped_on=run.stopped_on, denormalizer=denorm)

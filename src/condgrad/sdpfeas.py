@@ -71,7 +71,8 @@ def softmax_eval_grad(sdp: FeasibilitySDP, sigma: float, X):
     weights w summing to one; f always lies between the max violation and
     max violation + log(m)/sigma.
     """
-    assert sigma > 0
+    if not sigma > 0:  # NaN too
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
     z = sigma * constraint_values(sdp, X)
     zmax = float(z.max())
     e = np.exp(z - zmax)

@@ -11,14 +11,18 @@ import pytest
 
 from condgrad.cli import main
 from condgrad.core import ObjectiveOracle, RunTrace, StepSchedule
-from condgrad.domains.matrices import sparsepsd_lmo, spect_lmo
+from condgrad.domains.matrices import boundeddiag_lmo, sparsepsd_lmo, spect_lmo
 from condgrad.domains.vectors import cube_lmo, l1_lmo, simplex_lmo
 from condgrad.eigen import SymmetricOperator, approx_largest_ev
-from condgrad.matcomp import metrics
+from condgrad.matcomp import PredictionStore, RatingDataset, complete, metrics
 from condgrad.objectives import squared_norm
-from condgrad.sdpfeas import binary_search_objective
+from condgrad.sdpfeas import FeasibilitySDP, binary_search_objective, softmax_eval_grad
 from condgrad.solver import line_search_alpha
 from condgrad.transforms import nuclear_to_spect
+
+
+DIAG3 = RatingDataset.from_triples(3, 3, [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)])
+ONE_USER_ITEM = RatingDataset.from_triples(1, 1, [(0, 0, 1.0)])
 
 
 @pytest.mark.parametrize("call,what", [
@@ -39,9 +43,17 @@ from condgrad.transforms import nuclear_to_spect
                                np.zeros(2), np.ones(2)), "alpha_hook"),
     (lambda: StepSchedule.two_phase(-1), "K >= 0"),
     (lambda: spect_lmo(SymmetricOperator.from_dense(np.eye(3)), 0.0), "dense matrix"),
+    (lambda: complete(DIAG3, t=1.0, eps=-1.0), "eps must be positive"),
+    (lambda: complete(DIAG3, t=1.0, eps=float("nan")), "eps must be positive"),
+    (lambda: PredictionStore(ONE_USER_ITEM).update(1.5, np.array([0.6, 0.8]), 1.0), "alpha"),
+    (lambda: boundeddiag_lmo(np.array([[0.0, 1.0], [0.0, 0.0]])), "symmetric"),
+    (lambda: softmax_eval_grad(FeasibilitySDP(n=2, A=[np.eye(2)], b=[0.5]), -1.0, np.eye(2) / 2),
+     "sigma must be positive"),
 ], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
         "sparsepsd_mode", "embedding_t", "simplex_lmo", "l1_lmo", "cube_lmo",
-        "alpha_hook_range", "two_phase_K", "exact_spect_lmo_operator"])
+        "alpha_hook_range", "two_phase_K", "exact_spect_lmo_operator",
+        "complete_eps_negative", "complete_eps_nan", "store_update_alpha",
+        "boundeddiag_lmo_asymmetric", "softmax_sigma"])
 def test_bad_library_input_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
         call()

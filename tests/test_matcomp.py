@@ -344,6 +344,16 @@ def test_complete_gap_stopping_and_history_keys():
                             "rmse_test", "nmae_test"}
 
 
+def test_complete_reports_why_it_stopped():
+    ds = small_ds(seed=70)
+    capped = complete(ds, t=6.0, steps=4, seed=5)
+    assert capped.stopped_on == "max_iters" and capped.final["k"] == 4
+    for steps in (None, 300):
+        res = complete(ds, t=6.0, eps=0.3, steps=steps, seed=5)
+        assert res.stopped_on == "gap"
+        assert res.final["gap_estimate"] <= 0.3 and res.final["k"] < 300
+
+
 def test_complete_grad_averaging_variant_keeps_invariants():
     ds = small_ds(seed=80, m=6, n=5)
     res = complete(ds, t=3.0, steps=12, seed=6, grad_averaging=True)

@@ -109,6 +109,15 @@ def test_hazan_rank_growth_and_primal_rate():
     assert vals.min() >= -1e-12
 
 
+def test_hazan_run_reports_why_it_stopped():
+    obj = squared_norm(curvature_bound=2.0, name="fro2")
+    capped = hazan_run(obj, n=8, stop=StopRule(max_iters=5), seed=0)
+    assert capped.stopped_on == "max_iters" and capped.trace.final().k == 5
+    run = hazan_run(obj, n=8, stop=StopRule(max_iters=400, target_gap=0.2), seed=0)
+    assert run.stopped_on == "gap"
+    assert run.trace.final().gap <= 0.2 and run.trace.final().k < 400
+
+
 def test_hazan_line_search_variant_is_monotone():
     obj = squared_norm(curvature_bound=2.0, name="fro2")
     run = hazan_run(obj, n=6, t=1.0, stop=StopRule(max_iters=25),
