@@ -166,15 +166,15 @@ def _build_objective(spec: dict, domain):
     elif kind == "custom_quadratic":
         Q, c, sup = _data(_custom_quadratic, _need(spec, "path", str, "objective"))
 
-        def ev(x, _Q=Q, _c=c):
-            return 0.5 * float(x @ (_Q @ x)) + float(_c @ x)
+        def ev(x):
+            return 0.5 * float(x @ (Q @ x)) + float(c @ x)
 
-        def gr(x, _Q=Q, _c=c):
-            return _Q @ x + _c
+        def gr(x):
+            return Q @ x + c
 
-        def hook(x, s, _Q=Q, _c=c):
+        def hook(x, s):
             d = s - x
-            den = float(d @ (_Q @ d))
+            den = float(d @ (Q @ d))
             if den <= 0.0:
                 return 0.0 if float(gr(x) @ d) >= 0.0 else 1.0
             return float(min(1.0, max(0.0, -float(gr(x) @ d) / den)))

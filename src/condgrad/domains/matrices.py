@@ -254,13 +254,13 @@ class SpectrahedronDomain:
             return None
         return GramLedger(ledger, None if zero else np.asarray(R, dtype=float))
 
-    def contains(self, X, tol=1e-9) -> bool:
+    def contains(self, X) -> bool:
         X = np.asarray(X, dtype=float)
         if not np.allclose(X, X.T, atol=1e-10):
             return False
-        if abs(np.trace(X) - self.t) > tol * max(1.0, self.t):
+        if abs(np.trace(X) - self.t) > 1e-9 * max(1.0, self.t):
             return False
-        return bool(np.linalg.eigvalsh(X).min() >= -tol * max(1.0, self.t))
+        return bool(np.linalg.eigvalsh(X).min() >= -1e-9 * max(1.0, self.t))
 
 
 class AveragedGradientOracle(SpectrahedronDomain):
@@ -347,11 +347,12 @@ def hazan_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
                        matvecs=run.matvecs, stopped_on=run.stopped_on)
 
 
-def random_low_rank_psd(n: int, k: int, rng, trace: float = 1.0) -> np.ndarray:
-    """Random PSD matrix of rank <= k with the given trace."""
+def random_low_rank_psd(n: int, k: int, rng) -> np.ndarray:
+    """Random PSD matrix of rank <= k and trace 1: B B^T scaled, with B an
+    n x k standard Gaussian draw from rng."""
     B = rng.standard_normal((n, k))
     X = B @ B.T
-    return X * (trace / np.trace(X))
+    return X * (1.0 / np.trace(X))
 
 
 def spect_lowrank_lowerbound_suite(n: int, k: int, seed=0, samples: int = 200) -> dict:
@@ -469,10 +470,10 @@ class SparsePsdDomain:
     def start_atom(self) -> Atom:
         return SparsePsdAtom(0, 1, 1).atom(self.n)
 
-    def contains(self, X, tol=1e-9) -> bool:
+    def contains(self, X) -> bool:
         X = np.asarray(X, dtype=float)
-        return bool(abs(np.trace(X) - 2.0) <= tol
-                    and np.linalg.eigvalsh(0.5 * (X + X.T)).min() >= -tol)
+        return bool(abs(np.trace(X) - 2.0) <= 1e-9
+                    and np.linalg.eigvalsh(0.5 * (X + X.T)).min() >= -1e-9)
 
 
 def sparsepsd_run(objective: ObjectiveOracle, n: int, mode: str = "both",
@@ -500,7 +501,6 @@ BOUNDEDDIAG_ITERATIONS = 500  # projected-gradient steps per run
 class BoundedDiagLmo(NamedTuple):
     result: LmoResult
     value: float
-    flagged: bool  # descent went nonmonotone before the budget ran out
 
 
 def boundeddiag_lmo(G, t: float = 1.0, eps: float = 0.0, rng=None,
@@ -508,6 +508,8 @@ def boundeddiag_lmo(G, t: float = 1.0, eps: float = 0.0, rng=None,
     """min <Y, G> over Y PSD with Y_ii <= t, via projected gradient descent
     on the full-rank factor Y = V V^T (rows of V in the sqrt(t) ball).
 
+    Returns (result, value): the LmoResult whose atom is the best restart's
+    Y, and <Y, G> for that Y, evaluated once per restart after its steps.
     Step size 1/(2||G||_F) bounds the factor-gradient Lipschitz constant, so
     descent is monotone in exact arithmetic; the first two restarts are the
     deterministic V = 0 (optimal for PSD G) and V = sqrt(t)*Id, the rest are
@@ -525,12 +527,10 @@ def boundeddiag_lmo(G, t: float = 1.0, eps: float = 0.0, rng=None,
     radius = math.sqrt(t)
     if gnorm == 0.0:
         Y = np.zeros((n, n))
-        return BoundedDiagLmo(LmoResult(Atom(Y, _digest_label("bd", Y)), slack=t * eps),
-                              0.0, False)
+        return BoundedDiagLmo(LmoResult(Atom(Y, _digest_label("bd", Y)), slack=t * eps), 0.0)
     step = 1.0 / (2.0 * gnorm)
 
     best_V, best_val = None, math.inf
-    flagged = False
     for r in range(BOUNDEDDIAG_RESTARTS):
         if r == 0:
             V = np.zeros((n, n))
@@ -538,21 +538,16 @@ def boundeddiag_lmo(G, t: float = 1.0, eps: float = 0.0, rng=None,
             V = radius * np.eye(n)
         else:
             V = _project_rows(rng.standard_normal((n, n)), radius)
-        val = float(np.einsum("ij,ik,jk->", G, V, V))
         for _ in range(BOUNDEDDIAG_ITERATIONS):
             V = _project_rows(V - step * 2.0 * (G @ V), radius)
-            new_val = float(np.einsum("ij,ik,jk->", G, V, V))
-            if new_val > val + 1e-9 * max(1.0, abs(val)):
-                flagged = True
-            val = new_val
+        val = float(np.einsum("ij,ik,jk->", G, V, V))
         if val < best_val:
             best_val, best_V = val, V
     Y = best_V @ best_V.T
     Y = 0.5 * (Y + Y.T)
     atom = Atom(point=Y, label=_digest_label("bd", Y))
     matvecs = BOUNDEDDIAG_RESTARTS * BOUNDEDDIAG_ITERATIONS
-    return BoundedDiagLmo(LmoResult(atom, matvecs=matvecs, slack=t * eps),
-                          best_val, flagged)
+    return BoundedDiagLmo(LmoResult(atom, matvecs=matvecs, slack=t * eps), best_val)
 
 
 class BoundedDiagDomain:
@@ -574,11 +569,11 @@ class BoundedDiagDomain:
         Y = np.zeros((self.n, self.n))
         return Atom(point=Y, label="0")
 
-    def contains(self, X, tol=1e-9) -> bool:
+    def contains(self, X) -> bool:
         X = np.asarray(X, dtype=float)
         if not np.allclose(X, X.T, atol=1e-10):
             return False
-        if np.diag(X).max() > self.t * (1.0 + 1e-12) + tol:
+        if np.diag(X).max() > self.t * (1.0 + 1e-12) + 1e-9:
             return False
         return bool(np.linalg.eigvalsh(X).min() >= -1e-10 * max(1.0, self.t))
 

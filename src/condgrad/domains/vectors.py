@@ -265,9 +265,9 @@ class SimplexDomain:
             return None
         return SupportLedger(ledger, None if zero else np.asarray(r, dtype=float), self.n)
 
-    def contains(self, x, tol=1e-12) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(x.min() >= -tol and abs(x.sum() - 1.0) <= tol * max(1.0, self.n))
+        return bool(x.min() >= -1e-12 and abs(x.sum() - 1.0) <= 1e-12 * max(1.0, self.n))
 
 
 class L1BallDomain:
@@ -286,9 +286,9 @@ class L1BallDomain:
     def start_atom(self) -> CoordinateAtom:
         return CoordinateAtom(self.n, 0, 0.0, "0")
 
-    def contains(self, x, tol=1e-12) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.abs(x).sum() <= self.t * (1.0 + tol))
+        return bool(np.abs(x).sum() <= self.t * (1.0 + 1e-12))
 
 
 class CubeDomain:
@@ -306,9 +306,9 @@ class CubeDomain:
     def start_atom(self) -> CoordinateAtom:
         return CoordinateAtom(self.n, 0, 0.0, "0")
 
-    def contains(self, x, tol=1e-12) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.abs(x).max() <= 1.0 + tol)
+        return bool(np.abs(x).max() <= 1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

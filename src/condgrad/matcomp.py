@@ -250,9 +250,9 @@ def residual_operator(ds: RatingDataset, resid: np.ndarray) -> SymmetricOperator
     m, n = ds.m, ds.n
     i, j = ds.train_i, ds.train_j
 
-    def mv(u, _s=GRADIENT_BLOCK_SCALE):
-        top = _s * np.bincount(i, weights=resid * u[m:][j], minlength=m)
-        bot = _s * np.bincount(j, weights=resid * u[:m][i], minlength=n)
+    def mv(u):
+        top = GRADIENT_BLOCK_SCALE * np.bincount(i, weights=resid * u[m:][j], minlength=m)
+        bot = GRADIENT_BLOCK_SCALE * np.bincount(j, weights=resid * u[:m][i], minlength=n)
         return np.concatenate([top, bot])
 
     return SymmetricOperator(

@@ -86,7 +86,9 @@ def softmax_eval_grad(sdp: FeasibilitySDP, sigma: float, X):
 
 
 def softmax_objective(sdp: FeasibilitySDP, sigma: float,
-                      curvature_bound: Optional[float] = None) -> ObjectiveOracle:
+                      curvature_bound: float) -> ObjectiveOracle:
+    """The soft-max potential of softmax_eval_grad as an ObjectiveOracle, with
+    the caller's curvature bound (curvature_estimate gives one)."""
     return ObjectiveOracle(
         eval=lambda X: softmax_eval_grad(sdp, sigma, X)[0],
         grad=lambda X: softmax_eval_grad(sdp, sigma, X)[1],

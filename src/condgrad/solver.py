@@ -184,7 +184,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     exact_lmo = not (lmo_mode == "approx" and C)  # eps 0, also asked for when C is 0
     x = factored(objective, start, exact_lmo) if factored is not None else None
     x = x if x is not None else DenseIterate(objective, start)
-    trace = RunTrace(seed=seed if not isinstance(seed, np.random.Generator) else None)
+    trace = RunTrace(seed=seed)
     matvecs = 0
 
     k = 0
@@ -264,9 +264,9 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
         margin = eps - bound_true
         eps_meas = margin / 2.0 if margin > 0 else eps / 10.0
 
-        def inner_tol(k, _K=K, _C=C, _s=schedule, _m=eps_meas):
-            step_tol = _s.alpha_at(k) * _C
-            return min(step_tol, _m) if k >= _K else step_tol
+        def inner_tol(k):
+            step_tol = schedule.alpha_at(k) * C
+            return min(step_tol, eps_meas) if k >= K else step_tol
 
     # (gap, k, point or its builder, ledger atoms list, its length then, weights copy):
     # the ledger only appends to its atoms list until a prune replaces it
@@ -310,8 +310,8 @@ class RandomizedLMO:
     def start_atom(self):
         return self.inner.start_atom()
 
-    def contains(self, x, tol=1e-12):
-        return self.inner.contains(x, tol)
+    def contains(self, x):
+        return self.inner.contains(x)
 
 
 def uniform_simplex_sampler(n):
