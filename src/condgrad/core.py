@@ -236,11 +236,8 @@ class StepSchedule:
         """Scheduled step size at iteration k (line search consults this too,
         as the fallback the searched step must beat)."""
         if self.kind == "two_phase" and k >= self.fix_after:
-            a = 2.0 / (self.fix_after + 2.0)
-        else:
-            a = 2.0 / (k + 2.0)
-        assert 0.0 <= a <= 1.0
-        return a
+            return 2.0 / (self.fix_after + 2.0)
+        return 2.0 / (k + 2.0)
 
 
 @dataclass

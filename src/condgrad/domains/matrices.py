@@ -362,28 +362,32 @@ def spect_lowrank_lowerbound_suite(n: int, k: int, seed=0, samples: int = 200) -
     minimum 1/k (exact in rational arithmetic); random rank<=k samples never
     beat it; orthogonal rank-1 vertices realize the squared diameter 2.
     """
-    assert 1 <= k <= n
+    if not 1 <= k <= n:
+        raise ValueError(f"rank suite needs 1 <= k <= n, got k={k!r}, n={n!r}")
     Xk = np.zeros((n, n))
     idx = np.arange(k)
     Xk[idx, idx] = 1.0 / k
     f_unif = float(np.vdot(Xk, Xk))
-    assert k * Fraction(1, k) ** 2 == Fraction(1, k)
-    assert abs(f_unif - 1.0 / k) <= 4e-16 * max(1, k)
+    if k * Fraction(1, k) ** 2 != Fraction(1, k):
+        raise AssertionError("uniform rank-k construction must attain 1/k")
+    if not abs(f_unif - 1.0 / k) <= 4e-16 * max(1, k):
+        raise AssertionError(f"uniform rank-k value {f_unif} is not 1/{k} in floats")
 
     rng = make_rng(seed)
     worst = math.inf
     for _ in range(samples):
         X = random_low_rank_psd(n, k, rng)
         fX = float(np.vdot(X, X))
-        assert fX >= 1.0 / k - 1e-10
+        if not fX >= 1.0 / k - 1e-10:
+            raise AssertionError(f"sample beat the rank bound: {fX} < 1/{k}")
         worst = min(worst, fX)
 
     u = np.zeros(n); u[0] = 1.0
     v = np.zeros(n); v[min(1, n - 1)] = 1.0
     d2 = float(np.vdot(np.outer(u, u) - np.outer(v, v),
                        np.outer(u, u) - np.outer(v, v)))
-    if n >= 2:
-        assert abs(d2 - 2.0) <= 1e-12
+    if n >= 2 and not abs(d2 - 2.0) <= 1e-12:
+        raise AssertionError(f"squared diameter {d2} is not 2")
     return {"n": n, "k": k, "uniform_value": f_unif, "sample_min": worst,
             "diameter_sq": d2}
 
@@ -403,7 +407,9 @@ class SparsePsdAtom:
     sign: int  # +1 or -1
 
     def __post_init__(self):
-        assert 0 <= self.i < self.j and self.sign in (1, -1)
+        if not (0 <= self.i < self.j and self.sign in (1, -1)):
+            raise ValueError(f"sparse-PSD atom needs 0 <= i < j and sign +-1, "
+                             f"got {self.i!r}, {self.j!r}, {self.sign!r}")
 
     @property
     def label(self) -> str:

@@ -316,7 +316,8 @@ class CubeDomain:
 
 def uniform_k_vector(n, k):
     """k coordinates set to 1/k: attains the cardinality-k minimum of ||x||^2."""
-    assert 1 <= k <= n
+    if not 1 <= k <= n:
+        raise ValueError(f"uniform k-vector needs 1 <= k <= n, got k={k!r}, n={n!r}")
     x = np.zeros(n)
     x[:k] = 1.0 / k
     return x
@@ -330,12 +331,15 @@ def sparse_lowerbound_suite(n, k, seed=0, samples=200) -> dict:
     sparse feasible points never beat 1/k - 1e-12 and, for k < n, have
     duality gap >= 2/k - 1e-12.
     """
-    assert 1 <= k <= n
+    if not 1 <= k <= n:
+        raise ValueError(f"sparsity suite needs 1 <= k <= n, got k={k!r}, n={n!r}")
     exact = sum(Fraction(1, k) ** 2 for _ in range(k))
-    assert exact == Fraction(1, k), "uniform-k construction must attain 1/k"
+    if exact != Fraction(1, k):
+        raise AssertionError("uniform-k construction must attain 1/k")
     x_uni = uniform_k_vector(n, k)
     f_uni = float(x_uni @ x_uni)
-    assert abs(f_uni - 1.0 / k) <= 4e-16 * max(1, k)
+    if not abs(f_uni - 1.0 / k) <= 4e-16 * max(1, k):
+        raise AssertionError(f"uniform-k value {f_uni} is not 1/{k} in floats")
 
     rng = make_rng(seed)
     worst_f, worst_gap = np.inf, np.inf
@@ -345,11 +349,13 @@ def sparse_lowerbound_suite(n, k, seed=0, samples=200) -> dict:
         x = np.zeros(n)
         x[support] = w
         f = float(x @ x)
-        assert f >= 1.0 / k - 1e-12, f"sample beat the cardinality bound: {f} < 1/{k}"
+        if not f >= 1.0 / k - 1e-12:
+            raise AssertionError(f"sample beat the cardinality bound: {f} < 1/{k}")
         worst_f = min(worst_f, f)
         if k < n:
             g = simplex_gap(x, 2.0 * x)
-            assert g >= 2.0 / k - 1e-12, f"gap below 2/k: {g}"
+            if not g >= 2.0 / k - 1e-12:
+                raise AssertionError(f"gap below 2/k: {g}")
             worst_gap = min(worst_gap, g)
     return {"n": n, "k": k, "f_uniform": f_uni, "min_sample_f": worst_f,
             "min_sample_gap": worst_gap, "samples": samples}
@@ -364,7 +370,8 @@ def l1_lowerbound_suite(n, k, seed=0, samples=200) -> dict:
     is 4(n-k)/n^2 for k <= n/2 (per-support closed form), which still forces
     support Omega(1/eps) when n is chosen ~ 1/eps.  f* = 1/n at x = (1/n,...).
     """
-    assert 1 <= k <= n // 2, "closed form needs k <= n/2"
+    if not 1 <= k <= n // 2:
+        raise ValueError(f"closed form needs 1 <= k <= n/2, got k={k!r}, n={n!r}")
     r = np.full(n, 2.0 / n)
     f_star = 1.0 / n
     card_min = 4.0 * (n - k) / n ** 2
@@ -375,7 +382,8 @@ def l1_lowerbound_suite(n, k, seed=0, samples=200) -> dict:
     # the per-support optimum: x_i = 2/n on any size-k support (feasible since 2k/n <= 1)
     x_opt = np.zeros(n)
     x_opt[:k] = 2.0 / n
-    assert abs(f(x_opt) - card_min) <= 1e-12
+    if not abs(f(x_opt) - card_min) <= 1e-12:
+        raise AssertionError(f"per-support optimum {f(x_opt)} is not {card_min}")
 
     rng = make_rng(seed)
     for _ in range(samples):
@@ -385,9 +393,11 @@ def l1_lowerbound_suite(n, k, seed=0, samples=200) -> dict:
         w = rng.dirichlet(np.ones(k)) * mass * rng.choice([-1.0, 1.0], size=k)
         x = np.zeros(n)
         x[support] = w
-        assert f(x) - f_star >= card_min - f_star - 1e-12
+        if not f(x) - f_star >= card_min - f_star - 1e-12:
+            raise AssertionError(f"sample beat the cardinality-k minimum: {f(x)} < {card_min}")
         # facet-restricted sample: error >= 1/k - 1/n (simplex argument verbatim)
         xf = np.zeros(n)
         xf[support] = rng.dirichlet(np.ones(k))
-        assert f(xf) - f_star >= 1.0 / k - 1.0 / n - 1e-12
+        if not f(xf) - f_star >= 1.0 / k - 1.0 / n - 1e-12:
+            raise AssertionError(f"facet sample error {f(xf) - f_star} below 1/k - 1/n")
     return {"n": n, "k": k, "f_star": f_star, "card_min": card_min}

@@ -108,7 +108,8 @@ def _start_vector(op, start, rng):
     else:
         v = rng.standard_normal(op.dim)
     nrm = np.linalg.norm(v)
-    assert nrm > 0, "zero start vector"
+    if not nrm > 0:
+        raise ValueError(f"zero start vector for an operator of dim {op.dim}")
     return v / nrm
 
 
@@ -127,7 +128,8 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
     internal PSD shift (the caller promises M + shift*Id is PSD enough to make
     the top eigenvalue dominant in magnitude).
     """
-    assert eps >= 0
+    if not eps >= 0:  # NaN too
+        raise ValueError(f"eps must be nonnegative, got {eps!r}")
     if method not in ("power", "lanczos"):
         raise ValueError(f"unknown eigensolver method {method!r}")
     if rng is None:

@@ -303,7 +303,8 @@ class RandomizedLMO:
         self.diam_sq = domain.diam_sq
 
     def lmo(self, grad, eps=0.0, rng=None):
-        assert rng is not None, "sampling oracle needs the run's generator"
+        if rng is None:
+            raise ValueError("sampling oracle needs the run's generator")
         # a sampled atom underestimates the gap; the exact atom certifies it
         return LmoResult(self.sampler(rng), cert=self.inner.lmo(grad))
 

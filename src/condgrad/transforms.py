@@ -38,13 +38,16 @@ class BlockEmbedding:
         return self.m + self.n
 
     def z_block(self, X: np.ndarray) -> np.ndarray:
-        assert X.shape == (self.total, self.total)
+        if X.shape != (self.total, self.total):
+            raise ValueError(f"z_block needs a {self.total}x{self.total} matrix, "
+                             f"got shape {X.shape}")
         return X[:self.m, self.m:]
 
     def embed_z(self, Z: np.ndarray) -> np.ndarray:
         """Symmetric matrix with Z in the off-diagonal blocks, zero diagonal blocks."""
         Z = np.asarray(Z, dtype=float)
-        assert Z.shape == (self.m, self.n)
+        if Z.shape != (self.m, self.n):
+            raise ValueError(f"embed_z needs an {self.m}x{self.n} block, got shape {Z.shape}")
         X = np.zeros((self.total, self.total))
         X[:self.m, self.m:] = Z
         X[self.m:, :self.m] = Z.T
@@ -88,7 +91,8 @@ def extract_factorization(X: FactoredPSD, m: int, n: int):
     t = X.scale, so that L R^T equals the Z block of the dense iterate and
     (||L||_F^2 + ||R||_F^2)/2 <= t/2 (trace split across the blocks)."""
     t = X.scale
-    assert X.n == m + n
+    if X.n != m + n:
+        raise ValueError(f"a size-{X.n} iterate does not split as {m} + {n}")
     k = X.rank()
     L = np.zeros((m, k))
     R = np.zeros((n, k))
@@ -107,7 +111,8 @@ def weighted_nuclear_wrap(objective: ObjectiveOracle, p, q):
     P^-1 G Q^-1 by the chain rule; unit weights reduce to the identity."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    assert np.all(p > 0) and np.all(q > 0)
+    if not (np.all(p > 0) and np.all(q > 0)):  # NaN too
+        raise ValueError("weighted nuclear norm needs positive weights p and q")
     sp = np.sqrt(p)
     sq = np.sqrt(q)
 

@@ -11,18 +11,24 @@ import pytest
 
 from condgrad.cli import main
 from condgrad.core import ObjectiveOracle, RunTrace, StepSchedule
-from condgrad.domains.matrices import boundeddiag_lmo, sparsepsd_lmo, spect_lmo
-from condgrad.domains.vectors import cube_lmo, l1_lmo, simplex_lmo
+from condgrad.domains.matrices import (FactoredPSD, SparsePsdAtom, boundeddiag_lmo,
+                                      sparsepsd_lmo, spect_lmo, spect_lowrank_lowerbound_suite)
+from condgrad.domains.vectors import (SimplexDomain, cube_lmo, l1_lmo, l1_lowerbound_suite,
+                                      simplex_lmo, sparse_lowerbound_suite, uniform_k_vector)
 from condgrad.eigen import SymmetricOperator, approx_largest_ev
 from condgrad.matcomp import PredictionStore, RatingDataset, complete, metrics
 from condgrad.objectives import squared_norm
 from condgrad.sdpfeas import FeasibilitySDP, binary_search_objective, softmax_eval_grad
-from condgrad.solver import line_search_alpha
-from condgrad.transforms import nuclear_to_spect
+from condgrad.solver import RandomizedLMO, line_search_alpha, uniform_simplex_sampler
+from condgrad.transforms import (BlockEmbedding, extract_factorization, nuclear_to_spect,
+                                 weighted_nuclear_wrap)
 
 
 DIAG3 = RatingDataset.from_triples(3, 3, [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)])
 ONE_USER_ITEM = RatingDataset.from_triples(1, 1, [(0, 0, 1.0)])
+EYE3 = SymmetricOperator.from_dense(np.eye(3))
+EMPTY_OPERATOR = SymmetricOperator(dim=0, matvec=lambda v: v, fro_norm=1.0)
+RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
 
 
 @pytest.mark.parametrize("call,what", [
@@ -49,11 +55,27 @@ ONE_USER_ITEM = RatingDataset.from_triples(1, 1, [(0, 0, 1.0)])
     (lambda: boundeddiag_lmo(np.array([[0.0, 1.0], [0.0, 0.0]])), "symmetric"),
     (lambda: softmax_eval_grad(FeasibilitySDP(n=2, A=[np.eye(2)], b=[0.5]), -1.0, np.eye(2) / 2),
      "sigma must be positive"),
+    (lambda: spect_lowrank_lowerbound_suite(3, 4), "1 <= k <= n"),
+    (lambda: SparsePsdAtom(2, 1, 5), "sparse-PSD atom"),
+    (lambda: uniform_k_vector(3, 5), "1 <= k <= n"),
+    (lambda: sparse_lowerbound_suite(3, 5), "1 <= k <= n"),
+    (lambda: l1_lowerbound_suite(8, 6), "k <= n/2"),
+    (lambda: BlockEmbedding(2, 2).z_block(np.zeros((3, 3))), "z_block needs"),
+    (lambda: BlockEmbedding(2, 2).embed_z(np.zeros((1, 2))), "embed_z needs"),
+    (lambda: extract_factorization(RANK_ONE_5, 2, 2), "2 \\+ 2"),
+    (lambda: weighted_nuclear_wrap(squared_norm(), [1.0, 0.0], [1.0]), "positive"),
+    (lambda: approx_largest_ev(EMPTY_OPERATOR, 0.1), "zero start vector"),
+    (lambda: approx_largest_ev(EYE3, -0.5, iterations=4), "eps must be"),
+    (lambda: RandomizedLMO(SimplexDomain(3), uniform_simplex_sampler(3), 0.5).lmo(np.ones(3)),
+     "generator"),
 ], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
         "sparsepsd_mode", "embedding_t", "simplex_lmo", "l1_lmo", "cube_lmo",
         "alpha_hook_range", "two_phase_K", "exact_spect_lmo_operator",
         "complete_eps_negative", "complete_eps_nan", "store_update_alpha",
-        "boundeddiag_lmo_asymmetric", "softmax_sigma"])
+        "boundeddiag_lmo_asymmetric", "softmax_sigma",
+        "rank_suite_k", "sparsepsd_atom", "uniform_k", "sparse_suite_k", "l1_suite_k",
+        "z_block_shape", "embed_z_shape", "factorization_split", "wrap_weights",
+        "eig_zero_start", "eig_eps_negative", "randomized_lmo_rng"])
 def test_bad_library_input_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
         call()
