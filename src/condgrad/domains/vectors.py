@@ -73,10 +73,8 @@ def cube_lmo(c) -> Atom:
     c = np.asarray(c, dtype=float)
     _check_finite(c)
     point = _sign_pos(-c)
-    mask = 0
-    for i in range(point.shape[0]):
-        if point[i] > 0:
-            mask |= 1 << i
+    # bit i of the label is set where s_i = +1, packed in linear time
+    mask = int.from_bytes(np.packbits(point > 0, bitorder="little").tobytes(), "little")
     return Atom(point=point, label="c%x" % mask)
 
 

@@ -91,6 +91,17 @@ def test_cube_gap_hand_value():
     assert cube_gap(np.zeros(2), np.array([1.0, -2.0])) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
+def test_cube_label_sets_bit_i_where_s_i_is_plus_one(n):
+    c = make_rng(n).choice([-1.0, 0.0, 1.0], size=n)
+    c[0] = 0.0  # sign(0) = +1
+    mask = 0
+    for i in range(n):
+        if c[i] <= 0.0:
+            mask |= 1 << i
+    assert cube_lmo(c).label == "c%x" % mask
+
+
 def test_domain_membership_checks():
     assert SimplexDomain(3).contains(np.array([0.2, 0.3, 0.5]))
     assert not SimplexDomain(3).contains(np.array([0.6, 0.6, -0.2]))
