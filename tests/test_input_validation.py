@@ -26,7 +26,6 @@ from condgrad.transforms import (BlockEmbedding, extract_factorization, nuclear_
 
 DIAG3 = RatingDataset.from_triples(3, 3, [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)])
 ONE_USER_ITEM = RatingDataset.from_triples(1, 1, [(0, 0, 1.0)])
-EYE3 = SymmetricOperator.from_dense(np.eye(3))
 EMPTY_OPERATOR = SymmetricOperator(dim=0, matvec=lambda v: v, fro_norm=1.0)
 RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
 
@@ -65,7 +64,8 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
     (lambda: extract_factorization(RANK_ONE_5, 2, 2), "2 \\+ 2"),
     (lambda: weighted_nuclear_wrap(squared_norm(), [1.0, 0.0], [1.0]), "positive"),
     (lambda: approx_largest_ev(EMPTY_OPERATOR, 0.1), "zero start vector"),
-    (lambda: approx_largest_ev(EYE3, -0.5, iterations=4), "eps must be"),
+    (lambda: approx_largest_ev(SymmetricOperator.from_dense(np.eye(3)), -0.5, iterations=4),
+     "eps must be"),
     (lambda: RandomizedLMO(SimplexDomain(3), uniform_simplex_sampler(3), 0.5).lmo(np.ones(3)),
      "generator"),
 ], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
