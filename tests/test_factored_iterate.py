@@ -345,10 +345,11 @@ def test_support_and_dense_runs_agree_on_drawn_problems(data):
     assert not isinstance(runs[1].ledger, SupportLedger)
     # as on the grids above: near the optimum of an outside target the gap
     # is a difference of O(1) closed-form terms, equal only to their rounding
-    assume(min(r.gap for r in runs[1].trace.rows) > 1e-3)
+    assume(min(row.gap for row in runs[1].trace.rows) > 1e-3)
     _assert_rows_agree(runs[0].trace, runs[1].trace)
     if schedule.kind != "line_search":
-        assert [r.atom for r in runs[0].trace.rows] == [r.atom for r in runs[1].trace.rows]
+        assert ([row.atom for row in runs[0].trace.rows]
+                == [row.atom for row in runs[1].trace.rows])
         _assert_same_iterate(*runs)
 
 
@@ -380,7 +381,7 @@ def test_factored_and_dense_runs_agree_on_drawn_problems(data):
     assert isinstance(runs[0].ledger, GramLedger)
     assert not isinstance(runs[1].ledger, GramLedger)
     # a run that reaches R (f* = 0) ends with f and the gap at rounding level
-    assume(min(min(r.f, r.gap) for r in runs[1].trace.rows) > 1e-3)
+    assume(min(min(row.f, row.gap) for row in runs[1].trace.rows) > 1e-3)
     _assert_rows_agree(runs[0].trace, runs[1].trace)
 
 
