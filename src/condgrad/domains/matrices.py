@@ -21,7 +21,7 @@ import numpy as np
 from ..core import (Atom, DenseApply, FactoredLedger, IterateLedger, LazyPoint, LmoResult,
                     ObjectiveOracle, RunTrace, StepSchedule, StopRule, make_rng)
 from .. import solver
-from ..eigen import SymmetricOperator, approx_smallest_ev, eigh_descending
+from ..eigen import SymmetricOperator, approx_smallest_ev, check_symmetric, eigh_descending
 from ..solver import RunResult
 from .vectors import _check_size
 
@@ -103,12 +103,6 @@ class FactoredPSD:
     def rank(self) -> int:
         return len(self.vectors)
 
-    def inner(self, op) -> float:
-        """X . M from the factors: t * sum_j alpha_j v_j^T (M v_j)."""
-        mv = op.matvec if isinstance(op, SymmetricOperator) else (lambda u: op @ u)
-        return self.scale * float(sum(w * float(v @ mv(v))
-                                      for w, v in zip(self.weights, self.vectors)))
-
 
 class GramLedger(FactoredLedger):
     """The ledger of a spectahedron run on f(X) = ||X - R||_F^2 (R None for
@@ -180,12 +174,6 @@ class GramLedger(FactoredLedger):
 # ---------------------------------------------------------------------------
 # spectahedron {X PSD, tr X = t}
 
-def _as_operator(grad) -> SymmetricOperator:
-    if isinstance(grad, SymmetricOperator):
-        return grad
-    return SymmetricOperator.from_dense(grad)
-
-
 def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
     """Best rank-1 atom t*vv^T for a linear objective: v is an approximate
     smallest eigenvector of grad, so the atom value is within t*eps of the
@@ -202,23 +190,10 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
         vals, vecs = eigh_descending(grad)
         return LmoResult(rank_one_atom(vecs[:, -1], t),
                          matvecs=np.asarray(grad).shape[0], slack=0.0)
-    res = approx_smallest_ev(_as_operator(grad), eps, rng=rng, seed=seed,
-                             method="lanczos")
+    op = grad if isinstance(grad, SymmetricOperator) else SymmetricOperator.from_dense(grad)
+    res = approx_smallest_ev(op, eps, rng=rng, seed=seed, method="lanczos")
     return LmoResult(rank_one_atom(res.vector, t), matvecs=res.matvecs,
                      slack=t * eps)
-
-
-def spect_gap(X: FactoredPSD, grad, eps: float, seed=0) -> tuple:
-    """(gap_estimate, tolerance): X.grad - t*lambda_min(grad) with lambda_min
-    measured to eps, so the true gap lies in estimate +- t*eps and
-    estimate + t*eps certifies the primal error."""
-    op = _as_operator(grad)
-    xg = X.inner(op)
-    if eps <= 0.0:
-        vals, _ = eigh_descending(grad)
-        return xg - X.scale * float(vals[-1]), 0.0
-    res = approx_smallest_ev(op, eps, seed=seed, method="lanczos")
-    return xg - X.scale * res.rayleigh, X.scale * eps
 
 
 class SpectrahedronDomain:
@@ -523,9 +498,7 @@ def boundeddiag_lmo(G, t: float = 1.0, eps: float = 0.0, rng=None,
     the optimum) is validated against a grid oracle at n <= 3; at larger n
     certificates derived from this oracle are conditional on it.
     """
-    G = np.asarray(G, dtype=float)
-    if not (G.ndim == 2 and G.shape[0] == G.shape[1] and np.allclose(G, G.T, atol=1e-10)):
-        raise ValueError(f"boundeddiag_lmo needs a square symmetric G, got shape {G.shape}")
+    G = check_symmetric(G, "boundeddiag_lmo's G")
     n = G.shape[0]
     if rng is None:
         rng = make_rng(seed)

@@ -26,13 +26,24 @@ from .core import make_rng
 POWER_C = 8.0
 
 
+def check_symmetric(M, name: str) -> np.ndarray:
+    """M as a float array if it is square and symmetric to 1e-10; otherwise
+    ValueError naming it."""
+    M = np.asarray(M, dtype=float)
+    if not (M.ndim == 2 and M.shape[0] == M.shape[1]):
+        raise ValueError(f"{name} must be a square symmetric matrix, got shape {M.shape}")
+    # the exact test is cheap and settles every gradient built symmetric
+    if not (np.array_equal(M, M.T) or np.allclose(M, M.T, atol=1e-10)):
+        raise ValueError(f"{name} is not symmetric")
+    return M
+
+
 @dataclass
 class SymmetricOperator:
     """Symmetric linear operator given by a matvec closure.
 
     fro_norm and row_abs_max, when available, feed the spectral range bound;
-    trace enables shift-invariant centering; nnz is a cost hint (entries
-    touched per matvec).
+    trace enables shift-invariant centering.
     """
 
     dim: int
@@ -40,26 +51,19 @@ class SymmetricOperator:
     trace: Optional[float] = None
     fro_norm: Optional[float] = None
     row_abs_max: Optional[float] = None
-    nnz: Optional[int] = None
 
     def __call__(self, v):
         return self.matvec(v)
 
     @staticmethod
     def from_dense(M: np.ndarray) -> "SymmetricOperator":
-        M = np.asarray(M, dtype=float)
-        if not (M.ndim == 2 and M.shape[0] == M.shape[1]):
-            raise AssertionError(f"operator must be square, got shape {M.shape}")
-        # the exact test is cheap and settles every gradient built symmetric
-        if not (np.array_equal(M, M.T) or np.allclose(M, M.T, atol=1e-10)):
-            raise AssertionError("operator must be symmetric")
+        M = check_symmetric(M, "operator")
         return SymmetricOperator(
             dim=M.shape[0],
             matvec=M.__matmul__,
             trace=float(np.trace(M)),
             fro_norm=float(np.linalg.norm(M)),
             row_abs_max=float(np.abs(M).sum(axis=1).max()),
-            nnz=int(M.size),
         )
 
     def negated(self) -> "SymmetricOperator":
@@ -75,7 +79,6 @@ class SymmetricOperator:
             trace=None if self.trace is None else -self.trace,
             fro_norm=self.fro_norm,
             row_abs_max=self.row_abs_max,
-            nnz=self.nnz,
         )
 
 
@@ -230,9 +233,7 @@ def eigh_descending(M: np.ndarray):
     symmetric matrix, from one np.linalg.eigh."""
     if isinstance(M, SymmetricOperator):
         raise ValueError("an exact eigensolve needs a dense matrix, not an operator")
-    M = np.asarray(M, dtype=float)
-    if not (np.array_equal(M, M.T) or np.allclose(M, M.T, atol=1e-10)):
-        raise ValueError("eigensolve needs a symmetric matrix")
+    M = check_symmetric(M, "eigensolve input")
     vals, vecs = np.linalg.eigh(M)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 

@@ -245,8 +245,7 @@ class PredictionStore:
 
 def residual_operator(ds: RatingDataset, resid: np.ndarray) -> SymmetricOperator:
     """The embedded gradient as a matvec: (1/2)[[0, G],[G^T, 0]] with
-    G_ij = resid at train positions; trace 0, Frobenius norm ||resid||/sqrt(2),
-    nnz touched per matvec = 2|train|."""
+    G_ij = resid at train positions; trace 0, Frobenius norm ||resid||/sqrt(2)."""
     m, n = ds.m, ds.n
     i, j = ds.train_i, ds.train_j
 
@@ -255,10 +254,8 @@ def residual_operator(ds: RatingDataset, resid: np.ndarray) -> SymmetricOperator
         bot = GRADIENT_BLOCK_SCALE * np.bincount(j, weights=resid * u[:m][i], minlength=n)
         return np.concatenate([top, bot])
 
-    return SymmetricOperator(
-        dim=m + n, matvec=mv, trace=0.0,
-        fro_norm=float(np.linalg.norm(resid)) * math.sqrt(0.5),
-        nnz=2 * len(resid))
+    return SymmetricOperator(dim=m + n, matvec=mv, trace=0.0,
+                             fro_norm=float(np.linalg.norm(resid)) * math.sqrt(0.5))
 
 
 def closed_form_alpha(store: PredictionStore, ratings: np.ndarray,

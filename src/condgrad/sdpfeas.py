@@ -14,15 +14,15 @@ gamma with the extra constraint -C.X <= -gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import ObjectiveOracle, RunTrace, StopRule
 from .domains.matrices import SpectrahedronDomain
-from .eigen import dense_eig_oracle
-from .solver import fw_run, gap_certified_run
+from .eigen import check_symmetric, dense_eig_oracle
+from .solver import certified_iteration_count, fw_run, gap_certified_run
 
 
 @dataclass
@@ -48,8 +48,7 @@ class FeasibilitySDP:
             if Ai.shape != (self.n, self.n):
                 raise AssertionError(f"constraint matrix has shape {Ai.shape}, "
                                      f"expected {(self.n, self.n)}")
-            if not np.allclose(Ai, Ai.T, atol=1e-10):
-                raise AssertionError("constraint matrix not symmetric")
+            check_symmetric(Ai, "constraint matrix")
 
     @property
     def m(self):
@@ -136,9 +135,7 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     C = curvature_estimate(sdp, sigma)
     objective = softmax_objective(sdp, sigma, curvature_bound=C)
     domain = SpectrahedronDomain(sdp.n, sdp.t)
-    if not 8.0 * C / eps < math.inf:
-        raise ValueError(f"eps {eps!r} leaves no finite iteration budget")
-    max_iters = int(math.ceil(8.0 * C / eps)) + 2
+    max_iters = certified_iteration_count(C, eps, "approx") + 2
     run = fw_run(objective, domain, stop=StopRule(max_iters=max_iters, target_f=eps),
                  lmo_mode=lmo_mode, seed=seed)
     # a trace row's f is the objective at that row's iterate, so no re-evaluation
@@ -162,8 +159,6 @@ class BinarySearchResult:
     lo: float
     hi: float
     objective_value: float
-    rounds: int
-    outcomes: list = field(default_factory=list)
 
     @property
     def bracket(self):
@@ -196,7 +191,6 @@ def binary_search_objective(C: np.ndarray, sdp: Optional[FeasibilitySDP],
 
     best_X = None
     best_val = -math.inf
-    outcomes = []
     for _ in range(rounds):
         gamma = 0.5 * (lo + hi)
         A = ([] if sdp is None else list(sdp.A)) + [-C]
@@ -204,7 +198,6 @@ def binary_search_objective(C: np.ndarray, sdp: Optional[FeasibilitySDP],
         aug = FeasibilitySDP(n=n, A=A, b=b, t=t)
         out = solve_eps_feasible(aug, eps, certify_infeasible=False,
                                  lmo_mode=lmo_mode)
-        outcomes.append((gamma, out.status))
         if out.status == "feasible":
             lo = gamma
             val = float(np.vdot(C, out.X))
@@ -212,8 +205,7 @@ def binary_search_objective(C: np.ndarray, sdp: Optional[FeasibilitySDP],
                 best_val, best_X = val, out.X
         else:
             hi = gamma
-    return BinarySearchResult(X=best_X, lo=lo, hi=hi, objective_value=best_val,
-                              rounds=rounds, outcomes=outcomes)
+    return BinarySearchResult(X=best_X, lo=lo, hi=hi, objective_value=best_val)
 
 
 # ---------------------------------------------------------------------------

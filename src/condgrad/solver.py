@@ -145,7 +145,6 @@ class DenseIterate(IterateLedger):
 
 def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
            schedule: Optional[StepSchedule] = None, lmo_mode: str = "exact", seed=0,
-           curvature_bound: Optional[float] = None,
            inner_tol: Optional[Callable[[int], float]] = None,
            on_iterate: Optional[Callable] = None) -> RunResult:
     """Run the greedy iteration from domain.start_atom() until the stop rule
@@ -169,9 +168,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     if lmo_mode not in ("exact", "approx"):
         raise ValueError(f"lmo_mode must be 'exact' or 'approx', got {lmo_mode!r}")
     schedule = schedule or StepSchedule.harmonic()
-    C = curvature_bound
-    if C is None and objective is not None:
-        C = objective.curvature_bound
+    C = None if objective is None else objective.curvature_bound
     if lmo_mode == "approx" and inner_tol is None and C is None:
         raise ValueError("approximate LMO mode needs a curvature bound or inner_tol")
     if getattr(domain, "requires_line_search", False) and schedule.kind != "line_search":

@@ -57,6 +57,20 @@ class BlockEmbedding:
         return GRADIENT_BLOCK_SCALE * self.embed_z(G)
 
 
+def _pullback(objective: ObjectiveOracle, inner, back, name: str) -> ObjectiveOracle:
+    """f(inner(x)) as an oracle in x, for a linear map inner with adjoint
+    back: the gradient is back(grad f(inner(x))) by the chain rule."""
+    hook = None
+    if objective.alpha_hook is not None:
+        def hook(x, s):
+            return objective.alpha_hook(inner(x), inner(s))
+
+    return ObjectiveOracle(eval=lambda x: float(objective.eval(inner(x))),
+                           grad=lambda x: back(objective.grad(inner(x))),
+                           curvature_bound=objective.curvature_bound,
+                           name=name, alpha_hook=hook)
+
+
 def nuclear_to_spect(objective: ObjectiveOracle, m: int, n: int, t: float):
     """Objective over the (m+n) embedding whose trace-t spectahedron solutions
     carry Z = X[:m, m:] with ||Z||_nuc <= t/2.
@@ -68,21 +82,9 @@ def nuclear_to_spect(objective: ObjectiveOracle, m: int, n: int, t: float):
     if not t > 0:  # NaN too
         raise ValueError(f"trace bound t must be positive, got {t!r}")
     emb = BlockEmbedding(m, n)
-
-    def ev(X):
-        return float(objective.eval(emb.z_block(X)))
-
-    def gr(X):
-        return emb.embed_gradient(np.asarray(objective.grad(emb.z_block(X)), dtype=float))
-
-    hook = None
-    if objective.alpha_hook is not None:
-        def hook(X, S):
-            return objective.alpha_hook(emb.z_block(X), emb.z_block(S))
-
-    hat = ObjectiveOracle(eval=ev, grad=gr,
-                          curvature_bound=objective.curvature_bound,
-                          name=f"embed({objective.name})", alpha_hook=hook)
+    hat = _pullback(objective, emb.z_block,
+                    lambda g: emb.embed_gradient(np.asarray(g, dtype=float)),
+                    f"embed({objective.name})")
     return hat, emb
 
 
@@ -119,22 +121,10 @@ def weighted_nuclear_wrap(objective: ObjectiveOracle, p, q):
     def to_original(Zbar):
         return Zbar / np.outer(sp, sq)
 
-    def ev(Zbar):
-        return float(objective.eval(to_original(Zbar)))
+    def back(G):
+        return np.asarray(G, dtype=float) / np.outer(sp, sq)
 
-    def gr(Zbar):
-        G = np.asarray(objective.grad(to_original(Zbar)), dtype=float)
-        return G / np.outer(sp, sq)
-
-    hook = None
-    if objective.alpha_hook is not None:
-        def hook(x, s):
-            return objective.alpha_hook(to_original(x), to_original(s))
-
-    return ObjectiveOracle(eval=ev, grad=gr,
-                           curvature_bound=objective.curvature_bound,
-                           name=f"wnuc({objective.name})",
-                           alpha_hook=hook), to_original
+    return _pullback(objective, to_original, back, f"wnuc({objective.name})"), to_original
 
 
 def weighted_nuclear_norm(Z, p, q) -> float:

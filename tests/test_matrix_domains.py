@@ -6,7 +6,6 @@ import pytest
 from condgrad.core import StepSchedule, StopRule, make_rng
 from condgrad.domains.matrices import (
     BoundedDiagDomain,
-    FactoredPSD,
     SparsePsdAtom,
     SparsePsdDomain,
     SpectrahedronDomain,
@@ -17,7 +16,6 @@ from condgrad.domains.matrices import (
     rank_one_atom,
     sparsepsd_lmo,
     sparsepsd_run,
-    spect_gap,
     spect_lmo,
     spect_lowrank_lowerbound_suite,
 )
@@ -77,21 +75,6 @@ def test_lanczos_spect_lmo_never_worse_than_the_power_method():
                 <= np.vdot(G, rank_one_atom(power.vector).point) + 1e-10
             assert res.matvecs <= power.matvecs + 1
             assert res.slack == eps
-
-
-def test_spect_gap_certified_estimate_dominates_true_gap():
-    rng = make_rng(2)
-    for trial in range(30):
-        n = 10
-        G = _sym(rng, n)
-        vs = [v / np.linalg.norm(v) for v in rng.standard_normal((3, n))]
-        X = FactoredPSD(n=n, scale=1.0, weights=[0.5, 0.3, 0.2], vectors=vs)
-        est, slack = spect_gap(X, G, eps=0.3, seed=trial)
-        vals, _ = dense_eig_oracle(G)
-        true_gap = float(np.sum(X.dense() * G)) - vals[-1]
-        assert est + slack >= true_gap - 1e-10
-        exact, zero = spect_gap(X, G, eps=0.0)
-        assert zero == 0.0 and exact == pytest.approx(true_gap, abs=1e-9)
 
 
 def test_hazan_rank_growth_and_primal_rate():

@@ -35,7 +35,7 @@ def planted_feasible(n, m, seed, slack=0.1):
 
 
 def test_sdp_type_validation():
-    with pytest.raises(AssertionError, match="not symmetric"):
+    with pytest.raises(ValueError, match="not symmetric"):
         FeasibilitySDP(n=2, A=[np.array([[0.0, 1.0], [0.0, 0.0]])], b=[0.0])
     with pytest.raises(AssertionError):
         FeasibilitySDP(n=2, A=[], b=[])

@@ -122,10 +122,9 @@ def test_line_search_never_loses_to_the_scheduled_step():
     n = 7
     hist_ls, hist_fx = [], []
     fw_run(obj, SimplexDomain(n), stop=StopRule(max_iters=60),
-           schedule=StepSchedule.line_search(), curvature_bound=2.0,
+           schedule=StepSchedule.line_search(),
            on_iterate=lambda k, x, fx, gap: hist_ls.append(fx))
     fw_run(obj, SimplexDomain(n), stop=StopRule(max_iters=60),
-           curvature_bound=2.0,
            on_iterate=lambda k, x, fx, gap: hist_fx.append(fx))
     # pointwise dominance of the whole trajectory (same atoms, better steps)
     for a, b in zip(hist_ls, hist_fx):

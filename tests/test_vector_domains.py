@@ -156,7 +156,7 @@ def test_l1_run_starts_at_zero_with_placeholder():
     b = rng.standard_normal(10)
     obj = least_squares(A, b, curvature_bound=None)
     dom = L1BallDomain(6, t=1.5)
-    res = fw_run(obj, dom, stop=StopRule(max_iters=12), curvature_bound=8.0)
+    res = fw_run(obj, dom, stop=StopRule(max_iters=12))
     # zero start is not a vertex; the first alpha=1 step replaces it
     assert res.trace.rows[0].alpha == 1.0
     assert res.ledger.support_size() <= 12  # <= k atoms from the zero start
@@ -186,7 +186,7 @@ def test_slack_variable_simplex_reduction_matches_l1_domain():
 
     # both fw runs approach the common optimum within their final measured gap
     for dom, o in [(L1BallDomain(n, t=1.0), obj), (SimplexDomain(2 * n + 1), emb)]:
-        run = fw_run(o, dom, stop=StopRule(max_iters=2000), curvature_bound=100.0)
+        run = fw_run(o, dom, stop=StopRule(max_iters=2000))
         last = run.trace.rows[-1]
         assert o.eval(run.point) - p1.value <= last.gap + 1e-9
     # the embedding maps any simplex point into the ball with equal value
