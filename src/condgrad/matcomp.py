@@ -66,12 +66,12 @@ class RatingDataset:
         for i, j in ((self.train_i, self.train_j), (self.test_i, self.test_j)):
             if len(i):
                 if not (i.min() >= 0 and i.max() < self.m):
-                    raise AssertionError("user index out of range")
+                    raise ValueError("user index out of range")
                 if not (j.min() >= 0 and j.max() < self.n):
-                    raise AssertionError("item index out of range")
+                    raise ValueError("item index out of range")
             keys = i.astype(np.int64) * self.n + j
             if len(np.unique(keys)) != len(keys):
-                raise AssertionError("duplicate (user,item) in split")
+                raise ValueError("duplicate (user,item) in split")
 
     @property
     def n_train(self):

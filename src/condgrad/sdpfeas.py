@@ -38,16 +38,16 @@ class FeasibilitySDP:
         self.A = [np.asarray(Ai, dtype=float) for Ai in self.A]
         self.b = np.asarray(self.b, dtype=float)
         if not (len(self.A) == len(self.b) >= 1):
-            raise AssertionError("need one right-hand side per constraint, "
-                                 "and at least one constraint")
+            raise ValueError("need one right-hand side per constraint, "
+                             "and at least one constraint")
         if not self.t > 0:
-            raise AssertionError(f"trace bound t must be positive, got {self.t!r}")
+            raise ValueError(f"trace bound t must be positive, got {self.t!r}")
         if not np.all(np.isfinite(self.b)):
-            raise AssertionError("right-hand sides must be finite")
+            raise ValueError("right-hand sides must be finite")
         for Ai in self.A:
             if Ai.shape != (self.n, self.n):
-                raise AssertionError(f"constraint matrix has shape {Ai.shape}, "
-                                     f"expected {(self.n, self.n)}")
+                raise ValueError(f"constraint matrix has shape {Ai.shape}, "
+                                 f"expected {(self.n, self.n)}")
             check_symmetric(Ai, "constraint matrix")
 
     @property

@@ -411,5 +411,5 @@ def test_certified_run_without_curvature_raises_value_error():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_feasibility_sdp_rejects_non_finite_b(bad):
-    with pytest.raises(AssertionError, match="finite"):
+    with pytest.raises(ValueError, match="finite"):
         FeasibilitySDP(n=2, A=[np.eye(2)], b=[bad])

@@ -44,11 +44,11 @@ def planted_rank2(seed=3, m=20, n=15):
 
 
 def test_from_triples_rejects_duplicates_and_bad_indices():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         RatingDataset.from_triples(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         RatingDataset.from_triples(2, 2, [(2, 0, 1.0)])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         RatingDataset.from_triples(2, 2, [(0, 0, 1.0)], [(0, -1, 1.0)])
     # duplicates across splits are fine, within a split are not
     ds = RatingDataset.from_triples(2, 2, [(0, 0, 1.0)], [(0, 0, 2.0)])

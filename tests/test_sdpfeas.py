@@ -37,7 +37,7 @@ def planted_feasible(n, m, seed, slack=0.1):
 def test_sdp_type_validation():
     with pytest.raises(ValueError, match="not symmetric"):
         FeasibilitySDP(n=2, A=[np.array([[0.0, 1.0], [0.0, 0.0]])], b=[0.0])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         FeasibilitySDP(n=2, A=[], b=[])
     sdp = FeasibilitySDP(n=2, A=[np.eye(2)], b=[1.0])
     assert sdp.m == 1
