@@ -133,6 +133,8 @@ class SupportLedger(FactoredLedger):
         super().__init__(ledger.atoms, ledger.weights)
         self.n, self._r = n, r
         self._r_sq = 0.0 if r is None else float(np.dot(r, r))
+        if not math.isfinite(self._r_sq):  # max() and the comparisons below drop a NaN r_i
+            raise FloatingPointError(f"non-finite target: ||r||^2 is {self._r_sq!r}")
         self._idx, self._x, self._rs = np.empty(8, np.intp), np.empty(8), np.empty(8)
         self._pos, self._m, self._g = {}, 0, None  # index -> slot in S, |S|, gradient on S
         self._block = math.isqrt(n)

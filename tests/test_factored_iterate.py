@@ -314,6 +314,16 @@ def test_support_gradient_rejects_non_finite_entries(bad):
         simplex_lmo(g)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_support_and_dense_runs_raise_on_a_non_finite_target(bad):
+    # max(0, nan) is 0 and NaN comparisons drop the coordinate, so the support
+    # run once returned f = 0.25 with every gap 0
+    obj = squared_distance(np.array([0.5, bad, 0.2]), curvature_bound=2.0)
+    for o in (obj, _dense_twin(obj)):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            fw_run(o, SimplexDomain(3), stop=StopRule(max_iters=5))
+
+
 # drawn problems: the same agreement away from the fixed grids above
 
 def _drawn_schedule(data, max_iters):
