@@ -26,7 +26,7 @@ from . import matcomp, sdpfeas
 from .core import ObjectiveOracle, StopRule, StepSchedule
 from .domains.matrices import SpectrahedronDomain
 from .domains.vectors import CubeDomain, L1BallDomain, SimplexDomain
-from .eigen import dense_eig_oracle
+from .eigen import check_symmetric, dense_eig_oracle
 from .objectives import least_squares, squared_distance, squared_norm
 from .solver import (certified_iteration_count, curvature_from_hessian, fw_run,
                      gap_certified_run)
@@ -149,8 +149,10 @@ def _build_objective(spec: dict, domain):
     if kind == "quadratic":
         target = spec.get("target")
         if target is not None:
-            shape = (domain.n,) * (2 if matrix_shaped else 1)
-            obj = squared_distance(_floats(target).reshape(shape))
+            target = _floats(target).reshape((domain.n,) * (2 if matrix_shaped else 1))
+            if matrix_shaped:  # before any step: the eigensolver needs a symmetric gradient
+                check_symmetric(target, "objective: target")
+            obj = squared_distance(target)
         else:
             obj = squared_norm()
         sup = 2.0  # ||x||^2 or ||x - r||^2

@@ -539,6 +539,8 @@ def run_case(argv, cfg=None):
 
 QUAD_SIMPLEX = {"objective": {"kind": "quadratic"}, "domain": {"kind": "simplex", "n": 2},
                 "max_iters": 3}
+ASYM_SPECT = {"objective": {"kind": "quadratic", "target": [[0.5, 0.2], [0.0, 0.5]]},
+              "domain": {"kind": "spectahedron", "n": 2}}
 RATINGS = ["complete", "--data", "@ratings", "--t", "2", "--steps", "2"]
 SDP = ["sdpfeas", "--problem", "@feasible", "--eps", "0.5"]
 
@@ -577,6 +579,12 @@ PROBES = [
     (["sdpfeas", "--problem", "@feasible", "--eps", "inf"], None, 2),
     (["sdpfeas", "--problem", "@feasible", "--eps", "1e308"], None, 0),
     (["sdpfeas", "--problem", "@feasible", "--eps", "1e-300"], None, 2),
+    (["solve", "@config"], {"objective": {"kind": "quadratic",
+                                          "target": [0.5, float("nan"), 0.2]},
+                            "domain": {"kind": "simplex", "n": 3}, "max_iters": 5}, 3),
+    (["solve", "@config"], {**ASYM_SPECT, "max_iters": 5, "mode": "approx"}, 2),
+    (["solve", "@config"], {**ASYM_SPECT, "max_iters": 5, "mode": "exact"}, 2),
+    (["solve", "@config"], {**ASYM_SPECT, "eps": 0.1, "mode": "approx"}, 2),
 ]
 
 
@@ -647,7 +655,8 @@ def record(**fields):
 small = st.floats(0.5, 1.0)
 vector = st.lists(field(st.floats(-1.0, 1.0)), min_size=1, max_size=3)
 objectives = st.one_of(
-    record(kind=st.just("quadratic"), target=sometimes(field(vector))),
+    record(kind=st.just("quadratic"),
+           target=sometimes(field(st.one_of(vector, st.lists(vector, min_size=1, max_size=3))))),
     record(kind=st.sampled_from(["least_squares", "lasso"]),
            A=often(field(st.lists(vector, min_size=1, max_size=3))),
            b=often(field(vector)), t=sometimes(field(small)), scale=sometimes(field(small))),
