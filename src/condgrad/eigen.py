@@ -43,7 +43,8 @@ class SymmetricOperator:
     """Symmetric linear operator given by a matvec closure.
 
     fro_norm and row_abs_max, when available, feed the spectral range bound;
-    trace enables shift-invariant centering.
+    trace enables shift-invariant centering.  from_dense takes any matrix
+    that check_symmetric accepts.
     """
 
     dim: int

@@ -27,7 +27,8 @@ from .solver import certified_iteration_count, fw_run, gap_certified_run
 
 @dataclass
 class FeasibilitySDP:
-    """Constraints A_i . X <= b_i over {X PSD, tr X = t}."""
+    """Constraints A_i . X <= b_i over {X PSD, tr X = t}; construction raises
+    ValueError unless every A_i is n x n and symmetric, b is finite and t > 0."""
 
     n: int
     A: list

@@ -152,8 +152,8 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
 
     Every visited iterate gets a trace row (f, certified gap, step taken);
     the final iterate's row has alpha = 0.  In approx mode the oracle is
-    called with inner accuracy eps' = alpha_k * C_f unless inner_tol
-    overrides it.
+    called with inner accuracy eps' = alpha_k * C_f, with C_f the
+    objective's curvature_bound, unless inner_tol overrides it.
 
     The domain's factored_ledger hook is asked once, before row 0, with the
     start ledger and whether the oracle is asked for eps 0: for

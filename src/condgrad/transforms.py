@@ -4,7 +4,9 @@ A rectangular variable Z (m x n) sits in the off-diagonal block of a
 symmetric (m+n) x (m+n) matrix X = [[V, Z], [Z^T, W]].  Constraining X to
 the trace-t spectahedron constrains ||Z||_nuc <= t/2; constraining X to the
 diagonal-bounded PSD box constrains ||Z||_max <= t.  Solving the embedded
-problem with rank-1 atoms yields a factorization L R^T of Z for free.
+problem with rank-1 atoms yields a factorization L R^T of Z for free.  The
+embedding and the weighted nuclear norm's change of variable are both
+linear, and one helper (_pullback) pulls an objective back through either.
 
 Convention: with the full Frobenius inner product on the embedding space,
 the gradient of f_hat(X) := f(Z-block) is (1/2) [[0, G], [G^T, 0]] for

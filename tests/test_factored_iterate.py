@@ -316,8 +316,8 @@ def test_support_gradient_rejects_non_finite_entries(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_support_and_dense_runs_raise_on_a_non_finite_target(bad):
-    # max(0, nan) is 0 and NaN comparisons drop the coordinate, so the support
-    # run once returned f = 0.25 with every gap 0
+    # max(0, nan) is 0 and NaN comparisons drop the coordinate: unchecked, the
+    # support run reports f = 0.25 and every gap 0 for the NaN target
     obj = squared_distance(np.array([0.5, bad, 0.2]), curvature_bound=2.0)
     for o in (obj, _dense_twin(obj)):
         with pytest.raises(FloatingPointError, match="non-finite"):
