@@ -150,7 +150,8 @@ def _build_objective(spec: dict, domain):
         target = spec.get("target")
         if target is not None:
             target = _floats(target).reshape((domain.n,) * (2 if matrix_shaped else 1))
-            if matrix_shaped:  # before any step: the eigensolver needs a symmetric gradient
+            # the eigensolver needs a symmetric gradient; a non-finite target exits 3 in the solve
+            if matrix_shaped and np.isfinite(target).all():
                 check_symmetric(target, "objective: target")
             obj = squared_distance(target)
         else:

@@ -585,6 +585,10 @@ PROBES = [
     (["solve", "@config"], {**ASYM_SPECT, "max_iters": 5, "mode": "approx"}, 2),
     (["solve", "@config"], {**ASYM_SPECT, "max_iters": 5, "mode": "exact"}, 2),
     (["solve", "@config"], {**ASYM_SPECT, "eps": 0.1, "mode": "approx"}, 2),
+    (["solve", "@config"], {"objective": {"kind": "quadratic",
+                                          "target": [[0.5, float("nan")], [float("nan"), 0.5]]},
+                            "domain": {"kind": "spectahedron", "n": 2}, "max_iters": 5,
+                            "mode": "approx"}, 3),
 ]
 
 
