@@ -3,10 +3,13 @@
 Each case runs one public entry point and produces its trace CSV with the
 millis column stripped (the one column excluded from determinism checks),
 plus digests of the returned iterate and ledger.  The committed copies live
-in tests/data/golden/.  After an intended numerical change, regenerate them
-with
+in tests/data/golden/.  After an intended numerical change, regenerate the
+cases it changes, by name, with
 
-    PYTHONPATH=src python tests/test_golden_traces.py
+    PYTHONPATH=src python tests/test_golden_traces.py sdpfeas_infeasible ...
+
+which rewrites only those CSVs and results.json entries; with no names it
+rewrites every case.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -243,14 +247,35 @@ def test_trace_and_result_match_golden(name):
     assert digest == json.loads((GOLDEN / "results.json").read_text())[name]
 
 
-def _write_all():
+def _write(names=()):
+    """Rewrite the named cases' CSVs and results.json entries, keeping the
+    other entries; with no names, rewrite every case and drop stale entries."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown cases {unknown}; known: {' '.join(sorted(CASES))}")
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    results = {}
-    for name in sorted(CASES):
+    results_path = GOLDEN / "results.json"
+    results = json.loads(results_path.read_text()) if names else {}
+    for name in names or sorted(CASES):
         csv, results[name] = _render(name)
         (GOLDEN / f"{name}.csv").write_text(csv)
-    (GOLDEN / "results.json").write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    results_path.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+
+
+def test_write_by_name_rewrites_only_the_named_cases(tmp_path, monkeypatch):
+    results = json.loads((GOLDEN / "results.json").read_text())
+    stale = {**results, "cube_harmonic": {"point": "stale"}, "l1_cert": {"point": "stale"}}
+    (tmp_path / "results.json").write_text(json.dumps(stale))
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    _write(["cube_harmonic"])
+    got = json.loads((tmp_path / "results.json").read_text())
+    assert got == {**results, "l1_cert": {"point": "stale"}}
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["cube_harmonic.csv"]
+    assert ((tmp_path / "cube_harmonic.csv").read_text()
+            == (GOLDEN / "cube_harmonic.csv").read_text())
+    with pytest.raises(SystemExit, match="unknown cases"):
+        _write(["no_such_case"])
 
 
 if __name__ == "__main__":
-    _write_all()
+    _write(sys.argv[1:])
