@@ -99,9 +99,16 @@ def softmax_objective(sdp: FeasibilitySDP, sigma: float,
 def curvature_estimate(sdp: FeasibilitySDP, sigma: float) -> float:
     """sigma * t^2 * max_i lambda_max(A_i)^2, the budget constant for the
     soft-max potential; lambda_max values come from one upfront dense
-    eigensolve per constraint (residual <= 1e-9, well inside the 1e-6 ask)."""
+    eigensolve per constraint (residual <= 1e-9, well inside the 1e-6 ask).
+    Raises FloatingPointError when the bound is not finite."""
     lam = max(abs(float(dense_eig_oracle(Ai)[0][0])) for Ai in sdp.A)
-    return sigma * (sdp.t * lam) ** 2
+    try:
+        C = sigma * (sdp.t * lam) ** 2
+    except OverflowError:  # float ** raises past float range, where * gives inf
+        C = math.inf
+    if not math.isfinite(C):
+        raise FloatingPointError(f"curvature bound sigma * (t * lambda_max)^2 is {C!r}")
+    return C
 
 
 @dataclass

@@ -496,6 +496,7 @@ INPUT_FILES = {
     "@feasible": "n 2\nt 1.0\nconstraint b=1.0\n0 0 1.0\n1 1 1.0\n",
     "@infeasible": "n 2\nconstraint b=-2.0\n0 0 -1.0\n1 1 -1.0\n",
     "@bad_problem": "n 2\nconstraint b=1.0\n0 1 inf\n",
+    "@huge_problem": "n 2\nconstraint b=0\n0 0 1e160\n",
     "@quad": json.dumps({"Q": [[2.0, 0.0], [0.0, 2.0]], "c": [-2.0, 0.0]}),
     "@quad_huge": json.dumps({"Q": [[1e308, 1e308], [1e308, 1e308]]}),
     "@quad_bad": "{\"Q\": [[1.0, 2.0]]}",
@@ -589,6 +590,7 @@ PROBES = [
                                           "target": [[0.5, float("nan")], [float("nan"), 0.5]]},
                             "domain": {"kind": "spectahedron", "n": 2}, "max_iters": 5,
                             "mode": "approx"}, 3),
+    (["sdpfeas", "--problem", "@huge_problem", "--eps", "0.5"], None, 3),
 ]
 
 
@@ -674,7 +676,8 @@ objectives = st.one_of(
            preset=sometimes(st.sampled_from(["as_is", "normalized", "normalised"])),
            format=sometimes(st.sampled_from(["tab_100k", "dat_1m", "x"]))),
     record(kind=st.just("sdpfeas"),
-           path=st.sampled_from(["@feasible", "@infeasible", "@bad_problem", "@missing"]),
+           path=st.sampled_from(["@feasible", "@infeasible", "@bad_problem", "@huge_problem",
+                                 "@missing"]),
            eps=often(field(small))),
     record(kind=st.sampled_from(ODD)),
 )
@@ -725,7 +728,8 @@ complete_argvs = st.builds(
 sdpfeas_argvs = st.builds(
     lambda problem, eps, seed, trace, summary: _with_outputs(
         ["sdpfeas", "--problem", problem, "--eps", eps, "--seed", seed], trace, summary),
-    st.sampled_from(["@feasible", "@infeasible", "@bad_problem", "@quad", "@missing"]),
+    st.sampled_from(["@feasible", "@infeasible", "@bad_problem", "@huge_problem", "@quad",
+                     "@missing"]),
     flag(small, ODD), flag(st.integers(0, 3)),
     st.sampled_from(OUT_PATHS + [None]), st.sampled_from(OUT_PATHS + [None]))
 
