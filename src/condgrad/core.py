@@ -245,10 +245,14 @@ class StopRule:
     max_iters: Optional[int] = None
     target_gap: Optional[float] = None
     target_f: Optional[float] = None
+    target_lower: Optional[float] = None  # stop once a row certifies f* >= f - gap > it
 
     def __post_init__(self):
         if self.max_iters is None and self.target_gap is None and self.target_f is None:
-            raise ValueError("StopRule needs max_iters, target_gap or target_f")
+            raise ValueError("StopRule needs max_iters, target_gap or target_f "
+                             "(target_lower alone never fires on a feasible instance)")
+        if self.target_lower is not None and not self.target_lower < float("inf"):  # NaN too
+            raise ValueError(f"target_lower must lie below inf, got {self.target_lower!r}")
 
 
 class TraceRow(NamedTuple):

@@ -288,7 +288,7 @@ class HazanResult:
     point: np.ndarray = LazyPoint()  # built on first read for a factored run
     ledger: IterateLedger
     matvecs: int
-    stopped_on: str  # max_iters | gap | f_target, from fw_run
+    stopped_on: str  # max_iters | gap | f_target | f_lower, from fw_run
 
     def _replace(self, **changes) -> "HazanResult":  # NamedTuple-era name; perfbench tests call it
         return replace(self, **changes)

@@ -133,9 +133,13 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     or certify min f > eps (no exactly feasible X exists).
 
     sigma = log(m)/eps; the iteration cap is the 8 C_f/eps primal budget,
-    O(log(m)/eps^2) eigensolver calls for unit-norm constraints.
-    Infeasibility is only ever reported with a certified gap; otherwise the
-    outcome is undetermined at this budget.
+    O(log(m)/eps^2) eigensolver calls for unit-norm constraints.  When that
+    run ends above eps, a gap_certified_run at eps/2 stops at its first row
+    with f - gap > eps: by weak duality that row proves min f > eps, so the
+    outcome is infeasible.  f_lower and gap_bound come from that run's row
+    with the largest f - gap (the stopping row, if it stopped there), X and
+    f from its smallest-gap row.  Without such a row the outcome is
+    undetermined at this budget.
     """
     if not 0 < eps < math.inf:  # NaN too
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
@@ -151,11 +155,11 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     status = "feasible" if f <= eps else "undetermined"
     if status == "undetermined" and certify_infeasible:
         cert = gap_certified_run(objective, domain, eps / 2.0, lmo_mode=lmo_mode,
-                                 seed=seed)
-        f_hat = cert.trace.rows[cert.k_hat].f
-        f_lower, gap_bound = f_hat - cert.gap_bound, cert.gap_bound
-        if cert.certified and f_lower > eps:
-            status, X, f = "infeasible", cert.point, f_hat
+                                 seed=seed, target_lower=eps)
+        row = max(cert.trace.rows, key=lambda r: r.f - r.gap)
+        f_lower, gap_bound = row.f - row.gap, row.gap
+        if f_lower > eps:
+            status, X, f = "infeasible", cert.point, cert.trace.rows[cert.k_hat].f
     return FeasibilityOutcome(status, X, f, max_violation(sdp, X), run.trace.final().k,
                               run.matvecs, run.trace, sigma, C,
                               f_lower=f_lower, gap_bound=gap_bound)

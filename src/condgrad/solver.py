@@ -27,7 +27,7 @@ class RunResult:
     point: np.ndarray = LazyPoint()  # built on first read for a factored run
     ledger: IterateLedger
     trace: RunTrace
-    stopped_on: str  # max_iters | gap | f_target
+    stopped_on: str  # max_iters | gap | f_target | f_lower
     matvecs: int
 
 
@@ -209,10 +209,12 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
 
         hit_gap = stop.target_gap is not None and gap_cert <= stop.target_gap
         hit_f = stop.target_f is not None and fx <= stop.target_f
+        hit_lower = stop.target_lower is not None and fx - gap_cert > stop.target_lower
         hit_iters = stop.max_iters is not None and k >= stop.max_iters
-        if hit_gap or hit_f or hit_iters:
+        if hit_gap or hit_f or hit_lower or hit_iters:
             trace.append(k, fx, gap_cert, 0.0, res.atom.label, matvecs, clock.millis())
-            stopped = "gap" if hit_gap else ("f_target" if hit_f else "max_iters")
+            stopped = ("gap" if hit_gap else "f_target" if hit_f
+                       else "f_lower" if hit_lower else "max_iters")
             break
 
         alpha = schedule.alpha_at(k)
@@ -241,10 +243,15 @@ def certified_iteration_count(curvature_bound: float, eps: float, lmo_mode: str)
 
 
 def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
-                      lmo_mode: str = "exact", seed=0) -> CertifiedRun:
+                      lmo_mode: str = "exact", seed=0,
+                      target_lower: Optional[float] = None) -> CertifiedRun:
     """Two-phase schedule (K harmonic steps, then K+1 at fixed alpha=2/(K+2))
     guaranteeing an iterate with duality gap <= eps; returns the iterate with
     the smallest measured certified gap, which fw_run's on_iterate keeps.
+
+    With target_lower, the run also stops at its first row with
+    f - gap > target_lower (stopped_on "f_lower"), which certifies
+    f* > target_lower; the best row and certified then cover the rows run.
 
     For approximate oracles the gap of the window iterates is measured at a
     tolerance below the slack margin the schedule leaves, so a true-gap
@@ -274,8 +281,8 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
         if best is None or gap < best[0]:
             best = (gap, k, x.point_builder(), x.atoms, len(x.atoms), x.weights.copy())
 
-    run = fw_run(objective, domain, stop=StopRule(max_iters=2 * K + 1),
-                 schedule=schedule, lmo_mode=lmo_mode, seed=seed,
+    stop = StopRule(max_iters=2 * K + 1, target_lower=target_lower)
+    run = fw_run(objective, domain, stop=stop, schedule=schedule, lmo_mode=lmo_mode, seed=seed,
                  inner_tol=inner_tol, on_iterate=on_iterate)
     gap_bound, k_hat, x_best, atoms, m, weights = best
     ledger = IterateLedger(atoms=atoms[:m], weights=weights)

@@ -80,6 +80,17 @@ def test_stop_rule_requires_a_criterion():
         StopRule()
     StopRule(max_iters=3)
     StopRule(target_gap=0.1)
+    StopRule(max_iters=3, target_lower=-float("inf"))
+
+
+@pytest.mark.parametrize("kw,what", [
+    (dict(target_lower=0.5), "target_lower alone"),
+    (dict(max_iters=3, target_lower=float("nan")), "target_lower must lie below inf"),
+    (dict(max_iters=3, target_lower=float("inf")), "target_lower must lie below inf"),
+])
+def test_stop_rule_rejects_a_target_lower_that_never_fires(kw, what):
+    with pytest.raises(ValueError, match=what):
+        StopRule(**kw)
 
 
 def test_trace_round_trips_through_csv():

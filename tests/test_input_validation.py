@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from condgrad.cli import main
-from condgrad.core import ObjectiveOracle, RunTrace, StepSchedule
+from condgrad.core import ObjectiveOracle, RunTrace, StepSchedule, StopRule
 from condgrad.domains.matrices import (FactoredPSD, SparsePsdAtom, boundeddiag_lmo,
                                       sparsepsd_lmo, spect_lmo, spect_lowrank_lowerbound_suite)
 from condgrad.domains.vectors import (SimplexDomain, cube_lmo, l1_lmo, l1_lowerbound_suite,
@@ -68,6 +68,8 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
      "eps must be"),
     (lambda: RandomizedLMO(SimplexDomain(3), uniform_simplex_sampler(3), 0.5).lmo(np.ones(3)),
      "generator"),
+    (lambda: StopRule(target_lower=0.5), "target_lower alone"),
+    (lambda: StopRule(max_iters=3, target_lower=float("nan")), "target_lower"),
 ], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
         "sparsepsd_mode", "embedding_t", "simplex_lmo", "l1_lmo", "cube_lmo",
         "alpha_hook_range", "two_phase_K", "exact_spect_lmo_operator",
@@ -75,10 +77,23 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
         "boundeddiag_lmo_asymmetric", "softmax_sigma",
         "rank_suite_k", "sparsepsd_atom", "uniform_k", "sparse_suite_k", "l1_suite_k",
         "z_block_shape", "embed_z_shape", "factorization_split", "wrap_weights",
-        "eig_zero_start", "eig_eps_negative", "randomized_lmo_rng"])
+        "eig_zero_start", "eig_eps_negative", "randomized_lmo_rng",
+        "stop_rule_lower_alone", "stop_rule_lower_nan"])
 def test_bad_library_input_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
         call()
+
+
+def test_stop_rule_checks_survive_python_O():
+    code = ("from condgrad.core import StopRule\n"
+            "for kw in ({'target_lower': 0.5}, {'max_iters': 3, 'target_lower': float('nan')}):\n"
+            "    try:\n"
+            "        StopRule(**kw)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'StopRule({kw}) was accepted')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _solve(tmp_path, capsys, cfg):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from condgrad import make_rng
+from condgrad import make_rng, sdpfeas
 from condgrad.domains import SpectrahedronDomain
 from condgrad.sdpfeas import (
     FeasibilitySDP,
@@ -13,8 +13,10 @@ from condgrad.sdpfeas import (
     max_violation,
     parse_problem,
     softmax_eval_grad,
+    softmax_objective,
     solve_eps_feasible,
 )
+from condgrad.solver import gap_certified_run
 
 
 def sym(rng, n, scale=1.0):
@@ -151,6 +153,74 @@ def test_undetermined_without_certification():
     out = solve_eps_feasible(sdp, eps=0.5, seed=0, certify_infeasible=False)
     assert out.status == "undetermined"
     assert out.f_lower is None
+
+
+def paired_infeasible(n, pairs, seed, rhs=0.8):
+    # A.X <= -rhs and -A.X <= -rhs cannot both hold: every X violates one by rhs
+    rng = np.random.default_rng(seed)
+    A = []
+    for _ in range(pairs):
+        B = rng.standard_normal((n, n))
+        S = 0.5 * (B + B.T)
+        S /= np.abs(np.linalg.eigvalsh(S)).max()
+        A += [S, -S]
+    return FeasibilitySDP(n=n, A=A, b=np.full(2 * pairs, -rhs), t=1.0)
+
+
+def full_budget_status(sdp, eps, seed):
+    """The status of a certify phase that runs its whole 2K+1 budget and
+    reads its smallest-gap row, with that run (None when phase 1 suffices)."""
+    first = solve_eps_feasible(sdp, eps, seed=seed, certify_infeasible=False)
+    if first.status == "feasible":
+        return "feasible", None
+    sigma = math.log(max(sdp.m, 2)) / eps
+    objective = softmax_objective(sdp, sigma, curvature_estimate(sdp, sigma))
+    cert = gap_certified_run(objective, SpectrahedronDomain(sdp.n, sdp.t), eps / 2.0,
+                             lmo_mode="approx", seed=seed)
+    f_lower = cert.trace.rows[cert.k_hat].f - cert.gap_bound
+    return ("infeasible" if cert.certified and f_lower > eps else "undetermined"), cert
+
+
+AGREEMENT_CASES = {
+    **{f"sdp_infeas_full_{i}": (lambda i=i: (paired_infeasible(40, 5, i), 0.4, i, "infeasible"))
+       for i in range(3)},
+    **{f"sdp_infeas_tiny_{i}": (lambda i=i: (paired_infeasible(6, 1, i), 0.5, i, "infeasible"))
+       for i in range(3)},
+    "trace_deficient": lambda: (FeasibilitySDP(n=4, A=[-np.eye(4)], b=[-2.0]), 0.5, 0,
+                                "infeasible"),
+    **{f"planted_feasible_{i}": (lambda i=i: (planted_feasible(n=8, m=4, seed=5 + i)[0], 0.1, i,
+                                              "feasible"))
+       for i in range(3)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_first_certified_row_agrees_with_the_full_budget_rule(case, monkeypatch):
+    sdp, eps, seed, want = AGREEMENT_CASES[case]()
+    phase2 = []
+
+    def spy(*args, **kwargs):
+        phase2.append(gap_certified_run(*args, **kwargs))
+        return phase2[-1]
+
+    monkeypatch.setattr(sdpfeas, "gap_certified_run", spy)
+    out = solve_eps_feasible(sdp, eps, seed=seed)
+    status, full = full_budget_status(sdp, eps, seed)
+    assert out.status == status == want
+    assert len(phase2) == (full is not None)
+    if full is not None:
+        # the stop fires at the full run's first row with f - gap > eps, and the
+        # rows up to it agree in k, f and gap
+        k_first = next(r.k for r in full.trace.rows if r.f - r.gap > eps)
+        rows = phase2[0].trace.rows
+        assert len(rows) <= k_first + 1
+        assert [r[:3] for r in rows] == [r[:3] for r in full.trace.rows[:len(rows)]]
+    if out.status == "infeasible":
+        assert out.f_lower == max(r.f - r.gap for r in phase2[0].trace.rows)
+        f_X = softmax_eval_grad(sdp, out.sigma, out.X)[0]
+        f_center = softmax_eval_grad(sdp, out.sigma, np.eye(sdp.n) * (sdp.t / sdp.n))[0]
+        assert eps < out.f_lower <= f_X
+        assert out.f_lower <= f_center
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])

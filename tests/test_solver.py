@@ -140,6 +140,38 @@ def test_stop_on_target_gap_emits_closing_row():
     assert rows[-1].alpha == 0.0  # closing row records the stopping iterate
 
 
+def test_stop_on_target_lower_at_the_first_certified_row():
+    # ||x||^2 on the 5-simplex has f* = 1/5; f - gap first passes 0.1 at row 16
+    obj = squared_norm(curvature_bound=2.0)
+    full = fw_run(obj, SimplexDomain(5), stop=StopRule(max_iters=60))
+    k_first = next(r.k for r in full.trace.rows if r.f - r.gap > 0.1)
+    res = fw_run(obj, SimplexDomain(5), stop=StopRule(max_iters=60, target_lower=0.1))
+    rows = res.trace.rows
+    assert res.stopped_on == "f_lower"
+    assert rows[-1].k == k_first > 0
+    assert rows[-1].alpha == 0.0
+    assert rows[-1].f - rows[-1].gap > 0.1 >= max(r.f - r.gap for r in rows[:-1])
+    assert [r[:6] for r in rows[:-1]] == [r[:6] for r in full.trace.rows[:k_first]]
+    # a target below every row's f - gap stops at row 0; one above them, never
+    assert fw_run(obj, SimplexDomain(5), stop=StopRule(max_iters=60, target_lower=-2.0)
+                  ).trace.final().k == 0
+    assert fw_run(obj, SimplexDomain(5), stop=StopRule(max_iters=60, target_lower=0.2)
+                  ).stopped_on == "max_iters"
+
+
+def test_gap_certified_run_stops_on_target_lower():
+    obj = squared_norm(curvature_bound=2.0)
+    full = gap_certified_run(obj, SimplexDomain(5), eps=0.05)
+    k_first = next(r.k for r in full.trace.rows if r.f - r.gap > 0.1)
+    run = gap_certified_run(obj, SimplexDomain(5), eps=0.05, target_lower=0.1)
+    assert run.trace.final().k == k_first < full.trace.final().k
+    assert run.trace.final().alpha == 0.0
+    # the best row and certified flag read the rows the run took
+    best = min(run.trace.rows, key=lambda r: r.gap)
+    assert (run.k_hat, run.gap_bound) == (best.k, best.gap)
+    assert run.certified == (best.gap <= 0.05)
+
+
 def test_certified_iteration_count():
     assert certified_iteration_count(2.0, 0.5, "exact") == 16
     assert certified_iteration_count(2.0, 0.5, "approx") == 32
