@@ -249,8 +249,7 @@ class StopRule:
 
     def __post_init__(self):
         if self.max_iters is None and self.target_gap is None and self.target_f is None:
-            raise ValueError("StopRule needs max_iters, target_gap or target_f "
-                             "(target_lower alone never fires on a feasible instance)")
+            raise ValueError("StopRule needs max_iters, target_gap or target_f")
         if self.target_lower is not None and not self.target_lower < float("inf"):  # NaN too
             raise ValueError(f"target_lower must lie below inf, got {self.target_lower!r}")
 

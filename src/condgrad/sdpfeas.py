@@ -135,11 +135,10 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     sigma = log(m)/eps; the iteration cap is the 8 C_f/eps primal budget,
     O(log(m)/eps^2) eigensolver calls for unit-norm constraints.  When that
     run ends above eps, a gap_certified_run at eps/2 stops at its first row
-    with f - gap > eps: by weak duality that row proves min f > eps, so the
-    outcome is infeasible.  f_lower and gap_bound come from that run's row
-    with the largest f - gap (the stopping row, if it stopped there), X and
-    f from its smallest-gap row.  Without such a row the outcome is
-    undetermined at this budget.
+    with f - gap > eps, which proves min f > eps by weak duality: infeasible.
+    f_lower and gap_bound come from its row with the largest f - gap (that
+    stopping row), X and f from its smallest-gap row.  Without such a row
+    the outcome is undetermined at this budget.
     """
     if not 0 < eps < math.inf:  # NaN too
         raise ValueError(f"eps must be positive and finite, got {eps!r}")

@@ -249,9 +249,8 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
     guaranteeing an iterate with duality gap <= eps; returns the iterate with
     the smallest measured certified gap, which fw_run's on_iterate keeps.
 
-    With target_lower, the run also stops at its first row with
-    f - gap > target_lower (stopped_on "f_lower"), which certifies
-    f* > target_lower; the best row and certified then cover the rows run.
+    With target_lower it stops at its first row with f - gap > target_lower,
+    which certifies f* > target_lower; the best row is then of the rows run.
 
     For approximate oracles the gap of the window iterates is measured at a
     tolerance below the slack margin the schedule leaves, so a true-gap

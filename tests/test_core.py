@@ -84,7 +84,7 @@ def test_stop_rule_requires_a_criterion():
 
 
 @pytest.mark.parametrize("kw,what", [
-    (dict(target_lower=0.5), "target_lower alone"),
+    (dict(target_lower=0.5), "needs max_iters"),
     (dict(max_iters=3, target_lower=float("nan")), "target_lower must lie below inf"),
     (dict(max_iters=3, target_lower=float("inf")), "target_lower must lie below inf"),
 ])

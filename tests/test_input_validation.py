@@ -68,7 +68,7 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
      "eps must be"),
     (lambda: RandomizedLMO(SimplexDomain(3), uniform_simplex_sampler(3), 0.5).lmo(np.ones(3)),
      "generator"),
-    (lambda: StopRule(target_lower=0.5), "target_lower alone"),
+    (lambda: StopRule(target_lower=0.5), "needs max_iters"),
     (lambda: StopRule(max_iters=3, target_lower=float("nan")), "target_lower"),
 ], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
         "sparsepsd_mode", "embedding_t", "simplex_lmo", "l1_lmo", "cube_lmo",
