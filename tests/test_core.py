@@ -83,16 +83,6 @@ def test_stop_rule_requires_a_criterion():
     StopRule(max_iters=3, target_lower=-float("inf"))
 
 
-@pytest.mark.parametrize("kw,what", [
-    (dict(target_lower=0.5), "needs max_iters"),
-    (dict(max_iters=3, target_lower=float("nan")), "target_lower must lie below inf"),
-    (dict(max_iters=3, target_lower=float("inf")), "target_lower must lie below inf"),
-])
-def test_stop_rule_rejects_a_target_lower_that_never_fires(kw, what):
-    with pytest.raises(ValueError, match=what):
-        StopRule(**kw)
-
-
 def test_trace_round_trips_through_csv():
     tr = RunTrace(seed=7)
     tr.append(0, 1.0, 2.0, 1.0, "e1", 0, 3)

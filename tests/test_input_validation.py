@@ -70,6 +70,7 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
      "generator"),
     (lambda: StopRule(target_lower=0.5), "needs max_iters"),
     (lambda: StopRule(max_iters=3, target_lower=float("nan")), "target_lower"),
+    (lambda: StopRule(max_iters=3, target_lower=float("inf")), "target_lower"),
 ], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
         "sparsepsd_mode", "embedding_t", "simplex_lmo", "l1_lmo", "cube_lmo",
         "alpha_hook_range", "two_phase_K", "exact_spect_lmo_operator",
@@ -78,7 +79,7 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
         "rank_suite_k", "sparsepsd_atom", "uniform_k", "sparse_suite_k", "l1_suite_k",
         "z_block_shape", "embed_z_shape", "factorization_split", "wrap_weights",
         "eig_zero_start", "eig_eps_negative", "randomized_lmo_rng",
-        "stop_rule_lower_alone", "stop_rule_lower_nan"])
+        "stop_rule_lower_alone", "stop_rule_lower_nan", "stop_rule_lower_inf"])
 def test_bad_library_input_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
         call()
