@@ -121,14 +121,12 @@ class FeasibilityOutcome:
     matvecs: int
     trace: RunTrace
     sigma: float
-    curvature: float
     f_lower: Optional[float] = None  # certified lower bound on min f, if computed
     gap_bound: Optional[float] = None
 
 
 def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
-                       lmo_mode: str = "approx",
-                       certify_infeasible: bool = True) -> FeasibilityOutcome:
+                       lmo_mode: str = "approx") -> FeasibilityOutcome:
     """Drive the soft-max potential below eps (every violation <= eps then),
     or certify min f > eps (no exactly feasible X exists).
 
@@ -138,7 +136,8 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     with f - gap > eps, which proves min f > eps by weak duality: infeasible.
     f_lower and gap_bound come from its row with the largest f - gap (that
     stopping row), X and f from its smallest-gap row.  Without such a row
-    the outcome is undetermined at this budget.
+    the outcome is undetermined at this budget.  Every outcome that is not
+    feasible has been through the certify run.
     """
     if not 0 < eps < math.inf:  # NaN too
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
@@ -152,7 +151,7 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     # a trace row's f is the objective at that row's iterate, so no re-evaluation
     X, f, f_lower, gap_bound = run.point, run.trace.final().f, None, None
     status = "feasible" if f <= eps else "undetermined"
-    if status == "undetermined" and certify_infeasible:
+    if status == "undetermined":
         cert = gap_certified_run(objective, domain, eps / 2.0, lmo_mode=lmo_mode,
                                  seed=seed, target_lower=eps)
         row = max(cert.trace.rows, key=lambda r: r.f - r.gap)
@@ -160,7 +159,7 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
         if f_lower > eps:
             status, X, f = "infeasible", cert.point, cert.trace.rows[cert.k_hat].f
     return FeasibilityOutcome(status, X, f, max_violation(sdp, X), run.trace.final().k,
-                              run.matvecs, run.trace, sigma, C,
+                              run.matvecs, run.trace, sigma,
                               f_lower=f_lower, gap_bound=gap_bound)
 
 
@@ -183,9 +182,16 @@ def binary_search_objective(C: np.ndarray, sdp: Optional[FeasibilitySDP],
     gamma with the extra constraint -C.X <= -gamma.
 
     sdp = None means no side constraints (pure spectral problem).  The value
-    range defaults to +-2 ||C||_F t; each round halves the bracket, keeping
-    the best eps-feasible X with C.X >= lo.
+    range defaults to +-2 ||C||_F t.  eps must be positive and finite, and
+    the range must have lo <= hi and a finite width, or ValueError.  A
+    feasible round raises lo to gamma and keeps the best eps-feasible X with
+    C.X >= lo.  Only an infeasible round lowers hi to gamma: its certificate
+    proves that no X meets every constraint with C.X >= gamma.  An
+    undetermined round ends the bisection, so [lo, hi] is the bracket
+    certified so far, which may be wider than eps.
     """
+    if not 0 < eps < math.inf:  # NaN too
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     C = np.asarray(C, dtype=float)
     if sdp is not None:
         n, t = sdp.n, sdp.t
@@ -196,26 +202,26 @@ def binary_search_objective(C: np.ndarray, sdp: Optional[FeasibilitySDP],
         lo, hi = -span, span
     else:
         lo, hi = map(float, value_range)
-    if not hi >= lo:  # NaN too
-        raise ValueError(f"value_range must have lo <= hi, got {value_range!r}")
+    if not (lo <= hi and math.isfinite(hi - lo)):  # NaN and infinite ends too
+        raise ValueError(f"value_range must have lo <= hi and a finite width, got {(lo, hi)!r}")
     rounds = max(1, int(math.ceil(math.log2(max((hi - lo) / max(eps, 1e-12), 2.0)))))
 
+    A = ([] if sdp is None else list(sdp.A)) + [-C]
     best_X = None
     best_val = -math.inf
     for _ in range(rounds):
         gamma = 0.5 * (lo + hi)
-        A = ([] if sdp is None else list(sdp.A)) + [-C]
         b = ([] if sdp is None else list(sdp.b)) + [-gamma]
-        aug = FeasibilitySDP(n=n, A=A, b=b, t=t)
-        out = solve_eps_feasible(aug, eps, certify_infeasible=False,
-                                 lmo_mode=lmo_mode)
+        out = solve_eps_feasible(FeasibilitySDP(n=n, A=A, b=b, t=t), eps, lmo_mode=lmo_mode)
         if out.status == "feasible":
             lo = gamma
             val = float(np.vdot(C, out.X))
             if val > best_val:
                 best_val, best_X = val, out.X
-        else:
+        elif out.status == "infeasible":
             hi = gamma
+        else:
+            break
     return BinarySearchResult(X=best_X, lo=lo, hi=hi, objective_value=best_val)
 
 

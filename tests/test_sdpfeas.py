@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,13 +149,6 @@ def test_trace_deficient_instance_certified_infeasible():
     assert out.max_violation == pytest.approx(1.0)
 
 
-def test_undetermined_without_certification():
-    sdp = FeasibilitySDP(n=4, A=[-np.eye(4)], b=[-2.0])
-    out = solve_eps_feasible(sdp, eps=0.5, seed=0, certify_infeasible=False)
-    assert out.status == "undetermined"
-    assert out.f_lower is None
-
-
 def paired_infeasible(n, pairs, seed, rhs=0.8):
     # A.X <= -rhs and -A.X <= -rhs cannot both hold: every X violates one by rhs
     rng = np.random.default_rng(seed)
@@ -170,7 +164,7 @@ def paired_infeasible(n, pairs, seed, rhs=0.8):
 def full_budget_status(sdp, eps, seed):
     """The status of a certify phase that runs its whole 2K+1 budget and
     reads its smallest-gap row, with that run (None when phase 1 suffices)."""
-    first = solve_eps_feasible(sdp, eps, seed=seed, certify_infeasible=False)
+    first = solve_eps_feasible(sdp, eps, seed=seed)
     if first.status == "feasible":
         return "feasible", None
     sigma = math.log(max(sdp.m, 2)) / eps
@@ -197,6 +191,7 @@ AGREEMENT_CASES = {
 @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
 def test_first_certified_row_agrees_with_the_full_budget_rule(case, monkeypatch):
     sdp, eps, seed, want = AGREEMENT_CASES[case]()
+    status, full = full_budget_status(sdp, eps, seed)
     phase2 = []
 
     def spy(*args, **kwargs):
@@ -205,7 +200,6 @@ def test_first_certified_row_agrees_with_the_full_budget_rule(case, monkeypatch)
 
     monkeypatch.setattr(sdpfeas, "gap_certified_run", spy)
     out = solve_eps_feasible(sdp, eps, seed=seed)
-    status, full = full_budget_status(sdp, eps, seed)
     assert out.status == status == want
     assert len(phase2) == (full is not None)
     if full is not None:
@@ -280,6 +274,61 @@ def test_binary_search_with_side_constraints():
                                   lmo_mode="exact")
     # best value is 3*0.25 + 1*0.75 = 1.5 at X = diag(0.25, 0.75)
     assert 0.5 * (res.lo + res.hi) == pytest.approx(1.5, abs=0.2)
+
+
+BISECTIONS = {
+    "side_constraints": lambda: dict(
+        C=np.diag([3.0, 1.0]), sdp=FeasibilitySDP(n=2, A=[np.diag([1.0, 0.0])], b=[0.25]),
+        eps=0.1, value_range=(0.0, 4.0), lmo_mode="exact"),
+    "spectral": lambda: dict(C=sym(make_rng(9), 4, scale=2.0), sdp=None, eps=0.1, n=4, t=1.0,
+                             lmo_mode="exact"),
+}
+
+
+def spy_rounds(monkeypatch, patch=lambda k, out: out):
+    """Record (gamma, outcome) for every bisection round; patch(k, out) may
+    replace round k's outcome."""
+    rounds = []
+
+    def spy(aug, eps, **kwargs):
+        out = patch(len(rounds), solve_eps_feasible(aug, eps, **kwargs))
+        rounds.append((-float(aug.b[-1]), out))
+        return out
+
+    monkeypatch.setattr(sdpfeas, "solve_eps_feasible", spy)
+    return rounds
+
+
+def rounds_that_lowered_hi(rounds, res):
+    # the next midpoint falls below a round's gamma iff that round set hi to it
+    nxt = [g for g, _ in rounds[1:]] + [None]
+    return [k for k, ((g, _), g_next) in enumerate(zip(rounds, nxt))
+            if (res.hi == g if g_next is None else g_next < g)]
+
+
+@pytest.mark.parametrize("case", sorted(BISECTIONS))
+def test_bisection_lowers_hi_only_on_a_certificate(case, monkeypatch):
+    kw = BISECTIONS[case]()
+    rounds = spy_rounds(monkeypatch)
+    res = binary_search_objective(**kw)
+    lowered = rounds_that_lowered_hi(rounds, res)
+    assert lowered
+    for k in lowered:
+        out = rounds[k][1]
+        assert out.status == "infeasible" and out.f_lower > kw["eps"]
+
+
+def test_undetermined_round_ends_the_bisection(monkeypatch):
+    kw = BISECTIONS["spectral"]()
+    rounds = spy_rounds(monkeypatch)
+    k = rounds_that_lowered_hi(rounds, binary_search_objective(**kw))[0]
+    rounds = spy_rounds(monkeypatch, lambda i, out: (
+        replace(out, status="undetermined", f_lower=None, gap_bound=None) if i == k else out))
+    res = binary_search_objective(**kw)
+    gamma = rounds[k][0]
+    assert len(rounds) == k + 1
+    # the bracket is the one round k bisected: hi did not move to gamma
+    assert 0.5 * (res.lo + res.hi) == gamma < res.hi
 
 
 # ---------------------------------------------------------------------------
