@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import matcomp, sdpfeas
-from .core import ObjectiveOracle, StopRule, StepSchedule
+from .core import ObjectiveOracle, StopRule, StepSchedule, clamped_step
 from .domains.matrices import SpectrahedronDomain
 from .domains.vectors import CubeDomain, L1BallDomain, SimplexDomain
 from .eigen import check_symmetric, dense_eig_oracle
@@ -177,10 +177,10 @@ def _build_objective(spec: dict, domain):
 
         def hook(x, s):
             d = s - x
-            den = float(d @ (Q @ d))
+            den, slope = float(d @ (Q @ d)), float(gr(x) @ d)
             if den <= 0.0:
-                return 0.0 if float(gr(x) @ d) >= 0.0 else 1.0
-            return float(min(1.0, max(0.0, -float(gr(x) @ d) / den)))
+                return 0.0 if slope >= 0.0 else 1.0
+            return clamped_step(-slope, den)
 
         obj = ObjectiveOracle(eval=ev, grad=gr, name="custom-quadratic",
                               alpha_hook=hook)

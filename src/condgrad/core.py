@@ -23,6 +23,12 @@ WEIGHT_PRUNE_TOL = 1e-15
 TRACE_HEADER = "k,f,gap,alpha,atom,matvecs,millis"
 
 
+def clamped_step(num: float, den: float) -> float:
+    """num / den clamped to [0, 1], the minimizer over [0, 1] of a 1-d
+    quadratic with slope -num at 0 and curvature den; 0 unless den > 0."""
+    return float(min(1.0, max(0.0, num / den))) if den > 0.0 else 0.0
+
+
 @dataclass
 class ObjectiveOracle:
     """Convex objective exposed through value and gradient callables.
@@ -202,7 +208,7 @@ class FactoredLedger(IterateLedger):
     def line_search(self, atom, a_fix: float) -> float:
         """argmin of the quadratic f(x + a (s - x)) on [0, 1], unless a_fix is lower."""
         g, dd = self.atom_terms(atom)
-        alpha = min(1.0, max(0.0, g / (2.0 * dd))) if dd > 0.0 else 0.0
+        alpha = clamped_step(g, 2.0 * dd)
         phi = lambda a: a * (a * dd - g)  # phi(a) - f(x)
         return a_fix if phi(a_fix) < phi(alpha) else alpha
 

@@ -23,7 +23,7 @@ from ..core import (Atom, DenseApply, FactoredLedger, IterateLedger, LazyPoint, 
 from .. import solver
 from ..eigen import SymmetricOperator, approx_smallest_ev, check_symmetric, eigh_descending
 from ..solver import RunResult
-from .vectors import _check_size
+from .vectors import _check_finite, _check_size
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -408,6 +408,7 @@ def sparsepsd_lmo(G, mode: str = "both") -> SparsePsdAtom:
     """Linear pass over the 2*C(n,2) atoms: minimize G_ii+G_jj +- 2G_ij.
 
     Ties break to the lexicographically smallest (i,j), plus-sign first.
+    A non-finite G, or an atom value that overflows, raises ValueError.
     """
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
@@ -415,23 +416,21 @@ def sparsepsd_lmo(G, mode: str = "both") -> SparsePsdAtom:
         raise ValueError("sparse-PSD atoms need n >= 2")
     if mode not in ("both", "plus", "minus"):
         raise ValueError(f"sparse-PSD mode must be both, plus or minus, got {mode!r}")
+    _check_finite(G)
     iu, ju = np.triu_indices(n, 1)  # lexicographic order
     d = np.diag(G)
     base = d[iu] + d[ju]
     off = G[iu, ju]
-    best = None
-    if mode in ("both", "plus"):
-        vals = base + 2.0 * off
-        a = int(np.argmin(vals))
-        best = (float(vals[a]), int(iu[a]), int(ju[a]), 0, 1)
-    if mode in ("both", "minus"):
-        vals = base - 2.0 * off
-        a = int(np.argmin(vals))
-        cand = (float(vals[a]), int(iu[a]), int(ju[a]), 1, -1)
-        if best is None or (cand[0], cand[1], cand[2], cand[3]) < best[:4]:
-            best = cand
-    _, i, j, _, sign = best
-    return SparsePsdAtom(i=i, j=j, sign=sign)
+    # row p holds pair p's (plus, minus) values, so the first minimum of the
+    # flattened array breaks ties by (i, j), then plus first
+    vals = np.column_stack([base + 2.0 * off, base - 2.0 * off])
+    if mode != "both":
+        vals[:, 1 if mode == "plus" else 0] = np.inf
+    a = int(np.argmin(vals))
+    if not math.isfinite(vals.flat[a]):
+        raise ValueError("non-finite linearization")
+    p, minus = divmod(a, 2)
+    return SparsePsdAtom(i=int(iu[p]), j=int(ju[p]), sign=-1 if minus else 1)
 
 
 class SparsePsdDomain:

@@ -23,7 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import solver
-from .core import LmoResult, RunTrace, StepSchedule, StopRule, WEIGHT_PRUNE_TOL, make_rng
+from .core import (LmoResult, RunTrace, StepSchedule, StopRule, WEIGHT_PRUNE_TOL, clamped_step,
+                   make_rng)
 from .domains.matrices import (FactoredPSD, RankOneAtom, _canonical_sign, _digest_label,
                                rank_one_atom)
 from .eigen import SymmetricOperator, approx_smallest_ev
@@ -268,11 +269,7 @@ def closed_form_alpha(store: PredictionStore, ratings: np.ndarray,
     s = t * v[:store.m][store.i_all[:store.n_train]] \
         * v[store.m:][store.j_all[:store.n_train]]
     d = X - s
-    den = float(d @ d)
-    if den <= 0.0:
-        return 0.0
-    num = float((X - ratings) @ d)
-    return float(min(1.0, max(0.0, num / den)))
+    return clamped_step(float((X - ratings) @ d), float(d @ d))
 
 
 def metrics(predictions, ratings):

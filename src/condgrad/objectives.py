@@ -9,17 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ObjectiveOracle
+from .core import ObjectiveOracle, clamped_step
 
 
 def _quadratic_alpha(x, s, grad_at, denom_of):
     """argmin_{[0,1]} of a 1-d quadratic phi(a) = f(x + a d): a* = -phi'(0)/phi''."""
     d = s - x
-    den = denom_of(d)
-    if den <= 0.0:
-        return 0.0
-    num = -float(np.vdot(grad_at(x), d))
-    return float(min(1.0, max(0.0, num / den)))
+    return clamped_step(-float(np.vdot(grad_at(x), d)), denom_of(d))
 
 
 def squared_norm(curvature_bound=None, name="sqnorm") -> ObjectiveOracle:
@@ -66,13 +62,8 @@ def least_squares(A, b, scale=1.0, curvature_bound=None, name="lstsq") -> Object
         return 2.0 * (sA.T @ (sA @ x - b))
 
     def hook(x, s):
-        d = s - x
-        Ad = sA @ d
-        den = float(Ad @ Ad)
-        if den <= 0.0:
-            return 0.0
-        num = -float((sA @ x - b) @ Ad)
-        return float(min(1.0, max(0.0, num / den)))
+        Ad = sA @ (s - x)
+        return clamped_step(-float((sA @ x - b) @ Ad), float(Ad @ Ad))
 
     return ObjectiveOracle(eval=ev, grad=gr, curvature_bound=curvature_bound,
                            name=name, alpha_hook=hook)

@@ -38,7 +38,15 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
     (lambda: binary_search_objective(np.eye(3), None, 0.5, value_range=(1.0, -1.0), n=3),
      "lo <= hi"),
     (lambda: binary_search_objective(np.eye(3), None, 0.5), "needs n"),
+    (lambda: binary_search_objective(np.eye(3), None, 0.5, value_range=(0.0, np.inf), n=3),
+     "value_range"),
+    (lambda: binary_search_objective(np.eye(3), None, 0.5, value_range=(-np.inf, 0.0), n=3),
+     "value_range"),
+    (lambda: binary_search_objective(np.eye(3), None, float("nan"), n=3), "eps must be positive"),
     (lambda: sparsepsd_lmo(np.eye(3), mode="bogus"), "bogus"),
+    (lambda: sparsepsd_lmo(np.diag([0.0, np.nan, 1.0])), "non-finite linearization"),
+    (lambda: sparsepsd_lmo(np.diag([1e308, 1e308, 1e308]), mode="minus"),
+     "non-finite linearization"),
     (lambda: nuclear_to_spect(squared_norm(), 2, 2, t=-1.0), "positive"),
     (lambda: simplex_lmo([0.0, np.nan]), "finite"),
     (lambda: l1_lmo([np.inf, 1.0]), "finite"),
@@ -72,7 +80,9 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
     (lambda: StopRule(max_iters=3, target_lower=float("nan")), "target_lower"),
     (lambda: StopRule(max_iters=3, target_lower=float("inf")), "target_lower"),
 ], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
-        "sparsepsd_mode", "embedding_t", "simplex_lmo", "l1_lmo", "cube_lmo",
+        "value_range_inf_hi", "value_range_inf_lo", "bisection_eps_nan",
+        "sparsepsd_mode", "sparsepsd_lmo_nonfinite", "sparsepsd_lmo_overflow",
+        "embedding_t", "simplex_lmo", "l1_lmo", "cube_lmo",
         "alpha_hook_range", "two_phase_K", "exact_spect_lmo_operator",
         "complete_eps_negative", "complete_eps_nan", "store_update_alpha",
         "boundeddiag_lmo_asymmetric", "softmax_sigma",
