@@ -36,6 +36,13 @@ RATING_SPAN = 4.0  # NMAE denominator: 5 - 1 for 1..5 star ratings
 # ---------------------------------------------------------------------------
 # data handling
 
+def _first_duplicate(keys: np.ndarray) -> Optional[int]:
+    """The smallest repeated key, or None, from one sort (a hash set is ~20x slower)."""
+    keys = np.sort(keys)
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    return int(keys[dup[0]]) if len(dup) else None
+
+
 @dataclass
 class RatingDataset:
     """Observed ratings split into train and test triples (user, item, y)."""
@@ -70,8 +77,7 @@ class RatingDataset:
                     raise ValueError("user index out of range")
                 if not (j.min() >= 0 and j.max() < self.n):
                     raise ValueError("item index out of range")
-            keys = i.astype(np.int64) * self.n + j
-            if len(np.unique(keys)) != len(keys):
+            if _first_duplicate(i.astype(np.int64) * self.n + j) is not None:
                 raise ValueError("duplicate (user,item) in split")
 
     @property
@@ -115,16 +121,11 @@ def load_movielens(path, fmt: str = "tab_100k") -> RatingDataset:
             ys.append(y)
     if not users:
         raise ValueError(f"{path}: no ratings found")
-    u_ids = sorted(set(users))
-    i_ids = sorted(set(items))
-    u_map = {u: k for k, u in enumerate(u_ids)}
-    i_map = {i: k for k, i in enumerate(i_ids)}
-    ti = np.array([u_map[u] for u in users], dtype=np.int64)
-    tj = np.array([i_map[i] for i in items], dtype=np.int64)
-    keys = np.sort(ti * len(i_ids) + tj)
-    dup = np.flatnonzero(keys[1:] == keys[:-1])
-    if len(dup):
-        u, i = divmod(int(keys[dup[0]]), len(i_ids))
+    u_ids, i_ids = np.array(sorted(set(users))), np.array(sorted(set(items)))
+    ti, tj = np.searchsorted(u_ids, users), np.searchsorted(i_ids, items)
+    dup = _first_duplicate(ti * len(i_ids) + tj)
+    if dup is not None:
+        u, i = divmod(dup, len(i_ids))
         raise ValueError(f"{path}: user {u_ids[u]} rated item {i_ids[i]} "
                          "on more than one line")
     return RatingDataset(len(u_ids), len(i_ids), ti, tj, np.array(ys, dtype=float),
@@ -151,11 +152,12 @@ def split_train_test(ds: RatingDataset, policy: str, rho: float = 0.5,
     elif policy == "per_user_holdout":
         if r < 1:
             raise ValueError(f"per-user holdout needs r >= 1, got {r!r}")
+        # stable, so each user's positions stay ascending: rng.choice's draws depend on order
+        order = np.argsort(i, kind="stable")
+        start = np.searchsorted(i[order], np.arange(ds.m + 1))
         te_mask = np.zeros(len(y), dtype=bool)
-        for u in range(ds.m):
-            idx = np.flatnonzero(i == u)
-            if len(idx) > r:
-                te_mask[rng.choice(idx, size=r, replace=False)] = True
+        for u in np.flatnonzero(np.diff(start) > r):
+            te_mask[rng.choice(order[start[u]:start[u + 1]], size=r, replace=False)] = True
         tr, te = np.flatnonzero(~te_mask), np.flatnonzero(te_mask)
     else:
         raise ValueError(f"unknown split policy {policy!r}")
@@ -183,17 +185,13 @@ def normalize_means(ds: RatingDataset):
     fall back to the global train mean.  Returns (residual dataset,
     denormalizer)."""
     g = float(ds.train_y.mean()) if ds.n_train else 0.0
-    mu_u = np.full(ds.m, g)
-    mu_i = np.full(ds.n, g)
-    cnt_u = np.bincount(ds.train_i, minlength=ds.m)
-    sum_u = np.bincount(ds.train_i, weights=ds.train_y, minlength=ds.m)
-    seen = cnt_u > 0
-    mu_u[seen] = sum_u[seen] / cnt_u[seen]
-    cnt_i = np.bincount(ds.train_j, minlength=ds.n)
-    sum_i = np.bincount(ds.train_j, weights=ds.train_y, minlength=ds.n)
-    seen = cnt_i > 0
-    mu_i[seen] = sum_i[seen] / cnt_i[seen]
-    den = MeanDenormalizer(mu_u, mu_i, g)
+
+    def means(idx, size):  # g where an index has no train rating
+        cnt = np.bincount(idx, minlength=size)
+        total = np.bincount(idx, weights=ds.train_y, minlength=size)
+        return np.divide(total, cnt, out=np.full(size, g), where=cnt > 0)
+
+    den = MeanDenormalizer(means(ds.train_i, ds.m), means(ds.train_j, ds.n), g)
     out = RatingDataset(
         ds.m, ds.n,
         ds.train_i, ds.train_j, ds.train_y - den.baseline(ds.train_i, ds.train_j),

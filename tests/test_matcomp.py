@@ -7,6 +7,7 @@ from condgrad import ObjectiveOracle, dense_eig_oracle, line_search_alpha, make_
 from condgrad.matcomp import (
     PredictionStore,
     RatingDataset,
+    _first_duplicate,
     closed_form_alpha,
     complete,
     default_power_budget,
@@ -53,6 +54,51 @@ def test_from_triples_rejects_duplicates_and_bad_indices():
     # duplicates across splits are fine, within a split are not
     ds = RatingDataset.from_triples(2, 2, [(0, 0, 1.0)], [(0, 0, 2.0)])
     assert ds.n_train == 1 and ds.n_test == 1
+
+
+def _unique_reference(keys):
+    vals, counts = np.unique(keys, return_counts=True)
+    repeated = vals[counts > 1]
+    return int(repeated[0]) if len(repeated) else None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_duplicate_matches_unique_reference(seed):
+    rng = make_rng(seed)
+    for size in (0, 1, 2, 3, 40, 2000):
+        keys = rng.permutation(5 * size + 1)[:size].astype(np.int64)  # distinct
+        cases = [keys]
+        # planted at the first, the last, and the first and last positions
+        # (neighbours only after sorting), then at random and twice
+        pairs = [(0, 1), (size - 1, size - 2), (0, size - 1),
+                 tuple(rng.choice(size, 2, replace=False))] if size >= 2 else []
+        for a, b in pairs:
+            planted = keys.copy()
+            planted[b] = planted[a]
+            cases.append(planted)
+        if size >= 4:
+            planted = keys.copy()
+            planted[[1, 3]] = planted[[0, 2]]
+            cases.append(planted)
+        for case in cases:
+            assert _first_duplicate(case) == _unique_reference(case)
+
+
+def test_splits_reject_duplicates_with_the_same_message():
+    ok = [(0, 0, 1.0), (1, 2, 2.0)]
+    for train, test in (([(1, 2, 1.0)] + ok, []), (ok, [(0, 1, 1.0), (0, 1, 3.0)])):
+        with pytest.raises(ValueError, match=r"^duplicate \(user,item\) in split$"):
+            RatingDataset.from_triples(2, 3, train, test)
+    # empty and one-entry splits have no duplicates
+    assert RatingDataset.from_triples(2, 3, [], []).n_train == 0
+    assert RatingDataset.from_triples(2, 3, [(1, 2, 5.0)], [(1, 2, 4.0)]).n_test == 1
+
+
+def test_load_movielens_duplicate_names_original_ids(tmp_path):
+    f = tmp_path / "dup.data"
+    f.write_text("42\t1000\t3\t0\n7\t5\t4\t0\n42\t5\t2\t0\n42\t1000\t5\t0\n")
+    with pytest.raises(ValueError, match=r"dup\.data: user 42 rated item 1000 on more than one line"):
+        load_movielens(f)
 
 
 def test_load_movielens_small_fixture(tmp_path):
@@ -130,6 +176,37 @@ def test_split_per_user_holdout():
     # only users with more than r ratings lose exactly r
     assert list(held) == [2, 0, 2]
     assert out.n_train + out.n_test == 9
+
+
+def _holdout_reference(ds, r, seed):
+    """per_user_holdout as a plain loop over users: O(m N), one scan each."""
+    rng = make_rng(seed)
+    te_mask = np.zeros(ds.n_train, dtype=bool)
+    for u in range(ds.m):
+        idx = np.flatnonzero(ds.train_i == u)
+        if len(idx) > r:
+            te_mask[rng.choice(idx, size=r, replace=False)] = True
+    return np.flatnonzero(~te_mask), np.flatnonzero(te_mask)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_split_per_user_holdout_matches_the_reference_loop(seed):
+    rng = make_rng(100 + seed)
+    m, n = 25, 12
+    counts = rng.integers(0, 7, size=m)  # users with none, <= r and > r ratings
+    counts[:2] = 0
+    rows = [(u, j, float(rng.integers(1, 6))) for u in range(m)
+            for j in rng.choice(n, counts[u], replace=False)]
+    rows = [rows[k] for k in rng.permutation(len(rows))]  # users interleaved
+    ds = RatingDataset.from_triples(m, n, rows)
+    for r in (1, 2, 4):
+        out = split_train_test(ds, "per_user_holdout", r=r, seed=seed)
+        tr, te = _holdout_reference(ds, r, seed)
+        for got, arr, pos in ((out.train_i, ds.train_i, tr), (out.train_j, ds.train_j, tr),
+                              (out.train_y, ds.train_y, tr), (out.test_i, ds.train_i, te),
+                              (out.test_j, ds.train_j, te), (out.test_y, ds.train_y, te)):
+            np.testing.assert_array_equal(got, arr[pos])
+            assert got.dtype == arr.dtype
 
 
 # ---------------------------------------------------------------------------
