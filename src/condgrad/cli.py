@@ -119,15 +119,9 @@ def _build_domain(spec: dict):
     raise ValueError(f"domain: unknown kind {kind!r}")
 
 
-def _top_eig(M) -> float:
-    """max(0, largest eigenvalue of the symmetric matrix M)."""
-    vals, _ = dense_eig_oracle(M)
-    return max(0.0, float(vals[0]))
-
-
 def _custom_quadratic(path):
-    """(Q, c, _top_eig(Q)) from a JSON file {"Q": [[...]], "c": [...]}, with Q
-    symmetrized and c zero when absent."""
+    """(Q, c, max(0, top eigenvalue of Q)) from a JSON file {"Q": [[...]], "c": [...]},
+    with Q symmetrized and c zero when absent; Q must be PSD, or f is not convex."""
     raw = _read_json_object(path)
     if "Q" not in raw:
         raise ValueError(f"custom quadratic file {path}: missing field 'Q'")
@@ -136,7 +130,11 @@ def _custom_quadratic(path):
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or c.shape != Q.shape[:1]:
         raise ValueError(f"custom quadratic file {path}: bad shapes")
     Q = 0.5 * (Q + Q.T)
-    return Q, c, _top_eig(Q)
+    vals, _ = dense_eig_oracle(Q)
+    if vals[-1] < -1e-10 * max(1.0, float(np.linalg.norm(Q))):
+        raise ValueError(f"custom quadratic file {path}: Q is not positive semidefinite "
+                         f"(smallest eigenvalue {vals[-1]:.6g})")
+    return Q, c, max(0.0, float(vals[0]))
 
 
 def _build_objective(spec: dict, domain):
@@ -165,7 +163,7 @@ def _build_objective(spec: dict, domain):
         scale = _opt(spec, "t", float, 1.0, "objective") if kind == "lasso" else \
             _opt(spec, "scale", float, 1.0, "objective")
         obj = least_squares(A, b, scale=scale)
-        sup = 2.0 * _top_eig((scale * A).T @ (scale * A))
+        sup = 2.0 * max(0.0, float(dense_eig_oracle((scale * A).T @ (scale * A))[0][0]))
     elif kind == "custom_quadratic":
         Q, c, sup = _data(_custom_quadratic, _need(spec, "path", str, "objective"))
 

@@ -25,10 +25,22 @@ from .eigen import check_symmetric, dense_eig_oracle
 from .solver import certified_iteration_count, fw_run, gap_certified_run
 
 
+def _checked_matrix(M, n: int, name: str) -> np.ndarray:
+    """M as a float array if it is n x n, finite and symmetric; otherwise
+    ValueError naming it."""
+    M = np.asarray(M, dtype=float)
+    if M.shape != (n, n):
+        raise ValueError(f"{name} has shape {M.shape}, expected {(n, n)}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} is not finite")
+    return check_symmetric(M, name)
+
+
 @dataclass
 class FeasibilitySDP:
     """Constraints A_i . X <= b_i over {X PSD, tr X = t}; construction raises
-    ValueError unless every A_i is n x n and symmetric, b is finite and t > 0."""
+    ValueError unless every A_i is n x n, finite and symmetric, b is finite
+    and t > 0."""
 
     n: int
     A: list
@@ -36,7 +48,7 @@ class FeasibilitySDP:
     t: float = 1.0
 
     def __post_init__(self):
-        self.A = [np.asarray(Ai, dtype=float) for Ai in self.A]
+        self.A = [_checked_matrix(Ai, self.n, "constraint matrix") for Ai in self.A]
         self.b = np.asarray(self.b, dtype=float)
         if not (len(self.A) == len(self.b) >= 1):
             raise ValueError("need one right-hand side per constraint, "
@@ -45,11 +57,6 @@ class FeasibilitySDP:
             raise ValueError(f"trace bound t must be positive, got {self.t!r}")
         if not np.all(np.isfinite(self.b)):
             raise ValueError("right-hand sides must be finite")
-        for Ai in self.A:
-            if Ai.shape != (self.n, self.n):
-                raise ValueError(f"constraint matrix has shape {Ai.shape}, "
-                                 f"expected {(self.n, self.n)}")
-            check_symmetric(Ai, "constraint matrix")
 
     @property
     def m(self):
@@ -182,21 +189,21 @@ def binary_search_objective(C: np.ndarray, sdp: Optional[FeasibilitySDP],
     gamma with the extra constraint -C.X <= -gamma.
 
     sdp = None means no side constraints (pure spectral problem).  The value
-    range defaults to +-2 ||C||_F t.  eps must be positive and finite, and
-    the range must have lo <= hi and a finite width, or ValueError.  A
-    feasible round raises lo to gamma and keeps the best eps-feasible X with
-    C.X >= lo.  Only an infeasible round lowers hi to gamma: its certificate
-    proves that no X meets every constraint with C.X >= gamma.  An
-    undetermined round ends the bisection, so [lo, hi] is the bracket
-    certified so far, which may be wider than eps.
+    range defaults to +-2 ||C||_F t.  C must be a finite symmetric n x n
+    matrix, eps positive and finite, and the range must have lo <= hi and a
+    finite width, or ValueError.  A feasible round raises lo to gamma and
+    keeps the best eps-feasible X with C.X >= lo.  Only an infeasible round
+    lowers hi to gamma: its certificate proves that no X meets every
+    constraint with C.X >= gamma.  An undetermined round ends the bisection,
+    so [lo, hi] is the bracket certified so far, which may be wider than eps.
     """
     if not 0 < eps < math.inf:  # NaN too
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    C = np.asarray(C, dtype=float)
     if sdp is not None:
         n, t = sdp.n, sdp.t
     if n is None:
         raise ValueError("binary_search_objective needs n when sdp is None")
+    C = _checked_matrix(C, n, "objective matrix C")
     if value_range is None:
         span = 2.0 * float(np.linalg.norm(C)) * t
         lo, hi = -span, span

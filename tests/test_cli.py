@@ -240,6 +240,31 @@ def test_solve_custom_quadratic_without_q_exits_3_with_one_line(tmp_path, capsys
     assert "'Q'" in _one_error_line(capsys, "data error:")
 
 
+def _custom_quadratic_on_simplex(tmp_path, Q):
+    qfile = write_json(tmp_path / "q.json", {"Q": Q})
+    return write_json(tmp_path / "run.json", {
+        "objective": {"kind": "custom_quadratic", "path": qfile},
+        "domain": {"kind": "simplex", "n": 2},
+        "eps": 0.1,
+    })
+
+
+def test_solve_custom_quadratic_indefinite_q_exits_3_with_one_line(tmp_path, capsys):
+    # f = x^T Q x / 2 is concave here, so a zero gap at e_1 (f = -0.5) would
+    # be certified although f(e_2) = -1.5
+    cfg = _custom_quadratic_on_simplex(tmp_path, [[-1.0, 0.0], [0.0, -3.0]])
+    assert main(["solve", cfg]) == 3
+    line = _one_error_line(capsys, "data error:")
+    assert "Q is not positive semidefinite" in line and "q.json" in line
+
+
+def test_solve_custom_quadratic_singular_psd_q_is_certified(tmp_path, capsys):
+    code, summary = run_main(capsys, ["solve", _custom_quadratic_on_simplex(
+        tmp_path, [[1.0, 0.0], [0.0, 0.0]])])
+    assert code == 0 and summary["certified"] is True
+    assert summary["f"] <= 0.1  # min f = 0 at e_2
+
+
 # ---------------------------------------------------------------------------
 # complete
 

@@ -43,6 +43,14 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
     (lambda: binary_search_objective(np.eye(3), None, 0.5, value_range=(-np.inf, 0.0), n=3),
      "value_range"),
     (lambda: binary_search_objective(np.eye(3), None, float("nan"), n=3), "eps must be positive"),
+    (lambda: binary_search_objective(np.diag([np.nan, 1.0]), None, 0.5, n=2),
+     "objective matrix C is not finite"),
+    (lambda: binary_search_objective(np.diag([np.nan, 1.0]), None, 0.5, value_range=(0.0, 1.0),
+                                     n=2), "objective matrix C is not finite"),
+    (lambda: binary_search_objective(np.array([[0.0, 1.0], [0.0, 0.0]]), None, 0.5, n=2),
+     "objective matrix C is not symmetric"),
+    (lambda: binary_search_objective(np.eye(3), FeasibilitySDP(n=2, A=[np.eye(2)], b=[1.0]), 0.5),
+     "objective matrix C has shape \\(3, 3\\), expected \\(2, 2\\)"),
     (lambda: sparsepsd_lmo(np.eye(3), mode="bogus"), "bogus"),
     (lambda: sparsepsd_lmo(np.diag([0.0, np.nan, 1.0])), "non-finite linearization"),
     (lambda: sparsepsd_lmo(np.diag([1e308, 1e308, 1e308]), mode="minus"),
@@ -81,6 +89,8 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
     (lambda: StopRule(max_iters=3, target_lower=float("inf")), "target_lower"),
 ], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
         "value_range_inf_hi", "value_range_inf_lo", "bisection_eps_nan",
+        "bisection_c_nan", "bisection_c_nan_with_range", "bisection_c_asymmetric",
+        "bisection_c_shape",
         "sparsepsd_mode", "sparsepsd_lmo_nonfinite", "sparsepsd_lmo_overflow",
         "embedding_t", "simplex_lmo", "l1_lmo", "cube_lmo",
         "alpha_hook_range", "two_phase_K", "exact_spect_lmo_operator",
