@@ -117,16 +117,12 @@ def weighted_nuclear_wrap(objective: ObjectiveOracle, p, q):
     q = np.asarray(q, dtype=float)
     if not (np.all(p > 0) and np.all(q > 0)):  # NaN too
         raise ValueError("weighted nuclear norm needs positive weights p and q")
-    sp = np.sqrt(p)
-    sq = np.sqrt(q)
+    scale = np.outer(np.sqrt(p), np.sqrt(q))
 
-    def to_original(Zbar):
-        return Zbar / np.outer(sp, sq)
+    def to_original(Zbar):  # an elementwise scaling, so its own adjoint
+        return np.asarray(Zbar, dtype=float) / scale
 
-    def back(G):
-        return np.asarray(G, dtype=float) / np.outer(sp, sq)
-
-    return _pullback(objective, to_original, back, f"wnuc({objective.name})"), to_original
+    return _pullback(objective, to_original, to_original, f"wnuc({objective.name})"), to_original
 
 
 def weighted_nuclear_norm(Z, p, q) -> float:
