@@ -121,7 +121,8 @@ def _build_domain(spec: dict):
 
 def _custom_quadratic(path):
     """(Q, c, max(0, top eigenvalue of Q)) from a JSON file {"Q": [[...]], "c": [...]},
-    with Q symmetrized and c zero when absent; Q must be PSD, or f is not convex."""
+    with Q symmetrized and c zero when absent; Q must be finite and PSD, or f is
+    not convex."""
     raw = _read_json_object(path)
     if "Q" not in raw:
         raise ValueError(f"custom quadratic file {path}: missing field 'Q'")
@@ -130,6 +131,8 @@ def _custom_quadratic(path):
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or c.shape != Q.shape[:1]:
         raise ValueError(f"custom quadratic file {path}: bad shapes")
     Q = 0.5 * (Q + Q.T)
+    if not np.isfinite(Q).all():  # NaN and inf entries, and a sum past float range
+        raise ValueError(f"custom quadratic file {path}: Q or (Q + Q^T)/2 is not finite")
     vals, _ = dense_eig_oracle(Q)
     if vals[-1] < -1e-10 * max(1.0, float(np.linalg.norm(Q))):
         raise ValueError(f"custom quadratic file {path}: Q is not positive semidefinite "

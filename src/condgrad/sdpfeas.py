@@ -120,6 +120,10 @@ def curvature_estimate(sdp: FeasibilitySDP, sigma: float) -> float:
 
 @dataclass
 class FeasibilityOutcome:
+    """What solve_eps_feasible found.  iterations, matvecs and trace are the
+    feasibility run's, up to its stop row; the certify run that follows an
+    outcome that is not feasible is not counted."""
+
     status: str  # feasible | infeasible | undetermined
     X: Optional[np.ndarray]
     f: float
@@ -138,13 +142,17 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     or certify min f > eps (no exactly feasible X exists).
 
     sigma = log(m)/eps; the iteration cap is the 8 C_f/eps primal budget,
-    O(log(m)/eps^2) eigensolver calls for unit-norm constraints.  When that
-    run ends above eps, a gap_certified_run at eps/2 stops at its first row
-    with f - gap > eps, which proves min f > eps by weak duality: infeasible.
-    f_lower and gap_bound come from its row with the largest f - gap (that
-    stopping row), X and f from its smallest-gap row.  Without such a row
-    the outcome is undetermined at this budget.  Every outcome that is not
-    feasible has been through the certify run.
+    O(log(m)/eps^2) eigensolver calls for unit-norm constraints.  The run
+    stops at its first row with f <= eps (feasible) or with f - gap > eps,
+    which proves min f > eps by weak duality (infeasible).  When it ends
+    above eps, a gap_certified_run at eps/2 follows with the same stop on
+    f - gap; below its row K = ceil(16 C_f/eps) it replays the first run's
+    rows bit for bit, so it stops at the same row.  f_lower and gap_bound
+    come from the row with the largest f - gap across both traces, X and f
+    from the certify run's smallest-gap row.  The outcome is infeasible when
+    that f_lower exceeds eps (always when the first run stopped on it), and
+    undetermined at this budget otherwise.  iterations, matvecs and trace
+    are the first run's, up to its stop row.
     """
     if not 0 < eps < math.inf:  # NaN too
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
@@ -153,7 +161,8 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     objective = softmax_objective(sdp, sigma, curvature_bound=C)
     domain = SpectrahedronDomain(sdp.n, sdp.t)
     max_iters = certified_iteration_count(C, eps, "approx") + 2
-    run = fw_run(objective, domain, stop=StopRule(max_iters=max_iters, target_f=eps),
+    run = fw_run(objective, domain,
+                 stop=StopRule(max_iters=max_iters, target_f=eps, target_lower=eps),
                  lmo_mode=lmo_mode, seed=seed)
     # a trace row's f is the objective at that row's iterate, so no re-evaluation
     X, f, f_lower, gap_bound = run.point, run.trace.final().f, None, None
@@ -161,7 +170,8 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     if status == "undetermined":
         cert = gap_certified_run(objective, domain, eps / 2.0, lmo_mode=lmo_mode,
                                  seed=seed, target_lower=eps)
-        row = max(cert.trace.rows, key=lambda r: r.f - r.gap)
+        # past row K the replay may diverge, and the first run's stop row still certifies
+        row = max(run.trace.rows + cert.trace.rows, key=lambda r: r.f - r.gap)
         f_lower, gap_bound = row.f - row.gap, row.gap
         if f_lower > eps:
             status, X, f = "infeasible", cert.point, cert.trace.rows[cert.k_hat].f

@@ -258,6 +258,14 @@ def test_solve_custom_quadratic_indefinite_q_exits_3_with_one_line(tmp_path, cap
     assert "Q is not positive semidefinite" in line and "q.json" in line
 
 
+def test_solve_custom_quadratic_non_finite_q_exits_3_with_one_line(tmp_path, capsys):
+    # a NaN fails the eigensolver's symmetry check first, which is not the fault
+    cfg = _custom_quadratic_on_simplex(tmp_path, [[float("nan"), 0.0], [0.0, 1.0]])
+    assert main(["solve", cfg]) == 3
+    line = _one_error_line(capsys, "data error:")
+    assert "Q or (Q + Q^T)/2 is not finite" in line and "q.json" in line
+
+
 def test_solve_custom_quadratic_singular_psd_q_is_certified(tmp_path, capsys):
     code, summary = run_main(capsys, ["solve", _custom_quadratic_on_simplex(
         tmp_path, [[1.0, 0.0], [0.0, 0.0]])])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from condgrad import make_rng, sdpfeas
+from condgrad.core import RunTrace, StopRule
 from condgrad.domains import SpectrahedronDomain
 from condgrad.sdpfeas import (
     FeasibilitySDP,
@@ -17,7 +18,7 @@ from condgrad.sdpfeas import (
     softmax_objective,
     solve_eps_feasible,
 )
-from condgrad.solver import gap_certified_run
+from condgrad.solver import certified_iteration_count, fw_run, gap_certified_run
 
 
 def sym(rng, n, scale=1.0):
@@ -215,6 +216,74 @@ def test_first_certified_row_agrees_with_the_full_budget_rule(case, monkeypatch)
         f_center = softmax_eval_grad(sdp, out.sigma, np.eye(sdp.n) * (sdp.t / sdp.n))[0]
         assert eps < out.f_lower <= f_X
         assert out.f_lower <= f_center
+
+
+def potential(sdp, eps):
+    """The soft-max objective and domain that solve_eps_feasible minimizes."""
+    sigma = math.log(max(sdp.m, 2)) / eps
+    objective = softmax_objective(sdp, sigma, curvature_estimate(sdp, sigma))
+    return objective, SpectrahedronDomain(sdp.n, sdp.t)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in AGREEMENT_CASES
+                                        if AGREEMENT_CASES[c]()[3] == "infeasible"))
+def test_feasibility_stop_moves_no_outcome_bit(case):
+    sdp, eps, seed, _ = AGREEMENT_CASES[case]()
+    out = solve_eps_feasible(sdp, eps, seed=seed)
+    objective, domain = potential(sdp, eps)
+    cert = gap_certified_run(objective, domain, eps / 2.0, lmo_mode="approx", seed=seed,
+                             target_lower=eps)
+    row = max(cert.trace.rows, key=lambda r: r.f - r.gap)
+    assert row.f - row.gap > eps
+    assert (out.status, out.f, out.f_lower, out.gap_bound) == (
+        "infeasible", cert.trace.rows[cert.k_hat].f, row.f - row.gap, row.gap)
+    assert out.X.tobytes() == cert.point.tobytes()
+    # the feasibility trace ends at its first row with f - gap > eps, which
+    # takes no step
+    rows = out.trace.rows
+    assert [r.k for r in rows if r.f - r.gap > eps] == [rows[-1].k]
+    assert rows[-1].alpha == 0.0
+    assert (out.iterations, out.matvecs) == (rows[-1].k, rows[-1].matvecs)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in AGREEMENT_CASES
+                                        if AGREEMENT_CASES[c]()[3] == "feasible"))
+def test_feasible_trace_has_no_certified_row_and_is_unchanged(case):
+    sdp, eps, seed, _ = AGREEMENT_CASES[case]()
+    out = solve_eps_feasible(sdp, eps, seed=seed)
+    assert out.status == "feasible"
+    assert not [r for r in out.trace.rows if r.f - r.gap > eps]
+    # the same run without the stop on f - gap
+    objective, domain = potential(sdp, eps)
+    cap = certified_iteration_count(objective.curvature_bound, eps, "approx") + 2
+    run = fw_run(objective, domain, stop=StopRule(max_iters=cap, target_f=eps),
+                 lmo_mode="approx", seed=seed)
+    assert [r[:6] for r in out.trace.rows] == [r[:6] for r in run.trace.rows]  # not millis
+
+
+def test_first_run_stop_certifies_when_the_replay_diverges(monkeypatch):
+    # past the certify run's row K its steps differ from the first run's, so
+    # it may not reach the first run's certified row; that row still proves
+    # min f > eps
+    sdp, eps, seed, _ = AGREEMENT_CASES["sdp_infeas_tiny_0"]()
+    certs = []
+
+    def uncertified(*args, **kwargs):
+        # the certify run cut after its row 0, which certifies nothing
+        cert = gap_certified_run(*args, **kwargs)
+        row0 = cert.trace.rows[0]
+        certs.append(replace(cert, trace=RunTrace(rows=[row0], seed=seed), k_hat=0,
+                             gap_bound=row0.gap, certified=False))
+        return certs[-1]
+
+    monkeypatch.setattr(sdpfeas, "gap_certified_run", uncertified)
+    out = solve_eps_feasible(sdp, eps, seed=seed)
+    first = certs[0].trace.rows[0]
+    stop_row = out.trace.final()
+    assert first.f - first.gap <= eps < stop_row.f - stop_row.gap
+    assert out.status == "infeasible"
+    assert (out.f_lower, out.gap_bound) == (stop_row.f - stop_row.gap, stop_row.gap)
+    assert out.X is certs[0].point and out.f == first.f
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
