@@ -162,16 +162,20 @@ def paired_infeasible(n, pairs, seed, rhs=0.8):
     return FeasibilitySDP(n=n, A=A, b=np.full(2 * pairs, -rhs), t=1.0)
 
 
+def potential(sdp, eps):
+    """The soft-max objective and domain that solve_eps_feasible minimizes."""
+    sigma = math.log(max(sdp.m, 2)) / eps
+    objective = softmax_objective(sdp, sigma, curvature_estimate(sdp, sigma))
+    return objective, SpectrahedronDomain(sdp.n, sdp.t)
+
+
 def full_budget_status(sdp, eps, seed):
     """The status of a certify phase that runs its whole 2K+1 budget and
     reads its smallest-gap row, with that run (None when phase 1 suffices)."""
     first = solve_eps_feasible(sdp, eps, seed=seed)
     if first.status == "feasible":
         return "feasible", None
-    sigma = math.log(max(sdp.m, 2)) / eps
-    objective = softmax_objective(sdp, sigma, curvature_estimate(sdp, sigma))
-    cert = gap_certified_run(objective, SpectrahedronDomain(sdp.n, sdp.t), eps / 2.0,
-                             lmo_mode="approx", seed=seed)
+    cert = gap_certified_run(*potential(sdp, eps), eps / 2.0, lmo_mode="approx", seed=seed)
     f_lower = cert.trace.rows[cert.k_hat].f - cert.gap_bound
     return ("infeasible" if cert.certified and f_lower > eps else "undetermined"), cert
 
@@ -216,13 +220,6 @@ def test_first_certified_row_agrees_with_the_full_budget_rule(case, monkeypatch)
         f_center = softmax_eval_grad(sdp, out.sigma, np.eye(sdp.n) * (sdp.t / sdp.n))[0]
         assert eps < out.f_lower <= f_X
         assert out.f_lower <= f_center
-
-
-def potential(sdp, eps):
-    """The soft-max objective and domain that solve_eps_feasible minimizes."""
-    sigma = math.log(max(sdp.m, 2)) / eps
-    objective = softmax_objective(sdp, sigma, curvature_estimate(sdp, sigma))
-    return objective, SpectrahedronDomain(sdp.n, sdp.t)
 
 
 @pytest.mark.parametrize("case", sorted(c for c in AGREEMENT_CASES
