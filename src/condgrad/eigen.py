@@ -44,7 +44,8 @@ class SymmetricOperator:
 
     fro_norm and row_abs_max, when available, feed the spectral range bound;
     trace enables shift-invariant centering.  from_dense takes any matrix
-    that check_symmetric accepts.
+    that check_symmetric accepts.  matvec must return a new array, not its
+    argument or a view of it: the eigensolvers shift its result in place.
     """
 
     dim: int
@@ -61,7 +62,7 @@ class SymmetricOperator:
         M = check_symmetric(M, "operator")
         return SymmetricOperator(
             dim=M.shape[0],
-            matvec=M.__matmul__,
+            matvec=M.dot,
             trace=float(np.trace(M)),
             fro_norm=float(np.linalg.norm(M)),
             row_abs_max=float(np.abs(M).sum(axis=1).max()),
@@ -69,9 +70,9 @@ class SymmetricOperator:
 
     def negated(self) -> "SymmetricOperator":
         M = getattr(self.matvec, "__self__", None)
-        if isinstance(M, np.ndarray) and self.matvec == M.__matmul__:
+        if isinstance(M, np.ndarray) and self.matvec == M.dot:
             # a dense operator (from_dense); (-M) @ v is -(M @ v) bit for bit
-            matvec = (-M).__matmul__
+            matvec = (-M).dot
         else:
             matvec = lambda v, mv=self.matvec: -mv(v)
         return SymmetricOperator(
@@ -144,7 +145,7 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
 
     if L == 0.0 and iterations is None:
         # spectral range zero: every unit vector is an eigenvector
-        ray = float(v @ op(v))
+        ray = float(v.dot(op(v)))
         return EigResult(v, ray, 0, 1, (ray,))
 
     if shift is not None:
@@ -172,16 +173,18 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
 
     history = []
     for _ in range(iterations):
-        w = op(v) + offset * v
+        w = op(v)
+        w += offset * v
         matvecs += 1
-        ray_shift = float(v @ w)
+        ray_shift = float(v.dot(w))
         history.append(ray_shift - offset)
-        nrm = math.sqrt(w @ w)
+        nrm = math.sqrt(w.dot(w))
         if nrm == 0.0:
             # v is in the kernel of the shifted operator; it is an exact eigenvector
             return EigResult(v, history[-1], len(history), matvecs, tuple(history))
-        v = w / nrm
-    ray = float(v @ op(v))
+        w /= nrm
+        v = w
+    ray = float(v.dot(op(v)))
     matvecs += 1
     history.append(ray)
     return EigResult(v, ray, iterations, matvecs, tuple(history))
@@ -205,27 +208,29 @@ def _lanczos_largest(op, v0, iterations, offset) -> EigResult:
     q, q_prev, beta = v0, v0, 0.0
     for j in range(m):
         Q[j] = q
-        w = op(q) + offset * q
-        a = float(q @ w)
+        w = op(q)
+        w += offset * q
+        a = float(q.dot(w))
         alphas.append(a)
         if j + 1 == m:
             break
         w -= a * q + beta * q_prev
         Qj = Q[:j + 1]
-        w -= (Qj @ w) @ Qj
-        beta = math.sqrt(w @ w)
+        w -= Qj.dot(w).dot(Qj)
+        beta = math.sqrt(w.dot(w))
         if beta < 1e-14:
             break  # the Krylov space is invariant: T holds its exact spectrum
         betas.append(beta)
-        q_prev, q = q, w / beta
+        w /= beta
+        q_prev, q = q, w
     k = len(alphas)
     T = np.diag(alphas)
     if betas:
         T += np.diag(betas, 1) + np.diag(betas, -1)
     vals, vecs = np.linalg.eigh(T)
-    ritz = vecs[:, -1] @ Q[:k]
-    ritz /= math.sqrt(ritz @ ritz)
-    ray = float(ritz @ op(ritz))
+    ritz = vecs[:, -1].dot(Q[:k])
+    ritz /= math.sqrt(ritz.dot(ritz))
+    ray = float(ritz.dot(op(ritz)))
     return EigResult(ritz, ray, k, k + 1, (float(vals[-1]) - offset, ray))
 
 

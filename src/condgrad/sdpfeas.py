@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import ObjectiveOracle, RunTrace, StopRule
 from .domains.matrices import SpectrahedronDomain
-from .eigen import check_symmetric, dense_eig_oracle
+from .eigen import check_symmetric
 from .solver import certified_iteration_count, fw_run, gap_certified_run
 
 
@@ -38,21 +38,27 @@ def _checked_matrix(M, n: int, name: str) -> np.ndarray:
 
 @dataclass
 class FeasibilitySDP:
-    """Constraints A_i . X <= b_i over {X PSD, tr X = t}; construction raises
-    ValueError unless every A_i is n x n, finite and symmetric, b is finite
-    and t > 0."""
+    """Constraints A_i . X <= b_i over {X PSD, tr X = t}.
+
+    Construction takes the A_i as any sequence of n x n matrices (or an
+    (m, n, n) array) and holds them once, as one (m, n, n) float array in A,
+    so constraint values and the soft-max gradient are one product each.  It
+    raises ValueError unless every A_i is n x n, finite and symmetric, b is
+    finite with one entry per constraint, m >= 1 and t > 0.
+    """
 
     n: int
-    A: list
+    A: np.ndarray
     b: np.ndarray
     t: float = 1.0
 
     def __post_init__(self):
-        self.A = [_checked_matrix(Ai, self.n, "constraint matrix") for Ai in self.A]
+        A = [_checked_matrix(Ai, self.n, "constraint matrix") for Ai in self.A]
         self.b = np.asarray(self.b, dtype=float)
-        if not (len(self.A) == len(self.b) >= 1):
+        if not (len(A) == len(self.b) >= 1):
             raise ValueError("need one right-hand side per constraint, "
                              "and at least one constraint")
+        self.A = np.stack(A)
         if not self.t > 0:
             raise ValueError(f"trace bound t must be positive, got {self.t!r}")
         if not np.all(np.isfinite(self.b)):
@@ -64,7 +70,8 @@ class FeasibilitySDP:
 
 
 def constraint_values(sdp: FeasibilitySDP, X: np.ndarray) -> np.ndarray:
-    return np.array([float(np.vdot(Ai, X)) for Ai in sdp.A]) - sdp.b
+    """A_i . X - b_i for every constraint, as one product with the stack."""
+    return sdp.A.reshape(sdp.m, -1).dot(np.ravel(X)) - sdp.b
 
 
 def max_violation(sdp: FeasibilitySDP, X: np.ndarray) -> float:
@@ -76,7 +83,11 @@ def softmax_eval_grad(sdp: FeasibilitySDP, sigma: float, X):
 
     f uses the max-shifted log-sum-exp, grad = sum_i w_i A_i with the softmax
     weights w summing to one; f always lies between the max violation and
-    max violation + log(m)/sigma.
+    max violation + log(m)/sigma.  The constraint values and grad are one
+    product each with the (m, n, n) constraint stack.  grad is exactly
+    symmetric: a product that is not (A_i symmetric only to within the
+    construction tolerance, or a BLAS that sums mirrored entries in different
+    orders) is averaged with its transpose.
     """
     if not sigma > 0:  # NaN too
         raise ValueError(f"sigma must be positive, got {sigma!r}")
@@ -86,9 +97,10 @@ def softmax_eval_grad(sdp: FeasibilitySDP, sigma: float, X):
     s = float(e.sum())
     f = (zmax + math.log(s)) / sigma
     w = e / s
-    grad = np.zeros((sdp.n, sdp.n))
-    for wi, Ai in zip(w, sdp.A):
-        grad += wi * Ai
+    grad = w.dot(sdp.A.reshape(sdp.m, -1)).reshape(sdp.n, sdp.n)
+    if not np.array_equal(grad, grad.T):
+        grad *= 0.5  # halved first, so the sum cannot overflow
+        grad += grad.T.copy()
     return f, grad, w
 
 
@@ -105,10 +117,10 @@ def softmax_objective(sdp: FeasibilitySDP, sigma: float,
 
 def curvature_estimate(sdp: FeasibilitySDP, sigma: float) -> float:
     """sigma * t^2 * max_i lambda_max(A_i)^2, the budget constant for the
-    soft-max potential; lambda_max values come from one upfront dense
-    eigensolve per constraint (residual <= 1e-9, well inside the 1e-6 ask).
-    Raises FloatingPointError when the bound is not finite."""
-    lam = max(abs(float(dense_eig_oracle(Ai)[0][0])) for Ai in sdp.A)
+    soft-max potential; every lambda_max comes from one batched
+    np.linalg.eigvalsh over the (m, n, n) constraint stack.  Raises
+    FloatingPointError when the bound is not finite."""
+    lam = float(np.abs(np.linalg.eigvalsh(sdp.A)[:, -1]).max())
     try:
         C = sigma * (sdp.t * lam) ** 2
     except OverflowError:  # float ** raises past float range, where * gives inf
@@ -263,17 +275,26 @@ def _finite(text: str) -> float:
 
 def parse_problem(text: str) -> FeasibilitySDP:
     """The FeasibilitySDP of a problem file; a malformed line raises
-    ValueError naming its line number."""
+    ValueError naming its line number: a repeated `n` or `t` header, a
+    header or entry with the wrong number of fields, or a constraint header
+    other than `constraint b=<value>`."""
     n = None
     t = 1.0
     A, b = [], []
     cur = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         try:
+            if parts[0] in ("n", "t"):
+                if len(parts) != 2:
+                    raise ValueError(f"`{parts[0]}` takes one value, got {len(parts) - 1}")
+                if parts[0] in seen:
+                    raise ValueError(f"`{parts[0]}` is given twice")
+                seen.add(parts[0])
             if parts[0] == "n":
                 n = int(parts[1])
                 if n < 1:
@@ -285,11 +306,14 @@ def parse_problem(text: str) -> FeasibilitySDP:
             elif parts[0] == "constraint":
                 if n is None:
                     raise ValueError("n must precede constraints")
-                kv = dict(p.split("=", 1) for p in parts[1:])
-                b.append(_finite(kv["b"]))
+                if len(parts) != 2 or not parts[1].startswith("b="):
+                    raise ValueError("a constraint header is `constraint b=<value>`")
+                b.append(_finite(parts[1][2:]))
                 cur = np.zeros((n, n))
                 A.append(cur)
             else:
+                if len(parts) != 3:
+                    raise ValueError(f"an entry is `i j value`, got {len(parts)} fields")
                 i, j, v = int(parts[0]), int(parts[1]), _finite(parts[2])
                 if cur is None:
                     raise ValueError("entry before any constraint header")
@@ -297,7 +321,7 @@ def parse_problem(text: str) -> FeasibilitySDP:
                     raise ValueError(f"index out of range for n = {n}")
                 cur[i, j] = v
                 cur[j, i] = v
-        except (IndexError, KeyError, ValueError) as e:
+        except ValueError as e:
             raise ValueError(f"problem file line {lineno}: {raw!r}: {e}") from None
     if n is None or not A:
         raise ValueError("problem file needs an `n` header and at least one constraint")

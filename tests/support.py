@@ -1,6 +1,7 @@
 """Reference code that only the tests use: small-scale SDP characterizations
 of the nuclear and max norms, an exhaustive bounded-diagonal oracle, an
-empirical diameter, and the completion losses that tests compare against.
+empirical diameter, the per-constraint soft-max loops, and the completion
+losses that tests compare against.
 """
 
 import math
@@ -146,6 +147,34 @@ def measure_bounded_diag_diam_sq(n: int, t: float = 1.0, samples: int = 200,
             D = pts[i] - pts[j]
             best = max(best, float(np.vdot(D, D)))
     return best
+
+
+# ---------------------------------------------------------------------------
+# SDP feasibility: the per-constraint loops that the stacked products replace
+
+def loop_constraint_values(sdp, X) -> np.ndarray:
+    """A_i . X - b_i, one vdot per constraint."""
+    return np.array([float(np.vdot(Ai, X)) for Ai in sdp.A]) - sdp.b
+
+
+def loop_softmax_eval_grad(sdp, sigma: float, X):
+    """(f, grad, weights) of the soft-max potential, one axpy per constraint."""
+    z = sigma * loop_constraint_values(sdp, X)
+    zmax = float(z.max())
+    e = np.exp(z - zmax)
+    s = float(e.sum())
+    w = e / s
+    grad = np.zeros((sdp.n, sdp.n))
+    for wi, Ai in zip(w, sdp.A):
+        grad += wi * Ai
+    return (zmax + math.log(s)) / sigma, grad, w
+
+
+def loop_curvature_estimate(sdp, sigma: float) -> float:
+    """sigma (t max_i |lambda_max(A_i)|)^2, one checked dense eigensolve per
+    constraint."""
+    lam = max(abs(float(dense_eig_oracle(Ai)[0][0])) for Ai in sdp.A)
+    return sigma * (sdp.t * lam) ** 2
 
 
 # ---------------------------------------------------------------------------

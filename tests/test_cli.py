@@ -395,6 +395,12 @@ def test_sdpfeas_data_errors(tmp_path, capsys):
     ("n 2\nconstraint b=nan\n0 0 1.0\n", "line 2"),
     ("n 2\nconstraint b=1.0\n0 1 inf\n", "line 3"),
     ("n 2\nconstraint b=1.0\n-1 0 1.0\n", "line 3"),
+    ("n 2\nconstraint b=1.0\n0 0 1.0 7\n", "line 3"),
+    ("n 2\nconstraint b=1 c=3\n0 0 1.0\n", "line 2"),
+    ("n 2\nconstraint b=1 b=2\n0 0 1.0\n", "line 2"),
+    ("n 2\nconstraint b=1.0\n0 0 1.0\nn 3\n", "line 4"),
+    ("n 2 3\nconstraint b=1.0\n0 0 1.0\n", "line 1"),
+    ("n 2\nt 1.0\nconstraint b=1.0\n0 0 1.0\nt 2.0\n", "line 5"),
 ])
 def test_sdpfeas_bad_problem_values_exit_3_with_one_line(tmp_path, capsys, text, where):
     prob = tmp_path / "p.sdp"

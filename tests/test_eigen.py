@@ -190,6 +190,20 @@ def test_negated_dense_operator_matches_negated_matvec_bitwise():
     assert op.negated().trace == -op.trace
 
 
+def test_negated_from_dense_keeps_the_dense_path():
+    # the dense matvec is M.dot, and negated() binds (-M).dot, not a closure
+    rng = make_rng(15)
+    B = rng.standard_normal((9, 9))
+    M = B + B.T
+    neg = SymmetricOperator.from_dense(M).negated()
+    negM = neg.matvec.__self__
+    assert isinstance(negM, np.ndarray) and neg.matvec == negM.dot
+    assert np.array_equal(negM, -M)
+    for _ in range(4):
+        v = rng.standard_normal(9)
+        assert neg(v).tobytes() == (-(M @ v)).tobytes()
+
+
 def test_matvec_count_is_reported():
     op = SymmetricOperator.from_dense(np.diag([5.0, 1.0, 1.0]))
     res = approx_largest_ev(op, 0.5, seed=0, iterations=12)

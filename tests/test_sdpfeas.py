@@ -19,6 +19,7 @@ from condgrad.sdpfeas import (
     solve_eps_feasible,
 )
 from condgrad.solver import certified_iteration_count, fw_run, gap_certified_run
+from support import loop_constraint_values, loop_curvature_estimate, loop_softmax_eval_grad
 
 
 def sym(rng, n, scale=1.0):
@@ -110,6 +111,44 @@ def test_softmax_gradient_finite_difference():
         fm = softmax_eval_grad(sdp, sigma, X - h * D)[0]
         assert (fp - fm) / (2 * h) == pytest.approx(
             float(np.vdot(grad, D)), abs=1e-6)
+
+
+def rel_err(got, want):
+    return float(np.linalg.norm(np.subtract(got, want)) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (6, 1), (6, 4), (40, 10)])
+def test_stacked_products_match_the_per_constraint_loops(n, m):
+    rng = make_rng(30 + 7 * n + m)
+    sdp = FeasibilitySDP(n=n, A=[sym(rng, n) for _ in range(m)],
+                         b=rng.uniform(-0.5, 0.5, size=m))
+    assert sdp.A.shape == (m, n, n)
+    for sigma in (2.0, 40.0):
+        V = rng.standard_normal((n, 2))
+        X = V @ V.T / np.trace(V @ V.T)
+        assert rel_err(constraint_values(sdp, X), loop_constraint_values(sdp, X)) <= 1e-12
+        f, grad, w = softmax_eval_grad(sdp, sigma, X)
+        f_ref, grad_ref, w_ref = loop_softmax_eval_grad(sdp, sigma, X)
+        assert f == pytest.approx(f_ref, rel=1e-12, abs=1e-15)
+        assert rel_err(w, w_ref) <= 1e-12
+        assert rel_err(grad, grad_ref) <= 1e-12
+        assert np.array_equal(grad, grad.T)
+    assert curvature_estimate(sdp, 3.0) == pytest.approx(loop_curvature_estimate(sdp, 3.0),
+                                                         rel=1e-12)
+
+
+def test_stacked_gradient_is_symmetric_for_nearly_symmetric_constraints():
+    # construction accepts A_i symmetric to 1e-10; the gradient is then the
+    # loop's gradient averaged with its transpose
+    rng = make_rng(31)
+    A = [sym(rng, 5) for _ in range(3)]
+    A[1][0, 3] += 1e-12
+    sdp = FeasibilitySDP(n=5, A=A, b=[0.1, 0.0, -0.1])
+    X = np.eye(5) / 5
+    _, grad, _ = softmax_eval_grad(sdp, 4.0, X)
+    _, grad_ref, _ = loop_softmax_eval_grad(sdp, 4.0, X)
+    assert np.array_equal(grad, grad.T)
+    assert rel_err(grad, (grad_ref + grad_ref.T) / 2) <= 1e-12
 
 
 def test_curvature_estimate_formula():
@@ -281,6 +320,23 @@ def test_first_run_stop_certifies_when_the_replay_diverges(monkeypatch):
     assert out.status == "infeasible"
     assert (out.f_lower, out.gap_bound) == (stop_row.f - stop_row.gap, stop_row.gap)
     assert out.X is certs[0].point and out.f == first.f
+
+
+@pytest.mark.parametrize("case", sorted(c for c in AGREEMENT_CASES if c.startswith("sdp_infeas")))
+def test_stacked_solve_matches_the_per_constraint_reference(case, monkeypatch):
+    sdp, eps, seed, _ = AGREEMENT_CASES[case]()
+    got = solve_eps_feasible(sdp, eps, seed=seed)
+    monkeypatch.setattr(sdpfeas, "constraint_values", loop_constraint_values)
+    monkeypatch.setattr(sdpfeas, "softmax_eval_grad", loop_softmax_eval_grad)
+    monkeypatch.setattr(sdpfeas, "curvature_estimate", loop_curvature_estimate)
+    ref = solve_eps_feasible(sdp, eps, seed=seed)
+    assert (got.status, len(got.trace.rows), got.matvecs) == (
+        ref.status, len(ref.trace.rows), ref.matvecs)
+    for r, q in zip(got.trace.rows, ref.trace.rows):
+        assert r.f == pytest.approx(q.f, rel=1e-10)
+        assert r.gap == pytest.approx(q.gap, rel=1e-10)
+    assert got.f_lower == pytest.approx(ref.f_lower, rel=1e-10)
+    assert got.gap_bound == pytest.approx(ref.gap_bound, rel=1e-10)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
