@@ -78,16 +78,15 @@ class Atom(DenseApply):
     """Extreme point of a domain kept as a dense array, with a compact label.
 
     label identifies the atom for ledger merging and trace output; two atoms
-    with equal labels must be the same point.  vector optionally keeps a
-    low-rank factor.  Atoms with a compact form (CoordinateAtom here,
-    RankOneAtom for the spectahedron) offer the same interface: label,
-    point (built on demand and never cached), vector, dense() and
-    inner(grad).
+    with equal labels must be the same point.  vector is the low-rank factor,
+    None here.  Atoms with a compact form (CoordinateAtom here, RankOneAtom
+    for the spectahedron) offer the same interface: label, point (built on
+    demand and never cached), vector, dense() and inner(grad).
     """
 
     point: np.ndarray
     label: str
-    vector: Optional[np.ndarray] = None
+    vector = None  # not a field
 
     def dense(self) -> np.ndarray:
         """A float copy of the point that the caller may overwrite."""
@@ -124,7 +123,8 @@ class LmoResult(NamedTuple):
     the true minimum over the domain.  cert, when set, is the result that
     certifies the duality gap because the step atom does not (a sampled
     atom, or one solved on a modified gradient); the gap is then read off
-    cert.atom and cert.slack.
+    cert.atom and cert.slack.  matvecs counts the step's solve only; fw_run
+    adds cert.matvecs.
     """
 
     atom: Atom
@@ -281,7 +281,6 @@ class RunTrace:
     """
 
     rows: list = field(default_factory=list)
-    seed: Optional[int] = None
 
     def append(self, k, f, gap, alpha, atom, matvecs, millis):
         if self.rows and not k > self.rows[-1].k:
@@ -294,9 +293,6 @@ class RunTrace:
 
     def final(self) -> TraceRow:
         return self.rows[-1]
-
-    def best_gap_row(self) -> TraceRow:
-        return min(self.rows, key=lambda r: (r.gap, r.k))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -335,7 +331,3 @@ def make_rng(seed) -> np.random.Generator:
     this so a config seed pins every stream."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
-
-def spawn_rngs(seed, n) -> list:
-    seqs = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.Philox(s)) for s in seqs]

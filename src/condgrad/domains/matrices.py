@@ -18,10 +18,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..core import (Atom, DenseApply, FactoredLedger, IterateLedger, LazyPoint, LmoResult,
-                    ObjectiveOracle, RunTrace, StepSchedule, StopRule, make_rng)
+from ..core import (Atom, DenseApply, FactoredLedger, IterateLedger, LmoResult,
+                    ObjectiveOracle, StepSchedule, StopRule, make_rng)
 from .. import solver
-from ..eigen import SymmetricOperator, approx_smallest_ev, check_symmetric, eigh_descending
+from ..eigen import SymmetricOperator, approx_smallest_ev, check_symmetric
 from ..solver import RunResult
 from .vectors import _check_finite, _check_size
 
@@ -187,9 +187,10 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
     gradient.
     """
     if eps <= 0.0:
-        vals, vecs = eigh_descending(grad)
-        return LmoResult(rank_one_atom(vecs[:, -1], t),
-                         matvecs=np.asarray(grad).shape[0], slack=0.0)
+        if isinstance(grad, SymmetricOperator):
+            raise ValueError("an exact eigensolve needs a dense matrix, not an operator")
+        G = check_symmetric(grad, "eigensolve input")
+        return LmoResult(rank_one_atom(np.linalg.eigh(G)[1][:, 0], t), matvecs=G.shape[0])
     op = grad if isinstance(grad, SymmetricOperator) else SymmetricOperator.from_dense(grad)
     res = approx_smallest_ev(op, eps, rng=rng, seed=seed, method="lanczos")
     return LmoResult(rank_one_atom(res.vector, t), matvecs=res.matvecs,
@@ -207,7 +208,6 @@ class SpectrahedronDomain:
         _check_size(n, t)
         self.n = n
         self.t = float(t)
-        self.name = f"spectahedron(n={n},t={self.t:g})"
         self.diam_sq = 2.0 * self.t ** 2 if n >= 2 else 0.0
 
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
@@ -275,20 +275,17 @@ class AveragedGradientOracle(SpectrahedronDomain):
             res = super().lmo(grad, eps, rng)
         else:
             res = super().lmo(self._averaged(grad, k), eps, rng)
-            cert = super().lmo(grad, eps, rng)
-            res = res._replace(matvecs=res.matvecs + cert.matvecs, cert=cert)
+            res = res._replace(cert=super().lmo(grad, eps, rng))
         self.prev_v = res.atom.vector
         return res
 
 
 @dataclass
-class HazanResult:
+class HazanResult(RunResult):
+    """fw_run's result with the final iterate's factors; point is read from
+    the run on first read, so no dense n x n X is built before."""
+
     factored: FactoredPSD
-    trace: RunTrace
-    point: np.ndarray = LazyPoint()  # built on first read for a factored run
-    ledger: IterateLedger
-    matvecs: int
-    stopped_on: str  # max_iters | gap | f_target | f_lower, from fw_run
 
     def _replace(self, **changes) -> "HazanResult":  # NamedTuple-era name; perfbench tests call it
         return replace(self, **changes)
@@ -317,9 +314,9 @@ def hazan_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
     schedule = StepSchedule.line_search() if variant == "line_search" else StepSchedule.harmonic()
     run = solver.fw_run(objective, domain, stop=stop or StopRule(max_iters=100),
                         schedule=schedule, lmo_mode=lmo_mode, seed=seed)
-    return HazanResult(factored=FactoredPSD.from_ledger(run.ledger, n, t),
-                       trace=run.trace, point=lambda: run.point, ledger=run.ledger,
-                       matvecs=run.matvecs, stopped_on=run.stopped_on)
+    return HazanResult(point=lambda: run.point, ledger=run.ledger, trace=run.trace,
+                       stopped_on=run.stopped_on, matvecs=run.matvecs,
+                       factored=FactoredPSD.from_ledger(run.ledger, n, t))
 
 
 def random_low_rank_psd(n: int, k: int, rng) -> np.ndarray:
@@ -441,7 +438,6 @@ class SparsePsdDomain:
             raise ValueError(f"sparse-PSD needs n >= 2 and a known mode, got {n!r}, {mode!r}")
         self.n = n
         self.mode = mode
-        self.name = f"sparsepsd(n={n},mode={mode})"
         self.diam_sq = 8.0
 
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
@@ -536,7 +532,6 @@ class BoundedDiagDomain:
             raise ValueError(f"bounded-diagonal domain needs n >= 1 and t > 0, got {n!r}, {t!r}")
         self.n = n
         self.t = float(t)
-        self.name = f"boundeddiag(n={n},t={self.t:g})"
         # provable cap ||X - Y||_F <= tr(X) + tr(Y) <= 2nt
         self.diam_sq = 4.0 * (n * self.t) ** 2
 

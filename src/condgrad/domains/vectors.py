@@ -245,7 +245,6 @@ class SimplexDomain:
     def __init__(self, n):
         _check_size(n)
         self.n = n
-        self.name = f"simplex(n={n})"
         self.diam_sq = 2.0 if n >= 2 else 0.0
 
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
@@ -277,7 +276,6 @@ class L1BallDomain:
         _check_size(n, t)
         self.n = n
         self.t = float(t)
-        self.name = f"l1ball(n={n},t={self.t:g})"
         self.diam_sq = 4.0 * self.t ** 2
 
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
@@ -297,7 +295,6 @@ class CubeDomain:
     def __init__(self, n):
         _check_size(n)
         self.n = n
-        self.name = f"cube(n={n})"
         self.diam_sq = 4.0 * n
 
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:

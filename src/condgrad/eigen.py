@@ -234,19 +234,12 @@ def _lanczos_largest(op, v0, iterations, offset) -> EigResult:
     return EigResult(ritz, ray, k, k + 1, (float(vals[-1]) - offset, ray))
 
 
-def eigh_descending(M: np.ndarray):
-    """(eigenvalues descending, orthonormal eigenvectors as columns) of a
-    symmetric matrix, from one np.linalg.eigh."""
-    if isinstance(M, SymmetricOperator):
-        raise ValueError("an exact eigensolve needs a dense matrix, not an operator")
+def dense_eig_oracle(M: np.ndarray):
+    """Test oracle: (eigenvalues descending, orthonormal eigenvectors as columns)
+    from one np.linalg.eigh, its reconstruction residual checked <= 1e-9."""
     M = check_symmetric(M, "eigensolve input")
     vals, vecs = np.linalg.eigh(M)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def dense_eig_oracle(M: np.ndarray):
-    """Test oracle: eigh_descending with its reconstruction residual checked <= 1e-9."""
-    vals, vecs = eigh_descending(M)
+    vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
     resid = np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - M)
     if not resid <= 1e-9 * max(1.0, np.linalg.norm(M)):  # NaN too
         raise ValueError(f"eigh reconstruction failed (residual {float(resid)!r})")

@@ -335,7 +335,7 @@ class _CompletionIterate:
             res, _ = self._solve(residual_operator(self.ds, 0.5 * (self.resid + resid_bar)),
                                  k, shift)
             cert, self.low_ray = self._solve(grad, k, shift)
-            res = res._replace(matvecs=res.matvecs + cert.matvecs, cert=cert)
+            res = res._replace(cert=cert)
         else:
             res, self.low_ray = self._solve(grad, k, shift)
         self.prev_v = res.atom.vector

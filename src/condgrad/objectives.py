@@ -48,7 +48,7 @@ def squared_distance(r, curvature_bound=None, name="sqdist") -> ObjectiveOracle:
     )
 
 
-def least_squares(A, b, scale=1.0, curvature_bound=None, name="lstsq") -> ObjectiveOracle:
+def least_squares(A, b, scale=1.0, curvature_bound=None) -> ObjectiveOracle:
     """f(x) = ||scale*A x - b||^2 (the lasso form uses scale = t on the unit ball)."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -66,10 +66,10 @@ def least_squares(A, b, scale=1.0, curvature_bound=None, name="lstsq") -> Object
         return clamped_step(-float((sA @ x - b) @ Ad), float(Ad @ Ad))
 
     return ObjectiveOracle(eval=ev, grad=gr, curvature_bound=curvature_bound,
-                           name=name, alpha_hook=hook)
+                           name="lstsq", alpha_hook=hook)
 
 
-def linear(c, name="linear") -> ObjectiveOracle:
+def linear(c) -> ObjectiveOracle:
     """f(x) = <c, x>; curvature is exactly zero."""
     c = np.asarray(c, dtype=float)
 
@@ -79,4 +79,4 @@ def linear(c, name="linear") -> ObjectiveOracle:
 
     return ObjectiveOracle(eval=lambda x: float(np.vdot(c, x)),
                            grad=lambda x: c,
-                           curvature_bound=0.0, name=name, alpha_hook=hook)
+                           curvature_bound=0.0, name="linear", alpha_hook=hook)

@@ -24,6 +24,9 @@ LINE_SEARCH_MAX_ITERS = 60
 
 @dataclass
 class RunResult:
+    """fw_run's final iterate (point and ledger), trace and stop reason;
+    matvecs counts every eigensolver matvec, certifying solves included."""
+
     point: np.ndarray = LazyPoint()  # built on first read for a factored run
     ledger: IterateLedger
     trace: RunTrace
@@ -32,10 +35,10 @@ class RunResult:
 
 
 @dataclass
-class CertifiedRun:
-    point: np.ndarray = LazyPoint()
-    ledger: IterateLedger
-    trace: RunTrace
+class CertifiedRun(RunResult):
+    """A run whose point and ledger are those of its smallest-gap row k_hat;
+    gap_bound is that row's certified gap, certified says gap_bound <= eps."""
+
     gap_bound: float
     k_hat: int
     certified: bool
@@ -150,10 +153,10 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     """Run the greedy iteration from domain.start_atom() until the stop rule
     fires.
 
-    Every visited iterate gets a trace row (f, certified gap, step taken);
-    the final iterate's row has alpha = 0.  In approx mode the oracle is
-    called with inner accuracy eps' = alpha_k * C_f, with C_f the
-    objective's curvature_bound, unless inner_tol overrides it.
+    Every visited iterate gets a trace row (f, certified gap, step, matvecs
+    so far, LmoResult.cert's counted); the last row has alpha = 0.  In approx
+    mode the oracle is called with inner accuracy eps' = alpha_k * C_f, with
+    C_f the objective's curvature_bound, unless inner_tol overrides it.
 
     The domain's factored_ledger hook is asked once, before row 0, with the
     start ledger and whether the oracle is asked for eps 0: for
@@ -181,7 +184,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     exact_lmo = not (lmo_mode == "approx" and C)  # eps 0, also asked for when C is 0
     x = factored(objective, start, exact_lmo) if factored is not None else None
     x = x if x is not None else DenseIterate(objective, start)
-    trace = RunTrace(seed=seed)
+    trace = RunTrace()
     matvecs = 0
 
     k = 0
@@ -197,11 +200,11 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         else:
             eps_in = 0.0
         res = domain.lmo(grad, eps_in, rng)
-        matvecs += res.matvecs
         atom = res.atom
         # the gap is certified by res.cert when the oracle set one, else by
         # the step atom; weak duality makes it an upper bound on the primal error
         cert = res if res.cert is None else res.cert
+        matvecs += res.matvecs + (0 if cert is res else cert.matvecs)
         gap_cert = x.gap(cert.atom) + cert.slack
 
         if on_iterate is not None:
@@ -286,8 +289,8 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
     gap_bound, k_hat, x_best, atoms, m, weights = best
     ledger = IterateLedger(atoms=atoms[:m], weights=weights)
     return CertifiedRun(point=x_best, ledger=ledger, trace=run.trace,
-                        gap_bound=gap_bound, k_hat=k_hat,
-                        certified=bool(gap_bound <= eps))
+                        stopped_on=run.stopped_on, matvecs=run.matvecs,
+                        gap_bound=gap_bound, k_hat=k_hat, certified=bool(gap_bound <= eps))
 
 
 class RandomizedLMO:
@@ -301,8 +304,6 @@ class RandomizedLMO:
             raise ValueError(f"success_prob must lie in (0, 1], got {success_prob!r}")
         self.inner = domain
         self.sampler = sampler
-        self.success_prob = success_prob
-        self.name = f"randomized({domain.name},p={success_prob:g})"
         self.diam_sq = domain.diam_sq
 
     def lmo(self, grad, eps=0.0, rng=None):

@@ -308,7 +308,7 @@ def test_first_run_stop_certifies_when_the_replay_diverges(monkeypatch):
         # the certify run cut after its row 0, which certifies nothing
         cert = gap_certified_run(*args, **kwargs)
         row0 = cert.trace.rows[0]
-        certs.append(replace(cert, trace=RunTrace(rows=[row0], seed=seed), k_hat=0,
+        certs.append(replace(cert, trace=RunTrace(rows=[row0]), k_hat=0,
                              gap_bound=row0.gap, certified=False))
         return certs[-1]
 
