@@ -12,6 +12,7 @@ iterations times dimension.
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -254,8 +255,12 @@ class StopRule:
     target_lower: Optional[float] = None  # stop once a row certifies f* >= f - gap > it
 
     def __post_init__(self):
-        if self.max_iters is None and self.target_gap is None and self.target_f is None:
-            raise ValueError("StopRule needs max_iters, target_gap or target_f")
+        for name in ("target_gap", "target_f"):
+            if getattr(self, name) is not None and math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
+        # target_f or target_lower alone never fires when f* lies above it
+        if self.max_iters is None and self.target_gap is None:
+            raise ValueError("StopRule needs max_iters or target_gap")
         if self.target_lower is not None and not self.target_lower < float("inf"):  # NaN too
             raise ValueError(f"target_lower must lie below inf, got {self.target_lower!r}")
 

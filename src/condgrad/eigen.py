@@ -125,7 +125,7 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
 
     The iteration count follows the power-method guarantee ceil(c*log(n)/gamma),
     with c = POWER_C, gamma = eps/L and L = spectral_range_bound(op), unless
-    an explicit budget is given.  method="lanczos" runs min(that + 1,
+    a budget iterations >= 1 is given.  method="lanczos" runs min(that + 1,
     ceil(c*log(n)/sqrt(gamma)), n) steps: at that + 1 steps the Krylov space
     holds the power iterate, so the Ritz value is at least its Rayleigh
     quotient, and at n steps it is exact.  start="ones" starts from the
@@ -137,6 +137,8 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
     if method not in ("power", "lanczos"):
         raise ValueError(f"unknown eigensolver method {method!r}")
+    if iterations is not None and not iterations >= 1:  # NaN too
+        raise ValueError(f"iterations must be at least 1, got {iterations!r}")
     if rng is None:
         rng = make_rng(seed)
     L = spectral_range_bound(op)

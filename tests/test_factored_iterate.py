@@ -33,8 +33,8 @@ from condgrad.domains.vectors import (SimplexDomain, SupportGradient, SupportLed
                                       simplex_lmo)
 from condgrad.objectives import squared_distance, squared_norm
 from condgrad.sdpfeas import FeasibilitySDP
-from condgrad.solver import (DenseIterate, RandomizedLMO, curvature_from_hessian, fw_run,
-                             gap_certified_run, uniform_simplex_sampler)
+from condgrad.solver import (DenseIterate, RandomizedLMO, RunResult, curvature_from_hessian,
+                             fw_run, gap_certified_run, uniform_simplex_sampler)
 
 REL = 1e-10
 
@@ -120,6 +120,22 @@ def test_factored_point_is_built_once_when_read():
     assert np.trace(X) == pytest.approx(1.0, abs=1e-12)
     assert run.trace.final().f == pytest.approx(float(np.vdot(X - R, X - R)), rel=1e-10)
     assert np.array_equal(dataclasses.replace(run, point=2 * X).point, 2 * X)
+
+
+def test_hazan_and_certified_results_build_their_point_when_read():
+    # both are RunResults whose point is still a builder after construction:
+    # a dense point built up front would cost every caller its memory
+    n = 20
+    hazan = hazan_run(squared_distance(_target(n, 5), curvature_bound=2.0), n=n,
+                      stop=StopRule(max_iters=25), seed=1)
+    r = np.linspace(0.0, 1.0, 8) / 4.0
+    cert = gap_certified_run(squared_distance(r, curvature_bound=2.0), SimplexDomain(8), eps=0.1)
+    assert isinstance(hazan.ledger, GramLedger)
+    for res in (hazan, cert):
+        assert isinstance(res, RunResult) and callable(vars(res)["_point"])
+    assert np.array_equal(hazan.point, hazan.factored.dense())
+    assert np.allclose(cert.point, cert.ledger.reconstruct(), atol=1e-12)
+    assert not callable(vars(hazan)["_point"]) and not callable(vars(cert)["_point"])
 
 
 def test_gram_ledger_follows_merges_and_prunes():

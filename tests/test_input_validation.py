@@ -87,6 +87,13 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
     (lambda: StopRule(target_lower=0.5), "needs max_iters"),
     (lambda: StopRule(max_iters=3, target_lower=float("nan")), "target_lower"),
     (lambda: StopRule(max_iters=3, target_lower=float("inf")), "target_lower"),
+    # a rule that may never fire: f* above target_f, or a NaN target
+    (lambda: StopRule(target_f=0.0), "needs max_iters"),
+    (lambda: StopRule(target_f=float("nan")), "target_f"),
+    (lambda: StopRule(target_gap=float("nan")), "target_gap"),
+    *[(lambda b=budget, m=method: approx_largest_ev(SymmetricOperator.from_dense(np.eye(3)), 0.1,
+                                                    iterations=b, method=m), "iterations")
+      for method in ("power", "lanczos") for budget in (0, -1, float("nan"))],
 ], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
         "value_range_inf_hi", "value_range_inf_lo", "bisection_eps_nan",
         "bisection_c_nan", "bisection_c_nan_with_range", "bisection_c_asymmetric",
@@ -99,7 +106,10 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
         "rank_suite_k", "sparsepsd_atom", "uniform_k", "sparse_suite_k", "l1_suite_k",
         "z_block_shape", "embed_z_shape", "factorization_split", "wrap_weights",
         "eig_zero_start", "eig_eps_negative", "randomized_lmo_rng",
-        "stop_rule_lower_alone", "stop_rule_lower_nan", "stop_rule_lower_inf"])
+        "stop_rule_lower_alone", "stop_rule_lower_nan", "stop_rule_lower_inf",
+        "stop_rule_f_alone", "stop_rule_f_nan", "stop_rule_gap_nan",
+        *[f"eig_{method}_budget_{budget}" for method in ("power", "lanczos")
+          for budget in ("0", "-1", "nan")]])
 def test_bad_library_input_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
         call()
@@ -107,7 +117,9 @@ def test_bad_library_input_raises_value_error(call, what):
 
 def test_stop_rule_checks_survive_python_O():
     code = ("from condgrad.core import StopRule\n"
-            "for kw in ({'target_lower': 0.5}, {'max_iters': 3, 'target_lower': float('nan')}):\n"
+            "for kw in ({'target_lower': 0.5}, {'max_iters': 3, 'target_lower': float('nan')},\n"
+            "           {'target_f': 0.0}, {'target_f': float('nan')},\n"
+            "           {'target_gap': float('nan')}):\n"
             "    try:\n"
             "        StopRule(**kw)\n"
             "    except ValueError:\n"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from condgrad.core import Atom, ObjectiveOracle, StepSchedule, StopRule, make_rng
+from condgrad.domains.matrices import SpectrahedronDomain, rank_one_atom
 from condgrad.domains.vectors import SimplexDomain, simplex_lmo
 from condgrad.objectives import least_squares, linear, squared_distance, squared_norm
 from condgrad.solver import (
@@ -264,6 +265,21 @@ def test_randomized_lmo_frequency_and_progress():
                      schedule=StepSchedule.line_search(), seed=seed)
         finals.append(obj.eval(res.point))
     assert np.median(finals) <= 1.0 / n + 0.1
+
+
+def test_randomized_lmo_counts_its_certifying_solves():
+    # every sampled atom comes with an exact eigensolve that certifies the
+    # gap; fw_run counts it as the plain spectahedron oracle's, n per row
+    n = 6
+    obj = squared_distance(np.diag(np.arange(n, dtype=float)) / (n * (n - 1) / 2),
+                           curvature_bound=4.0)
+    rand = RandomizedLMO(SpectrahedronDomain(n), lambda rng: rank_one_atom(rng.standard_normal(n)),
+                         success_prob=0.5)
+    runs = [fw_run(obj, dom, stop=StopRule(max_iters=5), schedule=StepSchedule.line_search())
+            for dom in (rand, SpectrahedronDomain(n))]
+    counts = [[r.matvecs for r in run.trace.rows] for run in runs]
+    assert counts[0] == counts[1] == [n * (k + 1) for k in range(6)]
+    assert runs[0].matvecs == runs[1].matvecs == 6 * n
 
 
 def test_squared_distance_and_least_squares_gradients():
