@@ -187,8 +187,6 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
     gradient.
     """
     if eps <= 0.0:
-        if isinstance(grad, SymmetricOperator):
-            raise ValueError("an exact eigensolve needs a dense matrix, not an operator")
         G = check_symmetric(grad, "eigensolve input")
         return LmoResult(rank_one_atom(np.linalg.eigh(G)[1][:, 0], t), matvecs=G.shape[0])
     op = grad if isinstance(grad, SymmetricOperator) else SymmetricOperator.from_dense(grad)

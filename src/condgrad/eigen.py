@@ -27,8 +27,10 @@ POWER_C = 8.0
 
 
 def check_symmetric(M, name: str) -> np.ndarray:
-    """M as a float array if it is square and symmetric to 1e-10; otherwise
-    ValueError naming it."""
+    """M as a float array if it is a dense square matrix symmetric to 1e-10;
+    otherwise ValueError naming it."""
+    if isinstance(M, SymmetricOperator):
+        raise ValueError(f"{name} needs a dense matrix, not an operator")
     M = np.asarray(M, dtype=float)
     if not (M.ndim == 2 and M.shape[0] == M.shape[1]):
         raise ValueError(f"{name} must be a square symmetric matrix, got shape {M.shape}")

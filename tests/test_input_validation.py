@@ -15,7 +15,7 @@ from condgrad.domains.matrices import (FactoredPSD, SparsePsdAtom, boundeddiag_l
                                       sparsepsd_lmo, spect_lmo, spect_lowrank_lowerbound_suite)
 from condgrad.domains.vectors import (SimplexDomain, cube_lmo, l1_lmo, l1_lowerbound_suite,
                                       simplex_lmo, sparse_lowerbound_suite, uniform_k_vector)
-from condgrad.eigen import SymmetricOperator, approx_largest_ev
+from condgrad.eigen import SymmetricOperator, approx_largest_ev, dense_eig_oracle
 from condgrad.matcomp import PredictionStore, RatingDataset, complete, metrics
 from condgrad.objectives import squared_norm
 from condgrad.sdpfeas import FeasibilitySDP, binary_search_objective, softmax_eval_grad
@@ -64,6 +64,7 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
                                np.zeros(2), np.ones(2)), "alpha_hook"),
     (lambda: StepSchedule.two_phase(-1), "K >= 0"),
     (lambda: spect_lmo(SymmetricOperator.from_dense(np.eye(3)), 0.0), "dense matrix"),
+    (lambda: dense_eig_oracle(SymmetricOperator.from_dense(np.eye(3))), "dense matrix"),
     (lambda: complete(DIAG3, t=1.0, eps=-1.0), "eps must be positive"),
     (lambda: complete(DIAG3, t=1.0, eps=float("nan")), "eps must be positive"),
     (lambda: PredictionStore(ONE_USER_ITEM).update(1.5, np.array([0.6, 0.8]), 1.0), "alpha"),
@@ -100,7 +101,7 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
         "bisection_c_shape",
         "sparsepsd_mode", "sparsepsd_lmo_nonfinite", "sparsepsd_lmo_overflow",
         "embedding_t", "simplex_lmo", "l1_lmo", "cube_lmo",
-        "alpha_hook_range", "two_phase_K", "exact_spect_lmo_operator",
+        "alpha_hook_range", "two_phase_K", "exact_spect_lmo_operator", "dense_oracle_operator",
         "complete_eps_negative", "complete_eps_nan", "store_update_alpha",
         "boundeddiag_lmo_asymmetric", "softmax_sigma",
         "rank_suite_k", "sparsepsd_atom", "uniform_k", "sparse_suite_k", "l1_suite_k",
