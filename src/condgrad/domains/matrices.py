@@ -280,8 +280,8 @@ class AveragedGradientOracle(SpectrahedronDomain):
 
 @dataclass
 class HazanResult(RunResult):
-    """fw_run's result with the final iterate's factors; point is read from
-    the run on first read, so no dense n x n X is built before."""
+    """fw_run's result with the final iterate's factors; point is fetched
+    from the run when first read, so no dense n x n X is built before that."""
 
     factored: FactoredPSD
 

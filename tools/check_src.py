@@ -5,9 +5,9 @@ Prints `src lines: N`, the newline count of every source file (what
 `wc -l src/condgrad/*.py src/condgrad/domains/*.py` totals), and
 `options: N`, the knobs a reader must learn: parameters with defaults
 (every def), annotated class-level fields and module-level UPPER_CASE
-constants.  Both fall as the same behaviour takes less code.  Then prints `assert statements: K` and the location of each; the
-library validates with real exceptions, since `python -O` strips assert, so
-any assert makes the exit status 1.
+constants.  Then prints `assert statements: K` and the location of each;
+the library validates with real exceptions, since `python -O` strips
+assert, so any assert makes the exit status 1.
 """
 
 import ast
