@@ -119,7 +119,6 @@ class GramLedger(FactoredLedger):
         atoms, self.t, self._probe = ledger.atoms, ledger.atoms[0].t, None
         self.Rmv = np.zeros_like if R is None else R.__matmul__
         self.r_sq = 0.0 if R is None else float(np.vdot(R, R))
-        self.r_tr = 0.0 if R is None else float(np.trace(R))
         V = self._V = np.array([a.vector for a in atoms])
         self._r, self._G = np.array([v @ self.Rmv(v) for v in V]), V @ V.T
         self._slot = {a.label: j for j, a in enumerate(atoms)}
@@ -152,7 +151,7 @@ class GramLedger(FactoredLedger):
         xx, xr = self._moments()
         f = xx - 2.0 * xr + self.r_sq
         V, tw, Rmv = self._V, self.t * self.weights, self.Rmv
-        return f, SymmetricOperator(dim=V.shape[1], trace=2.0 * (self.t - self.r_tr),
+        return f, SymmetricOperator(dim=V.shape[1],
                                     matvec=lambda u: 2.0 * (V.T @ (tw * (V @ u)) - Rmv(u)),
                                     fro_norm=2.0 * math.sqrt(max(f, 0.0)))
 
@@ -179,9 +178,9 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
     smallest eigenvector of grad, so the atom value is within t*eps of the
     true domain minimum t*lambda_min(grad).
 
-    v comes from Lanczos (see approx_largest_ev): O(log(n)/sqrt(eps)) matvecs
-    instead of the power method's O(log(n)/eps), at most one more than the
-    power method would run, and exact once the step count reaches n.
+    v comes from Lanczos (see approx_largest_ev) on -grad: O(log(n)/sqrt(eps))
+    matvecs, never more than one above the power method's O(log(n)/eps)
+    count, and exact once the step count reaches n.
 
     eps <= 0 requests the exact (dense-eigensolver) oracle and needs a dense
     gradient.
@@ -190,7 +189,7 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
         G = check_symmetric(grad, "eigensolve input")
         return LmoResult(rank_one_atom(np.linalg.eigh(G)[1][:, 0], t), matvecs=G.shape[0])
     op = grad if isinstance(grad, SymmetricOperator) else SymmetricOperator.from_dense(grad)
-    res = approx_smallest_ev(op, eps, rng=rng, seed=seed, method="lanczos")
+    res = approx_smallest_ev(op, eps, rng=rng, seed=seed)
     return LmoResult(rank_one_atom(res.vector, t), matvecs=res.matvecs,
                      slack=t * eps)
 
@@ -252,7 +251,6 @@ class AveragedGradientOracle(SpectrahedronDomain):
             raise ValueError("grad_averaging needs f = ||X - R||^2 with its target R "
                              f"recorded, n x n or 0; {f.name} has {np.shape(R)}")
         self.R = np.asarray(R, dtype=float)  # 0-d for R = 0, which np.dot takes too
-        self.r_tr = float(np.trace(self.R)) if self.R.ndim else 0.0
         self.r_fro = float(np.linalg.norm(self.R))
         self.k, self.prev_v = 0, None
 
@@ -264,7 +262,6 @@ class AveragedGradientOracle(SpectrahedronDomain):
         return SymmetricOperator(
             dim=grad.dim,
             matvec=lambda u: c * grad.matvec(u) + (1.0 / k) * (t * (v @ u) * v - np.dot(R, u)),
-            trace=None if grad.trace is None else c * grad.trace + (t - self.r_tr) / k,
             fro_norm=None if grad.fro_norm is None else c * grad.fro_norm + (t + self.r_fro) / k)
 
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:

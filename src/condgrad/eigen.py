@@ -1,16 +1,16 @@
-"""Approximate extreme eigenvector computation for symmetric operators.
+"""Approximate extreme eigenvector computation for symmetric operators, by
+Lanczos with full reorthogonalization.
 
 For an additive accuracy eps and a bound L on the spectral range, with
-gamma = eps / L, two methods run on the PSD-shifted operator.  The power
-method (the default of approx_largest_ev, and what matrix completion's fixed
-budgets use) takes ceil(c * log(n) / gamma) iterations.  Lanczos, which the
-spectahedron oracle uses, takes min(power + 1, ceil(c * log(n) / sqrt(gamma)),
-n) steps: its (k+1)-step Krylov space holds the k-th power iterate, and n
-steps span the whole space, so small problems are solved exactly.
-
-Operators are matvec-closures so gradients never have to be materialized;
-when the trace is known the operator is centered by trace/dim first, which
-makes the returned iterates invariant to diagonal shifts M -> M + c*Id.
+gamma = eps / L, the power method's guarantee needs p = ceil(c log(n) / gamma)
+iterations from a random start.  Lanczos runs min(p + 1, ceil(c log(n) /
+sqrt(gamma)), n) steps: its (p+1)-step Krylov space holds the p-th power
+iterate, so its Ritz value is at least the power method's Rayleigh quotient;
+sqrt(gamma) is the rate Kuczynski & Wozniakowski (1992) prove for Lanczos;
+and n steps span the whole space, so small problems are solved exactly.
+M and M + c*Id span the same Krylov space, so Lanczos needs no centering or
+PSD shift.  Operators are matvec-closures so gradients never have to be
+materialized.
 """
 
 from __future__ import annotations
@@ -44,15 +44,15 @@ def check_symmetric(M, name: str) -> np.ndarray:
 class SymmetricOperator:
     """Symmetric linear operator given by a matvec closure.
 
-    fro_norm and row_abs_max, when available, feed the spectral range bound;
-    trace enables shift-invariant centering.  from_dense takes any matrix
-    that check_symmetric accepts.  matvec must return a new array, not its
-    argument or a view of it: the eigensolvers shift its result in place.
+    fro_norm and row_abs_max, when available, feed the spectral range bound
+    that sets the eigensolver's step count.  from_dense takes any matrix that
+    check_symmetric accepts.  matvec must return a new array, not its
+    argument or a view of it: the eigensolver orthogonalizes its result in
+    place.
     """
 
     dim: int
     matvec: Callable[[np.ndarray], np.ndarray]
-    trace: Optional[float] = None
     fro_norm: Optional[float] = None
     row_abs_max: Optional[float] = None
 
@@ -65,7 +65,6 @@ class SymmetricOperator:
         return SymmetricOperator(
             dim=M.shape[0],
             matvec=M.dot,
-            trace=float(np.trace(M)),
             fro_norm=float(np.linalg.norm(M)),
             row_abs_max=float(np.abs(M).sum(axis=1).max()),
         )
@@ -80,7 +79,6 @@ class SymmetricOperator:
         return SymmetricOperator(
             dim=self.dim,
             matvec=matvec,
-            trace=None if self.trace is None else -self.trace,
             fro_norm=self.fro_norm,
             row_abs_max=self.row_abs_max,
         )
@@ -89,10 +87,10 @@ class SymmetricOperator:
 class EigResult(NamedTuple):
     vector: np.ndarray
     rayleigh: float          # v^T M v for the returned unit vector
-    iterations: int
-    matvecs: int
-    history: tuple           # power: rayleigh after each iteration; lanczos:
-                             # (final Ritz value, measured rayleigh); original units
+    iterations: int          # Lanczos steps; 0 when the spectral range is 0
+    matvecs: int             # steps + 1: the last one measures rayleigh
+    history: tuple           # (top Ritz value, rayleigh), apart by what the basis
+                             # lost to rounding; (rayleigh,) when no step ran
 
 
 def spectral_range_bound(op: SymmetricOperator) -> float:
@@ -121,44 +119,29 @@ def _start_vector(op, start, rng):
 
 
 def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
-                      iterations: Optional[int] = None, start=None,
-                      shift: Optional[float] = None, method: str = "power") -> EigResult:
+                      iterations: Optional[int] = None, start=None) -> EigResult:
     """Unit v with v^T M v >= lambda_max(M) - eps, with high probability.
 
-    The iteration count follows the power-method guarantee ceil(c*log(n)/gamma),
-    with c = POWER_C, gamma = eps/L and L = spectral_range_bound(op), unless
-    a budget iterations >= 1 is given.  method="lanczos" runs min(that + 1,
-    ceil(c*log(n)/sqrt(gamma)), n) steps: at that + 1 steps the Krylov space
-    holds the power iterate, so the Ritz value is at least its Rayleigh
-    quotient, and at n steps it is exact.  start="ones" starts from the
-    all-ones vector, otherwise from a random one.  shift overrides the
-    internal PSD shift (the caller promises M + shift*Id is PSD enough to make
-    the top eigenvalue dominant in magnitude).
+    Runs min(p + 1, ceil(c*log(n)/sqrt(gamma)), n) Lanczos steps, p the
+    power method's count ceil(c*log(n)/gamma), c = POWER_C, gamma = eps/L
+    and L = spectral_range_bound(op) (see the module docstring).  A budget
+    iterations = b >= 1 runs b steps instead (at most n), b + 1 matvecs as
+    for b power iterations.  start="ones" starts from the all-ones vector,
+    otherwise from a random one drawn from rng (or make_rng(seed)).
     """
     if not eps >= 0:  # NaN too
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    if method not in ("power", "lanczos"):
-        raise ValueError(f"unknown eigensolver method {method!r}")
     if iterations is not None and not iterations >= 1:  # NaN too
         raise ValueError(f"iterations must be at least 1, got {iterations!r}")
     if rng is None:
         rng = make_rng(seed)
     L = spectral_range_bound(op)
     v = _start_vector(op, start, rng)
-    matvecs = 0
 
     if L == 0.0 and iterations is None:
         # spectral range zero: every unit vector is an eigenvector
         ray = float(v.dot(op(v)))
         return EigResult(v, ray, 0, 1, (ray,))
-
-    if shift is not None:
-        center, t = 0.0, float(shift)
-    elif op.trace is not None:
-        center, t = op.trace / op.dim, L
-    else:
-        center, t = 0.0, L
-    offset = t - center  # shifted operator is M + offset*Id
 
     if iterations is None:
         gamma = eps / L
@@ -166,32 +149,9 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
             raise ValueError("eps must be positive when no iteration budget is given")
         c_log_n = POWER_C * math.log(max(op.dim, 2))
         # min: a subnormal gamma makes the quotient inf, and math.ceil(inf) raises
-        iterations = max(1, math.ceil(min(c_log_n / gamma, 2.0 ** 62)))
-        if method == "lanczos":
-            iterations = min(iterations + 1, math.ceil(c_log_n / math.sqrt(gamma)),
-                             op.dim)
-    iterations = int(iterations)
-
-    if method == "lanczos":
-        return _lanczos_largest(op, v, iterations, offset)
-
-    history = []
-    for _ in range(iterations):
-        w = op(v)
-        w += offset * v
-        matvecs += 1
-        ray_shift = float(v.dot(w))
-        history.append(ray_shift - offset)
-        nrm = math.sqrt(w.dot(w))
-        if nrm == 0.0:
-            # v is in the kernel of the shifted operator; it is an exact eigenvector
-            return EigResult(v, history[-1], len(history), matvecs, tuple(history))
-        w /= nrm
-        v = w
-    ray = float(v.dot(op(v)))
-    matvecs += 1
-    history.append(ray)
-    return EigResult(v, ray, iterations, matvecs, tuple(history))
+        p = max(1, math.ceil(min(c_log_n / gamma, 2.0 ** 62)))
+        iterations = min(p + 1, math.ceil(c_log_n / math.sqrt(gamma)), op.dim)
+    return _lanczos_largest(op, v, int(iterations))
 
 
 def approx_smallest_ev(op: SymmetricOperator, eps: float, **kw) -> EigResult:
@@ -201,41 +161,38 @@ def approx_smallest_ev(op: SymmetricOperator, eps: float, **kw) -> EigResult:
                      tuple(-r for r in res.history))
 
 
-def _lanczos_largest(op, v0, iterations, offset) -> EigResult:
-    """Lanczos with full reorthogonalization against a row-major basis; the
-    tridiagonal T is diagonalized once, after the last step, and the returned
-    rayleigh is measured on the Ritz vector, so it is a true Rayleigh
-    quotient whatever the basis lost to rounding."""
+def _lanczos_largest(op, q, iterations) -> EigResult:
+    """Lanczos from the unit vector q against a row-major basis Q.  Each step
+    orthogonalizes op(q) against all of Q by classical Gram-Schmidt run
+    twice, which also does the three-term subtraction; alpha is the first
+    projection's last entry, and alpha and beta go straight into T.  T is
+    diagonalized once, after the last step, and the returned rayleigh is
+    measured on the Ritz vector, so it is a true Rayleigh quotient whatever
+    the basis lost to rounding."""
     m = min(iterations, op.dim)
-    Q = np.empty((m, op.dim))
-    alphas, betas = [], []
-    q, q_prev, beta = v0, v0, 0.0
+    Q, T = np.empty((m, op.dim)), np.zeros((m, m))
     for j in range(m):
         Q[j] = q
         w = op(q)
-        w += offset * q
-        a = float(q.dot(w))
-        alphas.append(a)
+        Qj = Q[:j + 1]
+        h = Qj.dot(w)
+        T[j, j] = h[j]
         if j + 1 == m:
             break
-        w -= a * q + beta * q_prev
-        Qj = Q[:j + 1]
+        w -= h.dot(Qj)
         w -= Qj.dot(w).dot(Qj)
         beta = math.sqrt(w.dot(w))
         if beta < 1e-14:
             break  # the Krylov space is invariant: T holds its exact spectrum
-        betas.append(beta)
+        T[j, j + 1] = T[j + 1, j] = beta
         w /= beta
-        q_prev, q = q, w
-    k = len(alphas)
-    T = np.diag(alphas)
-    if betas:
-        T += np.diag(betas, 1) + np.diag(betas, -1)
-    vals, vecs = np.linalg.eigh(T)
+        q = w
+    k = j + 1
+    vals, vecs = np.linalg.eigh(T[:k, :k])
     ritz = vecs[:, -1].dot(Q[:k])
     ritz /= math.sqrt(ritz.dot(ritz))
     ray = float(ritz.dot(op(ritz)))
-    return EigResult(ritz, ray, k, k + 1, (float(vals[-1]) - offset, ray))
+    return EigResult(ritz, ray, k, k + 1, (float(vals[-1]), ray))
 
 
 def dense_eig_oracle(M: np.ndarray):

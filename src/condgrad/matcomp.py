@@ -2,7 +2,7 @@
 
 The rectangular unknown Z (m users x n items) is the off-diagonal block of a
 symmetric (m+n) matrix on the trace-t spectahedron, so ||Z||_nuc <= t/2.
-complete is fw_run over one object that is both its domain (power-method
+complete is fw_run over one object that is both its domain (Lanczos
 eigensolves) and its iterate, kept factored: a list of (weight, unit vector)
 rank-1 atoms plus a PredictionStore holding X_ij only at observed and test
 positions, so memory and per-step cost are O(|entries| + (m+n) * rank).
@@ -10,8 +10,11 @@ positions, so memory and per-step cost are O(|entries| + (m+n) * rank).
 Gradient of the embedded loss f(Z) = 1/2 sum_{ij in Omega} (Z_ij - y_ij)^2 is
 (1/2) [[0, G], [G^T, 0]] with G the sparse residual (see transforms for the
 1/2 convention); its spectrum is symmetric (+-lambda pairs via (v; w) ->
-(v; -w)), which is why the previous-eigenvalue/2 diagonal shift helps the
-power method separate the two extremes.
+(v; -w)).  The trace gap X.G - t*lambda reads the Rayleigh quotient lambda of
+the step's eigenvector, so it is never above the true duality gap and falls
+short of it by t times the Lanczos error.  A fixed budget bounds that error
+by nothing: the column is an estimate, and where a budget is too small for
+the bottom eigenvector it can read far too low, even below 0.
 """
 
 from __future__ import annotations
@@ -244,7 +247,7 @@ class PredictionStore:
 
 def residual_operator(ds: RatingDataset, resid: np.ndarray) -> SymmetricOperator:
     """The embedded gradient as a matvec: (1/2)[[0, G],[G^T, 0]] with
-    G_ij = resid at train positions; trace 0, Frobenius norm ||resid||/sqrt(2)."""
+    G_ij = resid at train positions; Frobenius norm ||resid||/sqrt(2)."""
     m, n = ds.m, ds.n
     i, j = ds.train_i, ds.train_j
 
@@ -253,7 +256,7 @@ def residual_operator(ds: RatingDataset, resid: np.ndarray) -> SymmetricOperator
         bot = GRADIENT_BLOCK_SCALE * np.bincount(j, weights=resid * u[:m][i], minlength=n)
         return np.concatenate([top, bot])
 
-    return SymmetricOperator(dim=m + n, matvec=mv, trace=0.0,
+    return SymmetricOperator(dim=m + n, matvec=mv,
                              fro_norm=float(np.linalg.norm(resid)) * math.sqrt(0.5))
 
 
@@ -286,15 +289,16 @@ def metrics(predictions, ratings):
 
 
 def default_power_budget(k: int) -> int:
-    """ceil(0.2 k) + 3 power iterations at step k; the floor keeps the very
-    first steps from running on one or two iterations."""
+    """ceil(0.2 k) + 3 Lanczos steps at step k, as many matvecs as that many
+    power iterations, the count it was set for; the floor keeps the very
+    first steps from running on one or two."""
     return int(math.ceil(0.2 * k)) + 3
 
 
 class _CompletionIterate:
-    """complete's domain and iterate for fw_run, one object because the
-    eigensolve's shift and grad averaging read the iterate, and the gap
-    X.G - t*lambda reads the eigensolve.  factored_ledger returns it."""
+    """complete's domain and iterate for fw_run, one object because grad
+    averaging reads the iterate, and the gap X.G - t*lambda reads the
+    eigensolve.  factored_ledger returns it."""
 
     def __init__(self, ds: RatingDataset, t: float, grad_averaging: bool, budget, seed):
         self.ds, self.t, self.grad_averaging, self.budget, self.seed = \
@@ -309,35 +313,28 @@ class _CompletionIterate:
         self.weights, self.vectors = ledger.weights.tolist(), [a.vector for a in ledger.atoms]
         return self
 
-    def _solve(self, op: SymmetricOperator, k: int, shift) -> tuple:
-        """(LmoResult, Rayleigh quotient) of budget(k) power iterations on op."""
+    def _solve(self, op: SymmetricOperator, k: int) -> tuple:
+        """(LmoResult, Rayleigh quotient) of budget(k) Lanczos steps for op's
+        smallest eigenvector."""
         res = approx_smallest_ev(op, 0.0, iterations=self.budget(k), start="ones",
-                                 shift=shift, seed=self.seed)
+                                 seed=self.seed)
         v = _canonical_sign(res.vector)
         return LmoResult(RankOneAtom(v, self.t, _digest_label("v", v)), res.matvecs), res.rayleigh
 
     def lmo(self, grad: SymmetricOperator, eps: float, rng) -> LmoResult:
-        """budget(k) power iterations from the all-ones vector; from row 1 grad averaging
+        """budget(k) Lanczos steps from the all-ones vector; from row 1 grad averaging
         solves at the mean of X and (1 - 1/k) X + (1/k) t v v^T, with grad's solve as cert."""
         k, self.k = self.k, self.k + 1
-        shift = None
-        if self.low_ray is not None and self.low_ray < 0.0:
-            # half the previous eigenvalue estimate; an estimate that is not
-            # negative carries no information (the spectrum is symmetric), so
-            # fall back to the generic range-bound shift rather than running
-            # the power method unshifted on a +/- paired spectrum
-            shift = 0.5 * (-self.low_ray)
         if self.grad_averaging and k >= 1:
             store, m, v = self.store, self.ds.m, self.prev_v
             pred_bar = (1.0 - 1.0 / k) * store.x + (1.0 / k) * self.t \
                 * v[:m][store.i_all] * v[m:][store.j_all]
             resid_bar = pred_bar[:store.n_train] - self.y
-            res, _ = self._solve(residual_operator(self.ds, 0.5 * (self.resid + resid_bar)),
-                                 k, shift)
-            cert, self.low_ray = self._solve(grad, k, shift)
+            res, _ = self._solve(residual_operator(self.ds, 0.5 * (self.resid + resid_bar)), k)
+            cert, self.low_ray = self._solve(grad, k)
             res = res._replace(cert=cert)
         else:
-            res, self.low_ray = self._solve(grad, k, shift)
+            res, self.low_ray = self._solve(grad, k)
         self.prev_v = res.atom.vector
         return res
 
@@ -386,10 +383,11 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
              seed=0, power_budget: Optional[Callable[[int], int]] = None
              ) -> CompletionResult:
     """Greedy rank-1 completion: fw_run until `steps` steps or a gap estimate
-    <= eps (uncertified under fixed eigensolver budgets), with closed-form line
-    search or harmonic steps, power_budget(k) power iterations (default
-    ceil(0.2k)+3), and per row the RMSE and NMAE on both splits in original
-    rating units (history)."""
+    <= eps, with closed-form line search or harmonic steps, power_budget(k)
+    Lanczos steps per eigensolve (default ceil(0.2k)+3), and per row the RMSE
+    and NMAE on both splits in original rating units (history).  The gap
+    estimate is uncertified (see the module docstring), so an eps stop is
+    not a certificate."""
     if steps is None and eps is None:
         raise ValueError("complete needs steps or eps")
     if not t > 0:

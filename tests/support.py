@@ -1,7 +1,8 @@
-"""Reference code that only the tests use: small-scale SDP characterizations
-of the nuclear and max norms, an exhaustive bounded-diagonal oracle, an
-empirical diameter, the per-constraint soft-max loops, and the completion
-losses that tests compare against.
+"""Reference code that only the tests use: the power method that the
+eigensolver's budget counts, small-scale SDP characterizations of the nuclear
+and max norms, an exhaustive bounded-diagonal oracle, an empirical diameter,
+the per-constraint soft-max loops, and the completion losses that tests
+compare against.
 """
 
 import math
@@ -10,8 +11,31 @@ import numpy as np
 
 from condgrad.core import ObjectiveOracle, make_rng
 from condgrad.domains.matrices import _project_rows
-from condgrad.eigen import dense_eig_oracle
+from condgrad.eigen import POWER_C, EigResult, dense_eig_oracle, spectral_range_bound
 from condgrad.matcomp import PredictionStore, RatingDataset, residual_operator
+
+
+# ---------------------------------------------------------------------------
+# the power method
+
+def power_largest_ev(op, eps: float, seed=0) -> EigResult:
+    """The power method whose count approx_largest_ev's budget starts from:
+    ceil(POWER_C log n / gamma) iterations, gamma = eps / L, on M + L*Id
+    (PSD, since L = spectral_range_bound(op) >= 2 max |lambda|), from the
+    random start approx_largest_ev draws at that seed.  Returns the last
+    iterate and its Rayleigh quotient on M, at iterations + 1 matvecs;
+    history is the Rayleigh quotient before each iteration, then the last."""
+    L = spectral_range_bound(op)
+    iterations = max(1, math.ceil(POWER_C * math.log(max(op.dim, 2)) / (eps / L)))
+    v = make_rng(seed).standard_normal(op.dim)
+    v /= np.linalg.norm(v)
+    history = []
+    for _ in range(iterations):
+        w = op(v) + L * v
+        history.append(float(v @ w) - L)
+        v = w / np.linalg.norm(w)
+    ray = float(v @ op(v))
+    return EigResult(v, ray, iterations, iterations + 1, (*history, ray))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,6 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
 
 
 @pytest.mark.parametrize("call,what", [
-    (lambda: approx_largest_ev(SymmetricOperator.from_dense(np.eye(3)), 0.1,
-                               method="lanczso"), "lanczso"),
     (lambda: RunTrace.from_csv(""), "header"),
     (lambda: metrics([3.0], [1, 2, 3, 4, 5]), "ratings"),
     (lambda: binary_search_objective(np.eye(3), None, 0.5, value_range=(1.0, -1.0), n=3),
@@ -92,10 +90,10 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
     (lambda: StopRule(target_f=0.0), "needs max_iters"),
     (lambda: StopRule(target_f=float("nan")), "target_f"),
     (lambda: StopRule(target_gap=float("nan")), "target_gap"),
-    *[(lambda b=budget, m=method: approx_largest_ev(SymmetricOperator.from_dense(np.eye(3)), 0.1,
-                                                    iterations=b, method=m), "iterations")
-      for method in ("power", "lanczos") for budget in (0, -1, float("nan"))],
-], ids=["eig_method", "empty_trace", "metric_shapes", "value_range", "missing_n",
+    *[(lambda b=budget: approx_largest_ev(SymmetricOperator.from_dense(np.eye(3)), 0.1,
+                                          iterations=b), "iterations")
+      for budget in (0, -1, float("nan"))],
+], ids=["empty_trace", "metric_shapes", "value_range", "missing_n",
         "value_range_inf_hi", "value_range_inf_lo", "bisection_eps_nan",
         "bisection_c_nan", "bisection_c_nan_with_range", "bisection_c_asymmetric",
         "bisection_c_shape",
@@ -109,8 +107,7 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
         "eig_zero_start", "eig_eps_negative", "randomized_lmo_rng",
         "stop_rule_lower_alone", "stop_rule_lower_nan", "stop_rule_lower_inf",
         "stop_rule_f_alone", "stop_rule_f_nan", "stop_rule_gap_nan",
-        *[f"eig_{method}_budget_{budget}" for method in ("power", "lanczos")
-          for budget in ("0", "-1", "nan")]])
+        *[f"eig_lanczos_budget_{budget}" for budget in ("0", "-1", "nan")]])
 def test_bad_library_input_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
         call()

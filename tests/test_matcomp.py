@@ -286,7 +286,6 @@ def test_residual_operator_matches_block_embedding():
     M = 0.5 * np.block([[np.zeros((m, m)), G], [G.T, np.zeros((n, n))]])
     dense = np.column_stack([op.matvec(e) for e in np.eye(m + n)])
     assert np.allclose(dense, M, atol=1e-12)
-    assert op.trace == 0.0
     assert op.fro_norm == pytest.approx(np.linalg.norm(M))
 
 

@@ -20,10 +20,10 @@ from condgrad.domains.matrices import (
     spect_lowrank_lowerbound_suite,
 )
 from condgrad import solver
-from condgrad.eigen import SymmetricOperator, approx_smallest_ev, dense_eig_oracle
+from condgrad.eigen import SymmetricOperator, dense_eig_oracle
 from condgrad.objectives import squared_distance, squared_norm
 from condgrad.solver import curvature_from_hessian, fw_run
-from support import boundeddiag_grid_oracle_2x2, measure_bounded_diag_diam_sq
+from support import boundeddiag_grid_oracle_2x2, measure_bounded_diag_diam_sq, power_largest_ev
 
 
 def _sym(rng, n):
@@ -69,8 +69,8 @@ def test_lanczos_spect_lmo_never_worse_than_the_power_method():
         G = _sym(rng, n)
         for eps in (0.5, 1.0, 2.0):
             res = spect_lmo(G, eps=eps, t=1.0, seed=trial)
-            power = approx_smallest_ev(SymmetricOperator.from_dense(G), eps,
-                                       seed=trial)
+            power = power_largest_ev(SymmetricOperator.from_dense(G).negated(), eps,
+                                     seed=trial)
             assert np.vdot(G, res.atom.point) \
                 <= np.vdot(G, rank_one_atom(power.vector).point) + 1e-10
             assert res.matvecs <= power.matvecs + 1
