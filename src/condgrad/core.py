@@ -258,6 +258,10 @@ class StopRule:
         for name in ("target_gap", "target_f"):
             if getattr(self, name) is not None and math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got nan")
+        m = self.max_iters  # k >= nan is never true, so a NaN cap would never fire
+        if m is not None and (isinstance(m, bool) or not isinstance(m, (int, np.integer))
+                              or m < 0):
+            raise ValueError(f"max_iters must be an integer >= 0, got {m!r}")
         # target_f or target_lower alone never fires when f* lies above it
         if self.max_iters is None and self.target_gap is None:
             raise ValueError("StopRule needs max_iters or target_gap")

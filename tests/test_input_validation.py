@@ -90,6 +90,8 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
     (lambda: StopRule(target_f=0.0), "needs max_iters"),
     (lambda: StopRule(target_f=float("nan")), "target_f"),
     (lambda: StopRule(target_gap=float("nan")), "target_gap"),
+    # a cap that is not a count: k >= nan is never true, and -1 or 2.5 is no step count
+    *[(lambda m=cap: StopRule(max_iters=m), "max_iters") for cap in (float("nan"), -1, 2.5)],
     *[(lambda b=budget: approx_largest_ev(SymmetricOperator.from_dense(np.eye(3)), 0.1,
                                           iterations=b), "iterations")
       for budget in (0, -1, float("nan"))],
@@ -107,6 +109,7 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
         "eig_zero_start", "eig_eps_negative", "randomized_lmo_rng",
         "stop_rule_lower_alone", "stop_rule_lower_nan", "stop_rule_lower_inf",
         "stop_rule_f_alone", "stop_rule_f_nan", "stop_rule_gap_nan",
+        "stop_rule_max_iters_nan", "stop_rule_max_iters_-1", "stop_rule_max_iters_2.5",
         *[f"eig_lanczos_budget_{budget}" for budget in ("0", "-1", "nan")]])
 def test_bad_library_input_raises_value_error(call, what):
     with pytest.raises(ValueError, match=what):
@@ -117,7 +120,8 @@ def test_stop_rule_checks_survive_python_O():
     code = ("from condgrad.core import StopRule\n"
             "for kw in ({'target_lower': 0.5}, {'max_iters': 3, 'target_lower': float('nan')},\n"
             "           {'target_f': 0.0}, {'target_f': float('nan')},\n"
-            "           {'target_gap': float('nan')}):\n"
+            "           {'target_gap': float('nan')}, {'max_iters': float('nan')},\n"
+            "           {'max_iters': -1}, {'max_iters': 2.5}):\n"
             "    try:\n"
             "        StopRule(**kw)\n"
             "    except ValueError:\n"
