@@ -220,14 +220,23 @@ class PredictionStore:
         self.j_all = np.concatenate([ds.train_j, ds.test_j])
         self.n_train = ds.n_train
         self.x = np.zeros(len(self.i_all))
+        self._atom = None  # (v, t, values) of the last atom_values call
+
+    def atom_values(self, v: np.ndarray, t: float) -> np.ndarray:
+        """The atom t v v^T at every stored position, t * v_i * v_{m+j}.  The
+        result is kept until update, keyed on v's identity and t, so a step's
+        line search and update gather it once; v must not change in place."""
+        if self._atom is None or self._atom[0] is not v or self._atom[1] != t:
+            self._atom = (v, t, t * v[:self.m][self.i_all] * v[self.m:][self.j_all])
+        return self._atom[2]
 
     def update(self, alpha: float, v: np.ndarray, t: float):
         if not (0.0 <= alpha <= 1.0 and len(v) == self.m + self.n):  # NaN too
             raise ValueError(f"update needs alpha in [0, 1] and an m+n = {self.m + self.n} "
                              f"vector, got {alpha!r} and length {len(v)}")
-        vt, vb = v[:self.m], v[self.m:]
+        s, self._atom = self.atom_values(v, t), None  # no array kept between steps
         self.x *= (1.0 - alpha)
-        self.x += alpha * t * vt[self.i_all] * vb[self.j_all]
+        self.x += alpha * s
 
     @property
     def train_values(self):
@@ -267,9 +276,7 @@ def closed_form_alpha(store: PredictionStore, ratings: np.ndarray,
     [0,1], where s_ij = t v_i v_{m+j} is the new atom's prediction; a zero
     denominator means s = x along the observed entries, so step 0."""
     X = store.train_values
-    s = t * v[:store.m][store.i_all[:store.n_train]] \
-        * v[store.m:][store.j_all[:store.n_train]]
-    d = X - s
+    d = X - store.atom_values(v, t)[:store.n_train]
     return clamped_step(float((X - ratings) @ d), float(d @ d))
 
 
@@ -326,9 +333,8 @@ class _CompletionIterate:
         solves at the mean of X and (1 - 1/k) X + (1/k) t v v^T, with grad's solve as cert."""
         k, self.k = self.k, self.k + 1
         if self.grad_averaging and k >= 1:
-            store, m, v = self.store, self.ds.m, self.prev_v
-            pred_bar = (1.0 - 1.0 / k) * store.x + (1.0 / k) * self.t \
-                * v[:m][store.i_all] * v[m:][store.j_all]
+            store, v = self.store, self.prev_v
+            pred_bar = (1.0 - 1.0 / k) * store.x + (1.0 / k) * store.atom_values(v, self.t)
             resid_bar = pred_bar[:store.n_train] - self.y
             res, _ = self._solve(residual_operator(self.ds, 0.5 * (self.resid + resid_bar)), k)
             cert, self.low_ray = self._solve(grad, k)
