@@ -48,7 +48,9 @@ def _sqrtm_psd(M: np.ndarray) -> np.ndarray:
 
 PROBE_TOL = 1e-9  # nuclear_sdp_feasible's eigenvalue and trace tolerance
 MAXNORM_RESTARTS = 4
-MAXNORM_ITERATIONS = 400  # alternating least-squares sweeps per restart
+MAXNORM_ITERATIONS = 400  # alternating least-squares sweeps per restart, at most
+MAXNORM_CHECK_EVERY = 10  # sweeps between residual checks
+MAXNORM_MIN_DROP = 1e-3  # a restart ends once a check finds its residual fell less
 MAXNORM_RESID_TOL = 1e-6  # relative residual that counts as L R^T = Z
 
 
@@ -73,14 +75,18 @@ def maxnorm_sdp_feasible(Z, t: float) -> bool:
     """||Z||_max <= t decided through the factored PSD characterization:
     search L (m x d), R (n x d) with rows in the sqrt(t) ball and L R^T = Z
     by alternating least squares with row projection; the assembled
-    [[LL^T, Z], [Z^T, RR^T]] is the eigen-probed completion.  Approximate:
-    nonconvex search, trust it only with a tolerance band (tests use 1e-3)."""
+    [[LL^T, Z], [Z^T, RR^T]] is the eigen-probed completion.  A restart ends
+    after MAXNORM_ITERATIONS sweeps, once its max residual meets the
+    tolerance, or once it falls by less than MAXNORM_MIN_DROP (relative)
+    over MAXNORM_CHECK_EVERY sweeps.  Approximate: nonconvex search, trust
+    it only with a tolerance band (tests use 1e-3)."""
     Z = np.asarray(Z, dtype=float)
     m, n = Z.shape
     d = m + n
     radius = math.sqrt(t)
     rng = make_rng(0)
     lam = 1e-10
+    tol = MAXNORM_RESID_TOL * max(1.0, float(np.abs(Z).max()))
     best = math.inf
     for r in range(MAXNORM_RESTARTS):
         if r == 0:
@@ -94,16 +100,21 @@ def maxnorm_sdp_feasible(Z, t: float) -> bool:
         else:
             L = _project_rows(rng.standard_normal((m, d)), radius)
             R = _project_rows(rng.standard_normal((n, d)), radius)
-        for _ in range(MAXNORM_ITERATIONS):
+        prev = math.inf
+        for sweep in range(1, MAXNORM_ITERATIONS + 1):
             G = R.T @ R + lam * np.eye(d)
             L = _project_rows(np.linalg.solve(G, R.T @ Z.T).T, radius)
             G = L.T @ L + lam * np.eye(d)
             R = _project_rows(np.linalg.solve(G, L.T @ Z).T, radius)
-        resid = float(np.abs(L @ R.T - Z).max())
-        best = min(best, resid)
-        if best <= MAXNORM_RESID_TOL * max(1.0, float(np.abs(Z).max())):
+            if sweep % MAXNORM_CHECK_EVERY == 0:
+                resid = float(np.abs(L @ R.T - Z).max())
+                if resid <= tol or resid > prev * (1.0 - MAXNORM_MIN_DROP):
+                    break
+                prev = resid
+        best = min(best, float(np.abs(L @ R.T - Z).max()))
+        if best <= tol:
             return True
-    return best <= MAXNORM_RESID_TOL * max(1.0, float(np.abs(Z).max()))
+    return False
 
 
 def max_norm_oracle(Z, tol: float = 1e-4) -> float:
