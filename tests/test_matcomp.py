@@ -419,6 +419,24 @@ def test_complete_gap_stopping_and_history_keys():
                             "rmse_test", "nmae_test"}
 
 
+def test_complete_gap_column_reads_the_true_gap():
+    # the column is X.G - t * (Rayleigh quotient of the step's eigenvector), so it
+    # never exceeds the true gap X.G - t * lambda_min(G), and Lanczos brings it
+    # close.  It is not certified: where the early budgets are too small for the
+    # bottom eigenvector it can still read far below the true gap, even below 0
+    ds = small_ds(seed=94, m=16, n=12)
+    t = 30.0
+    res = complete(ds, t=t, eps=0.5, normalize=True, seed=0)
+    assert res.stopped_on == "gap"
+    assert min(row.gap for row in res.trace.rows) >= 0.0
+    inner, _ = normalize_means(ds)
+    resid = res.store.train_values - inner.train_y
+    op = residual_operator(inner, resid)
+    dense = np.column_stack([op(e) for e in np.eye(ds.m + ds.n)])
+    true_gap = float(res.store.train_values @ resid) - t * dense_eig_oracle(dense)[0][-1]
+    assert true_gap * 0.95 <= res.trace.final().gap <= true_gap * (1.0 + 1e-12)
+
+
 def test_complete_reports_why_it_stopped():
     ds = small_ds(seed=70)
     capped = complete(ds, t=6.0, steps=4, seed=5)
