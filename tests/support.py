@@ -23,19 +23,16 @@ def power_largest_ev(op, eps: float, seed=0) -> EigResult:
     ceil(POWER_C log n / gamma) iterations, gamma = eps / L, on M + L*Id
     (PSD, since L = spectral_range_bound(op) >= 2 max |lambda|), from the
     random start approx_largest_ev draws at that seed.  Returns the last
-    iterate and its Rayleigh quotient on M, at iterations + 1 matvecs;
-    history is the Rayleigh quotient before each iteration, then the last."""
+    iterate and its Rayleigh quotient on M, at iterations + 1 matvecs."""
     L = spectral_range_bound(op)
     iterations = max(1, math.ceil(POWER_C * math.log(max(op.dim, 2)) / (eps / L)))
     v = make_rng(seed).standard_normal(op.dim)
     v /= np.linalg.norm(v)
-    history = []
     for _ in range(iterations):
         w = op(v) + L * v
-        history.append(float(v @ w) - L)
         v = w / np.linalg.norm(w)
     ray = float(v @ op(v))
-    return EigResult(v, ray, iterations, iterations + 1, (*history, ray))
+    return EigResult(v, ray, iterations, iterations + 1, (ray,))
 
 
 # ---------------------------------------------------------------------------
