@@ -107,11 +107,13 @@ def spectral_range_bound(op: SymmetricOperator) -> float:
     return 2.0 * min(cands)
 
 
-def _start_vector(op, start, rng):
-    if start == "ones":
-        v = np.ones(op.dim)
+def _start_vector(op, start, seed, rng):
+    if start is None:
+        v = (make_rng(seed) if rng is None else rng).standard_normal(op.dim)
     else:
-        v = rng.standard_normal(op.dim)
+        v = np.asarray(start, dtype=float)
+        if v.shape != (op.dim,):
+            raise ValueError(f"start vector of shape {v.shape} for an operator of dim {op.dim}")
     nrm = np.linalg.norm(v)
     if not nrm > 0:
         raise ValueError(f"zero start vector for an operator of dim {op.dim}")
@@ -126,17 +128,16 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
     power method's count ceil(c*log(n)/gamma), c = POWER_C, gamma = eps/L
     and L = spectral_range_bound(op) (see the module docstring).  A budget
     iterations = b >= 1 runs b steps instead (at most n), b + 1 matvecs as
-    for b power iterations.  start="ones" starts from the all-ones vector,
-    otherwise from a random one drawn from rng (or make_rng(seed)).
+    for b power iterations.  A start vector (any nonzero length-n array,
+    normalized here) replaces the random one drawn from rng (or
+    make_rng(seed)); the high-probability guarantee assumes the random one.
     """
     if not eps >= 0:  # NaN too
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
     if iterations is not None and not iterations >= 1:  # NaN too
         raise ValueError(f"iterations must be at least 1, got {iterations!r}")
-    if rng is None:
-        rng = make_rng(seed)
     L = spectral_range_bound(op)
-    v = _start_vector(op, start, rng)
+    v = _start_vector(op, start, seed, rng)
 
     if L == 0.0 and iterations is None:
         # spectral range zero: every unit vector is an eigenvector

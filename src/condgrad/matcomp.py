@@ -10,11 +10,18 @@ positions, so memory and per-step cost are O(|entries| + (m+n) * rank).
 Gradient of the embedded loss f(Z) = 1/2 sum_{ij in Omega} (Z_ij - y_ij)^2 is
 (1/2) [[0, G], [G^T, 0]] with G the sparse residual (see transforms for the
 1/2 convention); its spectrum is symmetric (+-lambda pairs via (v; w) ->
-(v; -w)).  The trace gap X.G - t*lambda reads the Rayleigh quotient lambda of
-the step's eigenvector, so it is never above the true duality gap and falls
+(v; -w)), and its bottom eigenvalue is -(1/2) sigma_max(G).  Each eigensolve
+is Lanczos from (1_m; 0), ones on the user block: from there the basis
+alternates (x; 0), (0; y), ... exactly, so a step is one sparse pass of G or
+G^T (Golub-Kahan bidiagonalization run through the symmetric loop), and only
+the Rayleigh quotient of the Ritz vector pays for two.
+
+The trace gap X.G - t*lambda reads the Rayleigh quotient lambda of the
+certifying eigenvector, so it is never above the true duality gap and falls
 short of it by t times the Lanczos error.  A fixed budget bounds that error
 by nothing: the column is an estimate, and where a budget is too small for
-the bottom eigenvector it can read far too low, even below 0.
+the bottom eigenvector it can read far too low.  An eps stop therefore fires
+only on a gap confirmed by an eps/(2t)-accurate solve from a random start.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .core import (LmoResult, RunTrace, StepSchedule, StopRule, WEIGHT_PRUNE_TOL
                    make_rng)
 from .domains.matrices import (FactoredPSD, RankOneAtom, _canonical_sign, _digest_label,
                                rank_one_atom)
-from .eigen import SymmetricOperator, approx_smallest_ev
+from .eigen import EigResult, SymmetricOperator, approx_smallest_ev
 from .transforms import GRADIENT_BLOCK_SCALE, extract_factorization
 
 RATING_SPAN = 4.0  # NMAE denominator: 5 - 1 for 1..5 star ratings
@@ -208,7 +215,8 @@ def normalize_means(ds: RatingDataset):
 # factored state
 
 class PredictionStore:
-    """Current predictions X_ij at observed-and-test positions only.
+    """Current predictions X_ij at observed-and-test positions only, train
+    positions first, each split in the dataset's order.
 
     A rank-1 step with weight alpha and embedded unit vector v updates every
     stored entry as X_ij <- (1-alpha) X_ij + alpha * t * v_i * v_{m+j}.
@@ -216,18 +224,27 @@ class PredictionStore:
 
     def __init__(self, ds: RatingDataset):
         self.m, self.n = ds.m, ds.n
-        self.i_all = np.concatenate([ds.train_i, ds.test_i])
-        self.j_all = np.concatenate([ds.train_j, ds.test_j])
+        self._positions = ((ds.train_i, ds.train_j), (ds.test_i, ds.test_j))  # not copied
         self.n_train = ds.n_train
-        self.x = np.zeros(len(self.i_all))
+        self.x = np.zeros(ds.n_train + ds.n_test)
         self._atom = None  # (v, t, values) of the last atom_values call
+
+    def _gather(self, v: np.ndarray, scale: float) -> np.ndarray:
+        """(scale * v_i) * v_{m+j} at every stored position, written split by
+        split into one new array."""
+        out = np.empty(len(self.x))
+        vu, vw = v[:self.m], v[self.m:]
+        for (i, j), part in zip(self._positions, (out[:self.n_train], out[self.n_train:])):
+            np.multiply(scale, vu[i], out=part)
+            part *= vw[j]
+        return out
 
     def atom_values(self, v: np.ndarray, t: float) -> np.ndarray:
         """The atom t v v^T at every stored position, t * v_i * v_{m+j}.  The
         result is kept until update, keyed on v's identity and t, so a step's
         line search and update gather it once; v must not change in place."""
         if self._atom is None or self._atom[0] is not v or self._atom[1] != t:
-            self._atom = (v, t, t * v[:self.m][self.i_all] * v[self.m:][self.j_all])
+            self._atom = (v, t, self._gather(v, t))
         return self._atom[2]
 
     def update(self, alpha: float, v: np.ndarray, t: float):
@@ -250,20 +267,28 @@ class PredictionStore:
         """Reference values from the factors (for the sync invariant)."""
         out = np.zeros(len(self.x))
         for w, v in zip(factored.weights, factored.vectors):
-            out += w * factored.scale * v[:self.m][self.i_all] * v[self.m:][self.j_all]
+            out += self._gather(v, w * factored.scale)
         return out
 
 
 def residual_operator(ds: RatingDataset, resid: np.ndarray) -> SymmetricOperator:
     """The embedded gradient as a matvec: (1/2)[[0, G],[G^T, 0]] with
-    G_ij = resid at train positions; Frobenius norm ||resid||/sqrt(2)."""
+    G_ij = resid at train positions; Frobenius norm ||resid||/sqrt(2).
+
+    Each block of the product is one sparse pass over the train entries, of G
+    for the user block and of G^T for the item block; a pass whose input
+    block is exactly zero is skipped and its output block is exactly zero,
+    the bits the pass would give."""
     m, n = ds.m, ds.n
     i, j = ds.train_i, ds.train_j
 
     def mv(u):
-        top = GRADIENT_BLOCK_SCALE * np.bincount(i, weights=resid * u[m:][j], minlength=m)
-        bot = GRADIENT_BLOCK_SCALE * np.bincount(j, weights=resid * u[:m][i], minlength=n)
-        return np.concatenate([top, bot])
+        out = np.zeros(m + n)
+        if u[m:].any():
+            out[:m] = GRADIENT_BLOCK_SCALE * np.bincount(i, weights=resid * u[m:][j], minlength=m)
+        if u[:m].any():
+            out[m:] = GRADIENT_BLOCK_SCALE * np.bincount(j, weights=resid * u[:m][i], minlength=n)
+        return out
 
     return SymmetricOperator(dim=m + n, matvec=mv,
                              fro_norm=float(np.linalg.norm(resid)) * math.sqrt(0.5))
@@ -296,9 +321,10 @@ def metrics(predictions, ratings):
 
 
 def default_power_budget(k: int) -> int:
-    """ceil(0.2 k) + 3 Lanczos steps at step k, as many matvecs as that many
-    power iterations, the count it was set for; the floor keeps the very
-    first steps from running on one or two."""
+    """ceil(0.2 k) + 3 Lanczos steps at step k, each one sparse pass of G or
+    G^T, plus one two-pass matvec for the Rayleigh quotient; the count was
+    set for that many power iterations.  The floor keeps the very first
+    steps from running on one or two."""
     return int(math.ceil(0.2 * k)) + 3
 
 
@@ -307,10 +333,12 @@ class _CompletionIterate:
     averaging reads the iterate, and the gap X.G - t*lambda reads the
     eigensolve.  factored_ledger returns it."""
 
-    def __init__(self, ds: RatingDataset, t: float, grad_averaging: bool, budget, seed):
-        self.ds, self.t, self.grad_averaging, self.budget, self.seed = \
-            ds, t, grad_averaging, budget, seed
+    def __init__(self, ds: RatingDataset, t: float, eps: Optional[float], grad_averaging: bool,
+                 budget):
+        self.ds, self.t, self.eps, self.grad_averaging, self.budget = \
+            ds, t, eps, grad_averaging, budget
         self.store, self.y, self.k = PredictionStore(ds), ds.train_y, 0
+        self.start = np.concatenate([np.ones(ds.m), np.zeros(ds.n)])
         self.prev_v = self.low_ray = None  # last step's v; lambda of the last certifying solve
 
     def start_atom(self) -> RankOneAtom:  # e_1 e_1^T: every prediction is 0
@@ -320,27 +348,35 @@ class _CompletionIterate:
         self.weights, self.vectors = ledger.weights.tolist(), [a.vector for a in ledger.atoms]
         return self
 
-    def _solve(self, op: SymmetricOperator, k: int) -> tuple:
-        """(LmoResult, Rayleigh quotient) of budget(k) Lanczos steps for op's
-        smallest eigenvector."""
-        res = approx_smallest_ev(op, 0.0, iterations=self.budget(k), start="ones",
-                                 seed=self.seed)
+    def _solve(self, op: SymmetricOperator, k: int) -> EigResult:
+        """budget(k) Lanczos steps from (1_m; 0) for op's smallest eigenvector."""
+        return approx_smallest_ev(op, 0.0, iterations=self.budget(k), start=self.start)
+
+    def _result(self, res: EigResult) -> LmoResult:
         v = _canonical_sign(res.vector)
-        return LmoResult(RankOneAtom(v, self.t, _digest_label("v", v)), res.matvecs), res.rayleigh
+        return LmoResult(RankOneAtom(v, self.t, _digest_label("v", v)), res.matvecs)
 
     def lmo(self, grad: SymmetricOperator, eps: float, rng) -> LmoResult:
-        """budget(k) Lanczos steps from the all-ones vector; from row 1 grad averaging
-        solves at the mean of X and (1 - 1/k) X + (1/k) t v v^T, with grad's solve as cert."""
+        """budget(k) Lanczos steps on grad certify the gap.  Where that gap
+        reads <= self.eps, an eps/(2t)-accurate solve from a random start
+        confirms it: the lower Rayleigh quotient and its vector are kept, and
+        both solves' matvecs are counted.  From row 1 grad averaging steps
+        along a solve at the mean of X and (1 - 1/k) X + (1/k) t v v^T."""
         k, self.k = self.k, self.k + 1
+        low = self._solve(grad, k)
+        self.low_ray = low.rayleigh
+        if self.eps is not None and self.gap(None) <= self.eps:
+            conf = approx_smallest_ev(grad, self.eps / (2.0 * self.t), rng=rng)
+            low = min(low, conf, key=lambda r: r.rayleigh)._replace(
+                matvecs=low.matvecs + conf.matvecs)
+            self.low_ray = low.rayleigh
+        res = self._result(low)
         if self.grad_averaging and k >= 1:
             store, v = self.store, self.prev_v
             pred_bar = (1.0 - 1.0 / k) * store.x + (1.0 / k) * store.atom_values(v, self.t)
             resid_bar = pred_bar[:store.n_train] - self.y
-            res, _ = self._solve(residual_operator(self.ds, 0.5 * (self.resid + resid_bar)), k)
-            cert, self.low_ray = self._solve(grad, k)
-            res = res._replace(cert=cert)
-        else:
-            res, self.low_ray = self._solve(grad, k)
+            op_bar = residual_operator(self.ds, 0.5 * (self.resid + resid_bar))
+            res = self._result(self._solve(op_bar, k))._replace(cert=res)
         self.prev_v = res.atom.vector
         return res
 
@@ -348,7 +384,7 @@ class _CompletionIterate:
         self.resid = self.store.train_values - self.y
         return 0.5 * float(self.resid @ self.resid), residual_operator(self.ds, self.resid)
 
-    def gap(self, atom: RankOneAtom) -> float:  # atom is the one lmo just certified with
+    def gap(self, atom) -> float:  # lambda of lmo's certifying solve; atom is not read
         return float(self.store.train_values @ self.resid) - self.t * self.low_ray
 
     def line_search(self, atom: RankOneAtom, a_fix: float) -> float:
@@ -390,10 +426,13 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
              ) -> CompletionResult:
     """Greedy rank-1 completion: fw_run until `steps` steps or a gap estimate
     <= eps, with closed-form line search or harmonic steps, power_budget(k)
-    Lanczos steps per eigensolve (default ceil(0.2k)+3), and per row the RMSE
-    and NMAE on both splits in original rating units (history).  The gap
-    estimate is uncertified (see the module docstring), so an eps stop is
-    not a certificate."""
+    Lanczos steps per eigensolve (default ceil(0.2k)+3, each one sparse pass
+    over the train entries), and per row the RMSE and NMAE on both splits in
+    original rating units (history).  A gap estimate <= eps is confirmed by
+    an eps/(2t)-accurate eigensolve from a random start drawn from seed's
+    stream, and the run stops only on the confirmed gap; that solve's
+    matvecs are counted.  The gap estimate is uncertified (see the module
+    docstring), so an eps stop is not a certificate."""
     if steps is None and eps is None:
         raise ValueError("complete needs steps or eps")
     if not t > 0:
@@ -405,7 +444,7 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
     raw, denorm = ds, None
     if normalize:
         ds, denorm = normalize_means(ds)
-    x = _CompletionIterate(ds, t, grad_averaging, power_budget or default_power_budget, seed)
+    x = _CompletionIterate(ds, t, eps, grad_averaging, power_budget or default_power_budget)
     store, history = x.store, []
 
     def on_iterate(k, _x, fx, _gap):

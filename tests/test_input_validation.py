@@ -79,6 +79,8 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
     (lambda: extract_factorization(RANK_ONE_5, 2, 2), "2 \\+ 2"),
     (lambda: weighted_nuclear_wrap(squared_norm(), [1.0, 0.0], [1.0]), "positive"),
     (lambda: approx_largest_ev(EMPTY_OPERATOR, 0.1), "zero start vector"),
+    (lambda: approx_largest_ev(SymmetricOperator.from_dense(np.eye(3)), 0.1, start=np.ones(1)),
+     "start vector of shape \\(1,\\) for an operator of dim 3"),
     (lambda: approx_largest_ev(SymmetricOperator.from_dense(np.eye(3)), -0.5, iterations=4),
      "eps must be"),
     (lambda: RandomizedLMO(SimplexDomain(3), uniform_simplex_sampler(3), 0.5).lmo(np.ones(3)),
@@ -106,7 +108,7 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
         "boundeddiag_lmo_asymmetric", "softmax_sigma",
         "rank_suite_k", "sparsepsd_atom", "uniform_k", "sparse_suite_k", "l1_suite_k",
         "z_block_shape", "embed_z_shape", "factorization_split", "wrap_weights",
-        "eig_zero_start", "eig_eps_negative", "randomized_lmo_rng",
+        "eig_zero_start", "eig_start_shape", "eig_eps_negative", "randomized_lmo_rng",
         "stop_rule_lower_alone", "stop_rule_lower_nan", "stop_rule_lower_inf",
         "stop_rule_f_alone", "stop_rule_f_nan", "stop_rule_gap_nan",
         "stop_rule_max_iters_nan", "stop_rule_max_iters_-1", "stop_rule_max_iters_2.5",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from condgrad import ObjectiveOracle, dense_eig_oracle, line_search_alpha, make_rng
+from condgrad.eigen import SymmetricOperator, approx_smallest_ev
 from condgrad.matcomp import (
     PredictionStore,
     RatingDataset,
@@ -17,7 +18,9 @@ from condgrad.matcomp import (
     residual_operator,
     split_train_test,
 )
+from condgrad.transforms import GRADIENT_BLOCK_SCALE
 from support import rect_squared_loss, squared_loss_objective
+from test_golden_traces import _ratings
 
 
 def small_ds(seed=0, m=5, n=4, frac=0.7, test_frac=0.2):
@@ -300,6 +303,67 @@ def test_gradient_spectrum_is_symmetric():
     assert np.allclose(np.sort(vals), np.sort(-vals), atol=1e-10)
 
 
+def _user_block_start(ds):
+    return np.concatenate([np.ones(ds.m), np.zeros(ds.n)])
+
+
+def _sparse_residual(ds, resid):
+    G = np.zeros((ds.m, ds.n))
+    np.add.at(G, (ds.train_i, ds.train_j), resid)
+    return G
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lanczos_from_the_user_block_keeps_one_block_exactly_zero(seed, monkeypatch):
+    # from (1_m; 0) the basis alternates (x; 0), (0; y), ...: the projections
+    # across parities are sums of 0 * x terms, so the zero blocks stay exactly
+    # 0 and each step is one sparse pass; only the Ritz vector pays for two
+    ds = small_ds(seed=100 + seed, m=9, n=7)
+    op = residual_operator(ds, make_rng(seed).standard_normal(ds.n_train))
+    seen, passes, bincount = [], [], np.bincount
+    recorded = SymmetricOperator(dim=op.dim, fro_norm=op.fro_norm,
+                                 matvec=lambda u: seen.append(u.copy()) or op(u))
+    monkeypatch.setattr(np, "bincount", lambda *a, **kw: passes.append(1) or bincount(*a, **kw))
+    res = approx_smallest_ev(recorded, 0.0, iterations=10, start=_user_block_start(ds))
+    assert res.iterations == 10 and len(seen) == res.matvecs == 11
+    for k, q in enumerate(seen[:-1]):
+        zero, full = (q[ds.m:], q[:ds.m]) if k % 2 == 0 else (q[:ds.m], q[ds.m:])
+        assert not zero.any() and full.any(), k
+    assert seen[-1][:ds.m].any() and seen[-1][ds.m:].any()
+    assert len(passes) == res.iterations + 2
+
+
+def test_residual_operator_matches_the_two_pass_formula_bit_for_bit():
+    ds = small_ds(seed=11, m=9, n=7)
+    rng = make_rng(12)
+    resid = rng.standard_normal(ds.n_train)
+    op = residual_operator(ds, resid)
+    m, n, i, j = ds.m, ds.n, ds.train_i, ds.train_j
+
+    def two_pass(u):
+        top = GRADIENT_BLOCK_SCALE * np.bincount(i, weights=resid * u[m:][j], minlength=m)
+        bot = GRADIENT_BLOCK_SCALE * np.bincount(j, weights=resid * u[:m][i], minlength=n)
+        return np.concatenate([top, bot])
+
+    for _ in range(5):
+        x, y = rng.standard_normal(m), rng.standard_normal(n)
+        # half-zero inputs, one with signed zeros, and a full one
+        for u in (np.r_[x, np.zeros(n)], np.r_[np.zeros(m), y], np.r_[x, -0.0 * y],
+                  np.r_[x, y]):
+            assert op(u).tobytes() == two_pass(u).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_user_block_lanczos_is_exact_at_the_full_dimension(seed):
+    ds = small_ds(seed=110 + seed, m=8, n=6)
+    resid = make_rng(seed).standard_normal(ds.n_train)
+    half_sigma = 0.5 * np.linalg.svd(_sparse_residual(ds, resid), compute_uv=False)[0]
+    res = approx_smallest_ev(residual_operator(ds, resid), 0.0, iterations=ds.m + ds.n,
+                             start=_user_block_start(ds))
+    assert res.history[0] == pytest.approx(-half_sigma, rel=1e-10)
+    assert res.rayleigh == pytest.approx(-half_sigma, rel=1e-10)
+
+
 def test_closed_form_alpha_degenerate_and_exact_cases():
     ds = small_ds(seed=12)
     _, store = squared_loss_objective(ds, t=1.5)
@@ -419,22 +483,45 @@ def test_complete_gap_stopping_and_history_keys():
                             "rmse_test", "nmae_test"}
 
 
+def _true_gap(ds, res, t):
+    """X.G - t * lambda_min(G) at a normalized run's final iterate, from a dense eigh."""
+    inner, _ = normalize_means(ds)
+    resid = res.store.train_values - inner.train_y
+    op = residual_operator(inner, resid)
+    dense = np.column_stack([op(e) for e in np.eye(ds.m + ds.n)])
+    return float(res.store.train_values @ resid) - t * dense_eig_oracle(dense)[0][-1]
+
+
 def test_complete_gap_column_reads_the_true_gap():
     # the column is X.G - t * (Rayleigh quotient of the step's eigenvector), so it
     # never exceeds the true gap X.G - t * lambda_min(G), and Lanczos brings it
     # close.  It is not certified: where the early budgets are too small for the
-    # bottom eigenvector it can still read far below the true gap, even below 0
+    # bottom eigenvector it can still read far below the true gap
     ds = small_ds(seed=94, m=16, n=12)
     t = 30.0
     res = complete(ds, t=t, eps=0.5, normalize=True, seed=0)
     assert res.stopped_on == "gap"
     assert min(row.gap for row in res.trace.rows) >= 0.0
-    inner, _ = normalize_means(ds)
-    resid = res.store.train_values - inner.train_y
-    op = residual_operator(inner, resid)
-    dense = np.column_stack([op(e) for e in np.eye(ds.m + ds.n)])
-    true_gap = float(res.store.train_values @ resid) - t * dense_eig_oracle(dense)[0][-1]
+    true_gap = _true_gap(ds, res, t)
     assert true_gap * 0.95 <= res.trace.final().gap <= true_gap * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("ds,t,eps", [(_ratings(15), 40.0, 1.0),
+                                      (small_ds(seed=96, m=12, n=10), 20.0, 0.3)],
+                         ids=["ratings15", "small96"])
+def test_complete_eps_stop_confirms_its_gap(ds, t, eps):
+    # after mean normalization the budget solves read these gaps far too low,
+    # below 0 at rows 4 and 15 without the confirmation; the eps/(2t)-accurate
+    # solve from a random start puts the confirmed gap within eps/2 of the truth
+    res = complete(ds, t=t, eps=eps, normalize=True, seed=0)
+    assert res.stopped_on == "gap"
+    assert min(row.gap for row in res.trace.rows) >= 0.0
+    true_gap = _true_gap(ds, res, t)
+    assert res.trace.final().gap <= true_gap * (1.0 + 1e-12)
+    assert true_gap <= 1.5 * eps
+    # the confirming solve's matvecs are counted on top of the budget solve's
+    k, rows = res.final["k"], res.trace.rows
+    assert rows[-1].matvecs - rows[-2].matvecs > min(default_power_budget(k), ds.m + ds.n) + 1
 
 
 def test_complete_reports_why_it_stopped():
