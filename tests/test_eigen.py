@@ -113,6 +113,16 @@ def test_lanczos_ritz_values_are_shift_invariant():
                 assert abs(r1.history[0] - r0.history[0] - c) <= 1e-12 * (vals[0] - vals[-1])
 
 
+def test_rayleigh_history_is_monotone_on_shifted_operator():
+    rng = make_rng(8)
+    M = rng.standard_normal((25, 25))
+    M = (M + M.T) / 2
+    res = approx_largest_ev(SymmetricOperator.from_dense(M), 0.05, seed=1)
+    shifted = [h + spectral_range_bound(SymmetricOperator.from_dense(M))
+               for h in res.history]
+    assert all(b >= a - 1e-10 for a, b in zip(shifted, shifted[1:]))
+
+
 def test_doubling_iterations_never_hurts():
     rng = make_rng(9)
     M = rng.standard_normal((40, 40))
