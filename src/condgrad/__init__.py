@@ -28,11 +28,9 @@ from .eigen import (
 from .objectives import least_squares, linear, squared_distance, squared_norm
 from .solver import (
     CertifiedRun,
-    RandomizedLMO,
     RunResult,
     certified_iteration_count,
     curvature_from_hessian,
-    duality_gap,
     fw_run,
     gap_certified_run,
     line_search_alpha,
@@ -47,7 +45,6 @@ __all__ = [
     "IterateLedger",
     "LmoResult",
     "ObjectiveOracle",
-    "RandomizedLMO",
     "RunResult",
     "RunTrace",
     "StepSchedule",
@@ -59,7 +56,6 @@ __all__ = [
     "certified_iteration_count",
     "curvature_from_hessian",
     "dense_eig_oracle",
-    "duality_gap",
     "fw_run",
     "gap_certified_run",
     "least_squares",

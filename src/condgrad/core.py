@@ -122,10 +122,10 @@ class LmoResult(NamedTuple):
 
     atom is the step atom.  slack bounds how far <atom, grad> may lie above
     the true minimum over the domain.  cert, when set, is the result that
-    certifies the duality gap because the step atom does not (a sampled
-    atom, or one solved on a modified gradient); the gap is then read off
-    cert.atom and cert.slack.  matvecs counts the step's solve only; fw_run
-    adds cert.matvecs.
+    certifies the duality gap because the step atom does not (one solved
+    on a modified gradient); the gap is then read off cert.atom and
+    cert.slack.  matvecs counts the step's solve only; fw_run adds
+    cert.matvecs.
     """
 
     atom: Atom

@@ -429,6 +429,7 @@ class SparsePsdDomain:
     """Convex hull of the trace-2 sparse atoms P(i,j), N(i,j)."""
 
     def __init__(self, n, mode: str = "both"):
+        _check_size(n)
         if not (n >= 2 and mode in ("both", "plus", "minus")):
             raise ValueError(f"sparse-PSD needs n >= 2 and a known mode, got {n!r}, {mode!r}")
         self.n = n
@@ -523,11 +524,11 @@ class BoundedDiagDomain:
     """PSD matrices with diagonal entries at most t (no trace constraint)."""
 
     def __init__(self, n, t=1.0):
-        if not (n >= 1 and t > 0):
-            raise ValueError(f"bounded-diagonal domain needs n >= 1 and t > 0, got {n!r}, {t!r}")
+        _check_size(n, t)
+        # provable cap ||X - Y||_F <= tr(X) + tr(Y) <= 2nt: a radius-nt diameter
+        _check_size(n, n * t)
         self.n = n
         self.t = float(t)
-        # provable cap ||X - Y||_F <= tr(X) + tr(Y) <= 2nt
         self.diam_sq = 4.0 * (n * self.t) ** 2
 
     def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:

@@ -229,10 +229,13 @@ class SupportLedger(FactoredLedger):
 # domain objects
 
 def _check_size(n, t=1.0):
-    """Domain constructor validation: a dimension n >= 1 that numpy can index
-    and a radius t > 0 whose squared diameter (at most (2t)^2) is finite."""
-    if not 1 <= n <= np.iinfo(np.intp).max:
-        raise ValueError(f"domain dimension n must be >= 1 and fit an array index, got {n!r}")
+    """Domain constructor validation: an integer dimension n >= 1 (not a bool)
+    that numpy can index and a radius t > 0 whose squared diameter (at most
+    (2t)^2) is finite."""
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or not 1 <= n <= np.iinfo(np.intp).max):
+        raise ValueError(f"domain dimension n must be >= 1, be an integer and fit an array "
+                         f"index, got {n!r}")
     if not t > 0:  # NaN too
         raise ValueError(f"domain radius t must be positive, got {t!r}")
     if not 4.0 * t * t < np.inf:

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (CoordinateAtom, IterateLedger, LazyPoint, LmoResult, ObjectiveOracle,
-                   RunClock, RunTrace, StepSchedule, StopRule, make_rng)
+from .core import (IterateLedger, LazyPoint, ObjectiveOracle, RunClock, RunTrace,
+                   StepSchedule, StopRule, make_rng)
 
 LINE_SEARCH_DERIV_TOL = 1e-10
 LINE_SEARCH_MAX_ITERS = 60
@@ -89,12 +89,6 @@ def line_search_alpha(objective: ObjectiveOracle, x, s) -> float:
         else:
             hi = mid
     return mid
-
-
-def duality_gap(x, grad, domain) -> float:
-    """<x - s, grad> for the domain's best atom s, from its exact oracle."""
-    res = domain.lmo(grad)
-    return float(np.vdot(x, grad) - res.atom.inner(grad)) + res.slack
 
 
 class DenseIterate(IterateLedger):
@@ -174,8 +168,6 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     C = None if objective is None else objective.curvature_bound
     if lmo_mode == "approx" and inner_tol is None and C is None:
         raise ValueError("approximate LMO mode needs a curvature bound or inner_tol")
-    if getattr(domain, "requires_line_search", False) and schedule.kind != "line_search":
-        raise ValueError("randomized oracles need line search so failed samples cannot hurt")
     rng = make_rng(seed)
     clock = RunClock()
 
@@ -291,37 +283,3 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
     return CertifiedRun(point=x_best, ledger=ledger, trace=run.trace,
                         stopped_on=run.stopped_on, matvecs=run.matvecs,
                         gap_bound=gap_bound, k_hat=k_hat, certified=bool(gap_bound <= eps))
-
-
-class RandomizedLMO:
-    """Wraps a domain with a sampling oracle that hits the exact atom with
-    probability at least success_prob; the run must use line search."""
-
-    requires_line_search = True
-
-    def __init__(self, domain, sampler, success_prob: float):
-        if not 0.0 < success_prob <= 1.0:  # NaN too
-            raise ValueError(f"success_prob must lie in (0, 1], got {success_prob!r}")
-        self.inner = domain
-        self.sampler = sampler
-        self.diam_sq = domain.diam_sq
-
-    def lmo(self, grad, eps=0.0, rng=None):
-        if rng is None:
-            raise ValueError("sampling oracle needs the run's generator")
-        # a sampled atom underestimates the gap; the exact atom certifies it
-        return LmoResult(self.sampler(rng), cert=self.inner.lmo(grad))
-
-    def start_atom(self):
-        return self.inner.start_atom()
-
-    def contains(self, x):
-        return self.inner.contains(x)
-
-
-def uniform_simplex_sampler(n):
-    """Uniform coordinate sampling on the simplex: success probability 1/n."""
-    def sample(rng):
-        i = int(rng.integers(n))
-        return CoordinateAtom(n, i, 1.0, f"e{i}")
-    return sample

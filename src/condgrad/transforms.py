@@ -125,14 +125,6 @@ def weighted_nuclear_wrap(objective: ObjectiveOracle, p, q):
     return _pullback(objective, to_original, to_original, f"wnuc({objective.name})"), to_original
 
 
-def weighted_nuclear_norm(Z, p, q) -> float:
-    """||P Z Q||_nuc for P = diag(sqrt(p)), Q = diag(sqrt(q)) (test oracle)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return nuclear_norm_oracle(np.asarray(Z, dtype=float)
-                               * np.outer(np.sqrt(p), np.sqrt(q)))
-
-
 # ---------------------------------------------------------------------------
 # small-scale nuclear norm (test oracle)
 

@@ -1,6 +1,7 @@
-"""Reference code that only the tests use: the power method that the
-eigensolver's budget counts, small-scale SDP characterizations of the nuclear
-and max norms, an exhaustive bounded-diagonal oracle, an empirical diameter,
+"""Reference code that only the tests use: the duality gap from a domain's
+exact oracle, the power method that the eigensolver's budget counts,
+small-scale SDP characterizations of the nuclear and max norms, the weighted
+nuclear norm, an exhaustive bounded-diagonal oracle, an empirical diameter,
 the per-constraint soft-max loops, and the completion losses that tests
 compare against.
 """
@@ -13,6 +14,16 @@ from condgrad.core import ObjectiveOracle, make_rng
 from condgrad.domains.matrices import _project_rows
 from condgrad.eigen import POWER_C, EigResult, dense_eig_oracle, spectral_range_bound
 from condgrad.matcomp import PredictionStore, RatingDataset, residual_operator
+from condgrad.transforms import nuclear_norm_oracle
+
+
+# ---------------------------------------------------------------------------
+# the duality gap
+
+def duality_gap(x, grad, domain) -> float:
+    """<x - s, grad> for the domain's best atom s, from its exact oracle."""
+    res = domain.lmo(grad)
+    return float(np.vdot(x, grad) - res.atom.inner(grad)) + res.slack
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +146,14 @@ def max_norm_oracle(Z, tol: float = 1e-4) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def weighted_nuclear_norm(Z, p, q) -> float:
+    """||P Z Q||_nuc for P = diag(sqrt(p)), Q = diag(sqrt(q))."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    return nuclear_norm_oracle(np.asarray(Z, dtype=float)
+                               * np.outer(np.sqrt(p), np.sqrt(q)))
 
 
 # ---------------------------------------------------------------------------

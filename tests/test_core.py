@@ -123,3 +123,9 @@ def test_objective_oracle_gradient_matches_finite_differences():
                           grad=lambda x: 2.0 * Q @ x, name="quad")
     x = rng.standard_normal(4)
     assert np.allclose(obj.grad(x), _fd_gradient(obj.eval, x), atol=1e-5)
+
+
+@pytest.mark.parametrize("module", ["condgrad", "condgrad.domains"])
+def test_every_exported_name_resolves(module):
+    # a star import raises AttributeError on a name in __all__ that the module lacks
+    exec(f"from {module} import *", {})

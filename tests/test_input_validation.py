@@ -13,13 +13,13 @@ from condgrad.cli import main
 from condgrad.core import ObjectiveOracle, RunTrace, StepSchedule, StopRule
 from condgrad.domains.matrices import (FactoredPSD, SparsePsdAtom, boundeddiag_lmo,
                                       sparsepsd_lmo, spect_lmo, spect_lowrank_lowerbound_suite)
-from condgrad.domains.vectors import (SimplexDomain, cube_lmo, l1_lmo, l1_lowerbound_suite,
-                                      simplex_lmo, sparse_lowerbound_suite, uniform_k_vector)
+from condgrad.domains.vectors import (cube_lmo, l1_lmo, l1_lowerbound_suite, simplex_lmo,
+                                      sparse_lowerbound_suite, uniform_k_vector)
 from condgrad.eigen import SymmetricOperator, approx_largest_ev, dense_eig_oracle
 from condgrad.matcomp import PredictionStore, RatingDataset, complete, metrics
 from condgrad.objectives import squared_norm
 from condgrad.sdpfeas import FeasibilitySDP, binary_search_objective, softmax_eval_grad
-from condgrad.solver import RandomizedLMO, line_search_alpha, uniform_simplex_sampler
+from condgrad.solver import line_search_alpha
 from condgrad.transforms import (BlockEmbedding, extract_factorization, nuclear_to_spect,
                                  weighted_nuclear_wrap)
 
@@ -83,8 +83,6 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
      "start vector of shape \\(1,\\) for an operator of dim 3"),
     (lambda: approx_largest_ev(SymmetricOperator.from_dense(np.eye(3)), -0.5, iterations=4),
      "eps must be"),
-    (lambda: RandomizedLMO(SimplexDomain(3), uniform_simplex_sampler(3), 0.5).lmo(np.ones(3)),
-     "generator"),
     (lambda: StopRule(target_lower=0.5), "needs max_iters"),
     (lambda: StopRule(max_iters=3, target_lower=float("nan")), "target_lower"),
     (lambda: StopRule(max_iters=3, target_lower=float("inf")), "target_lower"),
@@ -108,7 +106,7 @@ RANK_ONE_5 = FactoredPSD(n=5, scale=1.0, weights=[1.0], vectors=[np.eye(5)[0]])
         "boundeddiag_lmo_asymmetric", "softmax_sigma",
         "rank_suite_k", "sparsepsd_atom", "uniform_k", "sparse_suite_k", "l1_suite_k",
         "z_block_shape", "embed_z_shape", "factorization_split", "wrap_weights",
-        "eig_zero_start", "eig_start_shape", "eig_eps_negative", "randomized_lmo_rng",
+        "eig_zero_start", "eig_start_shape", "eig_eps_negative",
         "stop_rule_lower_alone", "stop_rule_lower_nan", "stop_rule_lower_inf",
         "stop_rule_f_alone", "stop_rule_f_nan", "stop_rule_gap_nan",
         "stop_rule_max_iters_nan", "stop_rule_max_iters_-1", "stop_rule_max_iters_2.5",

@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 
 from condgrad.core import Atom, ObjectiveOracle, StepSchedule, StopRule, make_rng
-from condgrad.domains.matrices import SpectrahedronDomain, rank_one_atom
+from condgrad.domains.matrices import hazan_run
 from condgrad.domains.vectors import SimplexDomain, simplex_lmo
 from condgrad.objectives import least_squares, linear, squared_distance, squared_norm
 from condgrad.solver import (
-    RandomizedLMO,
     certified_iteration_count,
     curvature_from_hessian,
-    duality_gap,
     fw_run,
     gap_certified_run,
     line_search_alpha,
-    uniform_simplex_sampler,
 )
+from support import duality_gap
 
 
 def test_curvature_from_hessian_values():
@@ -217,7 +215,6 @@ def test_approx_rate_with_inner_tolerance():
     dom = SimplexDomain(n)
 
     class NoisyLMO:
-        requires_line_search = False
         diam_sq = dom.diam_sq
 
         def lmo(self, grad, eps=0.0, rng_=None):
@@ -228,9 +225,6 @@ def test_approx_rate_with_inner_tolerance():
                 pt = (1 - lam) * res.atom.point + lam * bad
                 return type(res)(Atom(pt, "mix"), 0, eps)
             return res
-
-        def gap_formula(self, x, grad):
-            return dom.gap_formula(x, grad)
 
         def start_atom(self):
             return dom.start_atom()
@@ -243,43 +237,17 @@ def test_approx_rate_with_inner_tolerance():
             assert err <= 8.0 * C / (k + 2.0) + 1e-10
 
 
-def test_randomized_lmo_frequency_and_progress():
-    n = 5
-    dom = SimplexDomain(n)
-    rand = RandomizedLMO(dom, uniform_simplex_sampler(n), success_prob=1.0 / n)
-    rng = make_rng(11)
-    grad = np.array([3.0, -1.0, 2.0, 0.5, 4.0])
-    exact = simplex_lmo(grad).label
-    hits = sum(rand.lmo(grad, 0.0, rng).atom.label == exact for _ in range(2000))
-    p = 1.0 / n
-    sigma = np.sqrt(p * (1 - p) / 2000)
-    assert hits / 2000 >= p - 3 * sigma
-    # with line search the randomized run still reaches f <= 1/5 + 0.1
-    # within 5x the deterministic budget (median over 20 seeds)
-    obj = squared_norm(curvature_bound=2.0)
-    det = fw_run(obj, dom, stop=StopRule(max_iters=400))
-    det_k = next(r.k for r in det.trace.rows if r.f <= 1.0 / n + 0.1)
-    finals = []
-    for seed in range(20):
-        res = fw_run(obj, rand, stop=StopRule(max_iters=5 * max(det_k, 1)),
-                     schedule=StepSchedule.line_search(), seed=seed)
-        finals.append(obj.eval(res.point))
-    assert np.median(finals) <= 1.0 / n + 0.1
-
-
-def test_randomized_lmo_counts_its_certifying_solves():
-    # every sampled atom comes with an exact eigensolve that certifies the
-    # gap; fw_run counts it as the plain spectahedron oracle's, n per row
+def test_fw_run_counts_each_certifying_solve():
+    # grad averaging steps on an eigenvector of the averaged gradient and
+    # certifies the gap with a second eigensolve on the true one (from row 1
+    # on); fw_run counts both, n matvecs each at eps 0
     n = 6
     obj = squared_distance(np.diag(np.arange(n, dtype=float)) / (n * (n - 1) / 2),
                            curvature_bound=4.0)
-    rand = RandomizedLMO(SpectrahedronDomain(n), lambda rng: rank_one_atom(rng.standard_normal(n)),
-                         success_prob=0.5)
-    runs = [fw_run(obj, dom, stop=StopRule(max_iters=5), schedule=StepSchedule.line_search())
-            for dom in (rand, SpectrahedronDomain(n))]
-    counts = [[r.matvecs for r in run.trace.rows] for run in runs]
-    assert counts[0] == counts[1] == [n * (k + 1) for k in range(6)]
-    assert runs[0].matvecs == runs[1].matvecs == 6 * n
+    run = hazan_run(obj, n, variant="grad_averaging", lmo_mode="exact",
+                    stop=StopRule(max_iters=5))
+    assert [r.matvecs for r in run.trace.rows] == [n * (2 * k + 1) for k in range(6)]
+    assert run.matvecs == 11 * n
 
 
 def test_squared_distance_and_least_squares_gradients():
@@ -309,15 +277,6 @@ def test_fw_run_argument_checks_survive_python_O():
         fw_run(obj, dom, stop=StopRule(max_iters=2), lmo_mode="apprx")
     with pytest.raises(ValueError, match="curvature bound"):
         fw_run(squared_norm(), dom, stop=StopRule(max_iters=2), lmo_mode="approx")
-    rand = RandomizedLMO(dom, uniform_simplex_sampler(3), success_prob=0.5)
-    with pytest.raises(ValueError, match="line search"):
-        fw_run(obj, rand, stop=StopRule(max_iters=2), schedule=StepSchedule.harmonic())
-
-
-@pytest.mark.parametrize("p", [0.0, -0.5, 1.5, float("nan")])
-def test_randomized_lmo_rejects_bad_success_probability(p):
-    with pytest.raises(ValueError, match="success_prob"):
-        RandomizedLMO(SimplexDomain(3), uniform_simplex_sampler(3), success_prob=p)
 
 
 @pytest.mark.parametrize("C,eps,what", [

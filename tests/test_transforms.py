@@ -10,10 +10,10 @@ from condgrad.transforms import (
     extract_factorization,
     nuclear_norm_oracle,
     nuclear_to_spect,
-    weighted_nuclear_norm,
     weighted_nuclear_wrap,
 )
-from support import max_norm_oracle, maxnorm_sdp_feasible, nuclear_sdp_feasible
+from support import (max_norm_oracle, maxnorm_sdp_feasible, nuclear_sdp_feasible,
+                     weighted_nuclear_norm)
 
 
 def test_block_embedding_round_trip():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from condgrad.core import StopRule, make_rng
+from condgrad.domains.matrices import BoundedDiagDomain, SparsePsdDomain, SpectrahedronDomain
 from condgrad.domains.vectors import (
     CubeDomain,
     L1BallDomain,
@@ -198,6 +199,16 @@ def test_slack_variable_simplex_reduction_matches_l1_domain():
     (lambda: SimplexDomain(10 ** 400), "fit an array index"),
     (lambda: CubeDomain(2 ** 63), "fit an array index"),
     (lambda: L1BallDomain(3, t=1e200), "finite diameter"),
+    # a dimension that is not an integer would fail later, inside numpy's indexing
+    (lambda: SimplexDomain(2.5), "an integer"),
+    (lambda: SimplexDomain(True), "an integer"),
+    (lambda: SpectrahedronDomain(2.5), "an integer"),
+    (lambda: CubeDomain(np.float64(3.0)), "an integer"),
+    (lambda: BoundedDiagDomain(2.5), "an integer"),
+    (lambda: SparsePsdDomain(float("inf")), "an integer"),
+    # the bounded-diagonal diameter 4 (n t)^2 must be finite too, or gaps read nan
+    (lambda: BoundedDiagDomain(3, t=1e200), "too large for a finite diameter"),
+    (lambda: BoundedDiagDomain(3, t=float("inf")), "too large for a finite diameter"),
 ])
 def test_domains_reject_sizes_past_numeric_range(make, what):
     with pytest.raises(ValueError, match=what):
