@@ -241,8 +241,11 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
                       lmo_mode: str = "exact", seed=0,
                       target_lower: Optional[float] = None) -> CertifiedRun:
     """Two-phase schedule (K harmonic steps, then K+1 at fixed alpha=2/(K+2))
-    guaranteeing an iterate with duality gap <= eps; returns the iterate with
-    the smallest measured certified gap, which fw_run's on_iterate keeps.
+    guaranteeing an iterate with duality gap <= eps by row 2K+1.  The run
+    takes at most 2K+1 steps and stops at its first row with certified gap
+    <= eps; every earlier row's gap is above eps, so that row is the
+    smallest-gap row.  Returns the smallest-gap row of the rows run, which
+    fw_run's on_iterate keeps (for an uncertified run, the best row).
 
     With target_lower it stops at its first row with f - gap > target_lower,
     which certifies f* > target_lower; the best row is then of the rows run.
@@ -275,7 +278,7 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
         if best is None or gap < best[0]:
             best = (gap, k, x.point_builder(), x.atoms, len(x.atoms), x.weights.copy())
 
-    stop = StopRule(max_iters=2 * K + 1, target_lower=target_lower)
+    stop = StopRule(max_iters=2 * K + 1, target_gap=eps, target_lower=target_lower)
     run = fw_run(objective, domain, stop=stop, schedule=schedule, lmo_mode=lmo_mode, seed=seed,
                  inner_tol=inner_tol, on_iterate=on_iterate)
     gap_bound, k_hat, x_best, atoms, m, weights = best

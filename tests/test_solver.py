@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from condgrad.core import Atom, ObjectiveOracle, StepSchedule, StopRule, make_rng
-from condgrad.domains.matrices import hazan_run
-from condgrad.domains.vectors import SimplexDomain, simplex_lmo
+from condgrad import solver
+from condgrad.domains.matrices import SpectrahedronDomain, hazan_run
+from condgrad.domains.vectors import L1BallDomain, SimplexDomain, simplex_lmo
 from condgrad.objectives import least_squares, linear, squared_distance, squared_norm
 from condgrad.solver import (
     certified_iteration_count,
@@ -182,11 +183,55 @@ def test_gap_certified_run_meets_target_within_window(eps):
     obj = squared_norm(curvature_bound=2.0)
     run = gap_certified_run(obj, SimplexDomain(4), eps)
     K = certified_iteration_count(2.0, eps, "exact")
-    assert run.certified
+    assert run.certified and run.stopped_on == "gap"
     assert run.gap_bound <= eps
-    assert K <= run.k_hat <= 2 * K + 1
+    # it stops at its first certified row, which is its smallest-gap row
+    assert run.k_hat == run.trace.final().k <= 2 * K + 1
+    assert run.gap_bound == run.trace.final().gap
+    assert all(r.gap > eps for r in run.trace.rows[:-1])
     # the returned iterate reproduces the certified point
     assert np.allclose(run.ledger.reconstruct(), run.point, atol=1e-12)
+
+
+def _cert_problems():
+    rng = np.random.default_rng(3)
+    r = rng.dirichlet(np.ones(40))
+    yield squared_distance(r, curvature_bound=2.0), SimplexDomain(40), 0.05, "exact"
+    yield squared_distance(r, curvature_bound=2.0), SimplexDomain(40), 0.05, "approx"
+    c = rng.standard_normal(10)
+    l1 = L1BallDomain(10, 1.0)
+    yield (squared_distance(2.0 * c / np.abs(c).sum(),
+                            curvature_bound=curvature_from_hessian(2.0, l1.diam_sq)),
+           l1, 0.2, "exact")
+    Q, _ = np.linalg.qr(rng.standard_normal((10, 3)))
+    R = (Q * np.array([0.5, 0.3, 0.2])) @ Q.T
+    yield (squared_distance(0.5 * (R + R.T), curvature_bound=2.0), SpectrahedronDomain(10),
+           0.3, "approx")
+
+
+@pytest.mark.parametrize("case", range(4), ids=["simplex", "simplex_approx", "l1",
+                                                 "spect_approx"])
+def test_gap_certified_trace_is_a_prefix_of_the_uncut_run(case, monkeypatch):
+    # the gap stop only cuts the run: fw_run with the same two_phase(K)
+    # schedule and inner tolerance, stopped at 2K+1 alone, runs the same rows
+    obj, dom, eps, mode = list(_cert_problems())[case]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return fw_run(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "fw_run", spy)
+    run = gap_certified_run(obj, dom, eps, lmo_mode=mode, seed=4)
+    K = certified_iteration_count(obj.curvature_bound, eps, mode)
+    (kw,) = calls
+    assert kw["schedule"] == StepSchedule.two_phase(K)
+    full = fw_run(obj, dom, **dict(kw, stop=StopRule(max_iters=2 * K + 1)))
+    rows, k = run.trace.rows, run.trace.final().k
+    assert run.stopped_on == "gap" and k < full.trace.final().k
+    assert [r[:6] for r in rows[:-1]] == [r[:6] for r in full.trace.rows[:k]]
+    assert rows[-1][:6] == full.trace.rows[k][:3] + (0.0,) + full.trace.rows[k][4:6]
+    assert k == next(r.k for r in full.trace.rows if r.gap <= eps)
 
 
 def test_certified_run_on_linear_objective_is_immediate():
@@ -198,7 +243,6 @@ def test_certified_run_on_linear_objective_is_immediate():
 
 def test_certified_run_with_approximate_lmo_budget():
     # inner tolerance alpha*C_f, budget 2*ceil(8C/eps)+1
-    from condgrad.domains.matrices import SpectrahedronDomain
     obj = squared_norm(curvature_bound=2.0, name="fro2")
     run = gap_certified_run(obj, SpectrahedronDomain(6), eps=0.4,
                             lmo_mode="approx")
