@@ -238,19 +238,15 @@ def cmd_solve(args) -> int:
     certified = None
     if eps is not None:
         run = gap_certified_run(objective, domain, eps, lmo_mode=mode, seed=seed)
-        trace, ledger = run.trace, run.ledger
-        gap = run.gap_bound
-        certified = run.certified
-        iters = run.k_hat
+        gap, certified, iters = run.gap_bound, run.certified, run.k_hat
     else:
-        res = fw_run(objective, domain,
+        run = fw_run(objective, domain,
                      stop=StopRule(max_iters=max_iters),
                      schedule=StepSchedule.line_search() if schedule == "line_search"
                      else StepSchedule.harmonic(),
                      lmo_mode=mode, seed=seed)
-        trace, ledger = res.trace, res.ledger
-        gap = res.trace.final().gap
-        iters = res.trace.final().k
+        gap, iters = run.trace.final().gap, run.trace.final().k
+    trace, ledger = run.trace, run.ledger
 
     if trace_path:
         trace.write_csv(trace_path)
@@ -262,6 +258,7 @@ def cmd_solve(args) -> int:
         "iterations": int(iters),
         "support": ledger.support_size(),
         "certified": certified,
+        "stopped_on": run.stopped_on,
         "seed": seed,
     }
     _write_summary(summary, summary_path)

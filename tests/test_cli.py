@@ -70,6 +70,23 @@ def test_solve_certified_quadratic_on_simplex(tmp_path, capsys):
     assert disk == summary
 
 
+def test_solve_certified_trace_ends_at_its_first_certified_row(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    cfg = write_json(tmp_path / "run.json", {
+        "objective": {"kind": "quadratic", "target": [0.5, 0.3, 0.2, 0.0]},
+        "domain": {"kind": "simplex", "n": 4},
+        "eps": 0.05,
+        "out": {"trace": str(trace)},
+    })
+    code, summary = run_main(capsys, ["solve", cfg])
+    assert code == 0 and summary["certified"] is True
+    assert summary["stopped_on"] == "gap"
+    rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+    assert int(rows[-1][0]) == summary["iterations"] == len(rows) - 1
+    assert float(rows[-1][2]) == summary["gap"] <= 0.05 < min(float(r[2]) for r in rows[:-1])
+    assert float(rows[-1][3]) == 0.0
+
+
 def _spect_target(n, seed):
     Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, 3)))
     R = (Q * np.array([0.5, 0.3, 0.2])) @ Q.T
@@ -106,6 +123,7 @@ def test_solve_max_iters_path(tmp_path, capsys):
     assert code == 0
     assert summary["certified"] is None
     assert summary["iterations"] == 12
+    assert summary["stopped_on"] == "max_iters"
     # min ||x||^2 over [-1,1]^4 is 0
     assert summary["f"] <= 1e-6
 
