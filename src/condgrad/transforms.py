@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import ObjectiveOracle
 from .domains.matrices import FactoredPSD
-from .eigen import dense_eig_oracle
 
 GRADIENT_BLOCK_SCALE = 0.5
 
@@ -124,12 +123,3 @@ def weighted_nuclear_wrap(objective: ObjectiveOracle, p, q):
 
     return _pullback(objective, to_original, to_original, f"wnuc({objective.name})"), to_original
 
-
-# ---------------------------------------------------------------------------
-# small-scale nuclear norm (test oracle)
-
-def nuclear_norm_oracle(Z) -> float:
-    """Sum of singular values via the eigenvalues of Z^T Z."""
-    Z = np.asarray(Z, dtype=float)
-    vals, _ = dense_eig_oracle(Z.T @ Z)
-    return float(np.sqrt(np.clip(vals, 0.0, None)).sum())

@@ -1,9 +1,9 @@
 """Reference code that only the tests use: the duality gap from a domain's
 exact oracle, the power method that the eigensolver's budget counts,
-small-scale SDP characterizations of the nuclear and max norms, the weighted
-nuclear norm, an exhaustive bounded-diagonal oracle, an empirical diameter,
-the per-constraint soft-max loops, and the completion losses that tests
-compare against.
+small-scale SDP characterizations of the nuclear and max norms, the nuclear
+norm and the weighted nuclear norm, an exhaustive bounded-diagonal oracle,
+an empirical diameter, the per-constraint soft-max loops, and the
+completion losses that tests compare against.
 """
 
 import math
@@ -14,7 +14,6 @@ from condgrad.core import ObjectiveOracle, make_rng
 from condgrad.domains.matrices import _project_rows
 from condgrad.eigen import POWER_C, EigResult, dense_eig_oracle, spectral_range_bound
 from condgrad.matcomp import PredictionStore, RatingDataset, residual_operator
-from condgrad.transforms import nuclear_norm_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +145,13 @@ def max_norm_oracle(Z, tol: float = 1e-4) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def nuclear_norm_oracle(Z) -> float:
+    """Sum of singular values via the eigenvalues of Z^T Z."""
+    Z = np.asarray(Z, dtype=float)
+    vals, _ = dense_eig_oracle(Z.T @ Z)
+    return float(np.sqrt(np.clip(vals, 0.0, None)).sum())
 
 
 def weighted_nuclear_norm(Z, p, q) -> float:

@@ -53,10 +53,10 @@ from condgrad.solver import (
     line_search_alpha,
 )
 from condgrad.core import ObjectiveOracle
-from condgrad.transforms import nuclear_norm_oracle
 from support import (
     max_norm_oracle,
     maxnorm_sdp_feasible,
+    nuclear_norm_oracle,
     nuclear_sdp_feasible,
     squared_loss_objective,
 )

@@ -8,12 +8,11 @@ from condgrad.solver import fw_run
 from condgrad.transforms import (
     BlockEmbedding,
     extract_factorization,
-    nuclear_norm_oracle,
     nuclear_to_spect,
     weighted_nuclear_wrap,
 )
-from support import (max_norm_oracle, maxnorm_sdp_feasible, nuclear_sdp_feasible,
-                     weighted_nuclear_norm)
+from support import (max_norm_oracle, maxnorm_sdp_feasible, nuclear_norm_oracle,
+                     nuclear_sdp_feasible, weighted_nuclear_norm)
 
 
 def test_block_embedding_round_trip():
