@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condgrad.core import Atom, ObjectiveOracle, StepSchedule, StopRule, make_rng
 from condgrad import solver
 from condgrad.domains.matrices import SpectrahedronDomain, hazan_run
-from condgrad.domains.vectors import L1BallDomain, SimplexDomain, simplex_lmo
+from condgrad.domains.vectors import CubeDomain, L1BallDomain, SimplexDomain, simplex_lmo
 from condgrad.objectives import least_squares, linear, squared_distance, squared_norm
 from condgrad.solver import (
     certified_iteration_count,
@@ -232,6 +234,28 @@ def test_gap_certified_trace_is_a_prefix_of_the_uncut_run(case, monkeypatch):
     assert [r[:6] for r in rows[:-1]] == [r[:6] for r in full.trace.rows[:k]]
     assert rows[-1][:6] == full.trace.rows[k][:3] + (0.0,) + full.trace.rows[k][4:6]
     assert k == next(r.k for r in full.trace.rows if r.gap <= eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["simplex", "l1", "cube"]), n=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 16), eps=st.floats(0.01, 1.0))
+def test_gap_certified_run_on_drawn_problems_with_the_target_inside(kind, n, seed, eps):
+    # r in the domain makes f* = 0: f is then the primal error on every row.
+    # Simplex targets are multiples of 2^-20, so they sum to 1 exactly.
+    rng = np.random.default_rng(seed)
+    if kind == "simplex":
+        dom, r = SimplexDomain(n), rng.multinomial(2 ** 20, rng.dirichlet(np.ones(n))) / 2 ** 20
+    elif kind == "l1":
+        dom, r = L1BallDomain(n, rng.uniform(0.5, 2.0)), rng.standard_normal(n)
+        r *= dom.t * rng.uniform(0.0, 0.99) / np.abs(r).sum()
+    else:
+        dom, r = CubeDomain(n), rng.uniform(-1.0, 1.0, size=n)
+    obj = squared_distance(r, curvature_bound=curvature_from_hessian(2.0, dom.diam_sq))
+    run = gap_certified_run(obj, dom, eps)
+    assert run.certified and run.stopped_on == "gap"
+    assert obj.eval(run.point) <= run.gap_bound <= eps
+    assert all(row.gap > eps for row in run.trace.rows[:-1])
+    assert all(row.f <= row.gap for row in run.trace.rows)
 
 
 def test_certified_run_on_linear_objective_is_immediate():
