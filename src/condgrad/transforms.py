@@ -122,4 +122,3 @@ def weighted_nuclear_wrap(objective: ObjectiveOracle, p, q):
         return np.asarray(Zbar, dtype=float) / scale
 
     return _pullback(objective, to_original, to_original, f"wnuc({objective.name})"), to_original
-
