@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condgrad.core import Atom, ObjectiveOracle, StepSchedule, StopRule, make_rng
 from condgrad import solver
+from condgrad.core import Atom, ObjectiveOracle, StepSchedule, StopRule, make_rng
 from condgrad.domains.matrices import SpectrahedronDomain, hazan_run
 from condgrad.domains.vectors import CubeDomain, L1BallDomain, SimplexDomain, simplex_lmo
 from condgrad.objectives import least_squares, linear, squared_distance, squared_norm
@@ -195,28 +195,28 @@ def test_gap_certified_run_meets_target_within_window(eps):
     assert np.allclose(run.ledger.reconstruct(), run.point, atol=1e-12)
 
 
-def _cert_problems():
-    rng = np.random.default_rng(3)
-    r = rng.dirichlet(np.ones(40))
-    yield squared_distance(r, curvature_bound=2.0), SimplexDomain(40), 0.05, "exact"
-    yield squared_distance(r, curvature_bound=2.0), SimplexDomain(40), 0.05, "approx"
-    c = rng.standard_normal(10)
-    l1 = L1BallDomain(10, 1.0)
-    yield (squared_distance(2.0 * c / np.abs(c).sum(),
-                            curvature_bound=curvature_from_hessian(2.0, l1.diam_sq)),
-           l1, 0.2, "exact")
-    Q, _ = np.linalg.qr(rng.standard_normal((10, 3)))
+def _cert_problem(kind):
+    """(objective, domain, eps) for one domain kind, each at its own seed."""
+    if kind == "simplex":
+        r = np.random.default_rng(3).dirichlet(np.ones(40))
+        return squared_distance(r, curvature_bound=2.0), SimplexDomain(40), 0.05
+    if kind == "l1":
+        c = np.random.default_rng(6).standard_normal(10)
+        dom = L1BallDomain(10, 1.0)
+        return (squared_distance(2.0 * c / np.abs(c).sum(),
+                                 curvature_bound=curvature_from_hessian(2.0, dom.diam_sq)),
+                dom, 0.2)
+    Q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((10, 3)))
     R = (Q * np.array([0.5, 0.3, 0.2])) @ Q.T
-    yield (squared_distance(0.5 * (R + R.T), curvature_bound=2.0), SpectrahedronDomain(10),
-           0.3, "approx")
+    return squared_distance(0.5 * (R + R.T), curvature_bound=2.0), SpectrahedronDomain(10), 0.3
 
 
-@pytest.mark.parametrize("case", range(4), ids=["simplex", "simplex_approx", "l1",
-                                                 "spect_approx"])
-def test_gap_certified_trace_is_a_prefix_of_the_uncut_run(case, monkeypatch):
+@pytest.mark.parametrize("kind,mode", [("simplex", "exact"), ("simplex", "approx"),
+                                       ("l1", "exact"), ("spect", "approx")])
+def test_gap_certified_trace_is_a_prefix_of_the_uncut_run(kind, mode, monkeypatch):
     # the gap stop only cuts the run: fw_run with the same two_phase(K)
     # schedule and inner tolerance, stopped at 2K+1 alone, runs the same rows
-    obj, dom, eps, mode = list(_cert_problems())[case]
+    obj, dom, eps = _cert_problem(kind)
     calls = []
 
     def spy(*args, **kwargs):
