@@ -158,15 +158,13 @@ def solve_eps_feasible(sdp: FeasibilitySDP, eps: float, seed=0,
     stops at its first row with f <= eps (feasible) or with f - gap > eps,
     which proves min f > eps by weak duality (infeasible).  When it ends
     above eps, a gap_certified_run at eps/2 follows with the same stop on
-    f - gap; it also stops at its first row with gap <= eps/2, which shows
-    min f <= f <= 3 eps/2 when that row's f - gap is <= eps.  Below its row
-    K = ceil(16 C_f/eps) it replays the first run's rows bit for bit, so it
-    stops at the same row.  f_lower and gap_bound come from the row with the
-    largest f - gap across both traces, X and f from the certify run's
-    smallest-gap row.  The outcome is infeasible when that f_lower exceeds
-    eps (always when the first run stopped on it), and undetermined at this
-    budget otherwise.  iterations, matvecs and trace are the first run's, up
-    to its stop row.
+    f - gap; below its row K = ceil(16 C_f/eps) it replays the first run's
+    rows bit for bit, so it stops at the same row.  f_lower and gap_bound
+    come from the row with the largest f - gap across both traces, X and f
+    from the certify run's smallest-gap row.  The outcome is infeasible when
+    that f_lower exceeds eps (always when the first run stopped on it), and
+    undetermined at this budget otherwise.  iterations, matvecs and trace
+    are the first run's, up to its stop row.
     """
     if not 0 < eps < math.inf:  # NaN too
         raise ValueError(f"eps must be positive and finite, got {eps!r}")

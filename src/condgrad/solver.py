@@ -248,7 +248,9 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
     fw_run's on_iterate keeps (for an uncertified run, the best row).
 
     With target_lower it stops at its first row with f - gap > target_lower,
-    which certifies f* > target_lower; the best row is then of the rows run.
+    which certifies f* > target_lower, and not on the gap: a later row can
+    still certify f* > target_lower after a row with gap <= eps.  The best
+    row is then of the rows run.
 
     For approximate oracles the gap of the window iterates is measured at a
     tolerance below the slack margin the schedule leaves, so a true-gap
@@ -278,7 +280,8 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
         if best is None or gap < best[0]:
             best = (gap, k, x.point_builder(), x.atoms, len(x.atoms), x.weights.copy())
 
-    stop = StopRule(max_iters=2 * K + 1, target_gap=eps, target_lower=target_lower)
+    stop = StopRule(max_iters=2 * K + 1, target_gap=eps if target_lower is None else None,
+                    target_lower=target_lower)
     run = fw_run(objective, domain, stop=stop, schedule=schedule, lmo_mode=lmo_mode, seed=seed,
                  inner_tol=inner_tol, on_iterate=on_iterate)
     gap_bound, k_hat, x_best, atoms, m, weights = best

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from condgrad import make_rng, sdpfeas
-from condgrad.core import RunTrace, StopRule
+from condgrad import make_rng, sdpfeas, solver
+from condgrad.core import RunTrace, StepSchedule, StopRule
 from condgrad.domains import SpectrahedronDomain
 from condgrad.sdpfeas import (
     FeasibilitySDP,
@@ -209,14 +209,25 @@ def potential(sdp, eps):
 
 
 def full_budget_status(sdp, eps, seed):
-    """The status of a certify phase that runs its whole 2K+1 budget and
-    reads its smallest-gap row, with that run (None when phase 1 suffices)."""
+    """The status of a certify phase that runs its whole 2K+1 budget, with no
+    stop on gap or on f - gap, and reads its smallest-gap row, with that
+    run's trace (None when phase 1 suffices).  The run is fw_run with the
+    schedule and inner tolerance that gap_certified_run at eps/2 gives it."""
     first = solve_eps_feasible(sdp, eps, seed=seed)
     if first.status == "feasible":
         return "feasible", None
-    cert = gap_certified_run(*potential(sdp, eps), eps / 2.0, lmo_mode="approx", seed=seed)
-    f_lower = cert.trace.rows[cert.k_hat].f - cert.gap_bound
-    return ("infeasible" if cert.certified and f_lower > eps else "undetermined"), cert
+    objective, domain = potential(sdp, eps)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "fw_run", lambda *a, **kw: calls.append(kw) or fw_run(*a, **kw))
+        gap_certified_run(objective, domain, eps / 2.0, lmo_mode="approx", seed=seed)
+    K = certified_iteration_count(objective.curvature_bound, eps / 2.0, "approx")
+    assert calls[0]["schedule"] == StepSchedule.two_phase(K)
+    trace = fw_run(objective, domain,
+                   **dict(calls[0], stop=StopRule(max_iters=2 * K + 1), on_iterate=None)).trace
+    best = min(trace.rows, key=lambda r: r.gap)  # the first smallest, as the run keeps it
+    certified = best.gap <= eps / 2.0 and best.f - best.gap > eps
+    return ("infeasible" if certified else "undetermined"), trace
 
 
 AGREEMENT_CASES = {
@@ -249,16 +260,34 @@ def test_first_certified_row_agrees_with_the_full_budget_rule(case, monkeypatch)
     if full is not None:
         # the stop fires at the full run's first row with f - gap > eps, and the
         # rows up to it agree in k, f and gap
-        k_first = next(r.k for r in full.trace.rows if r.f - r.gap > eps)
+        k_first = next(r.k for r in full.rows if r.f - r.gap > eps)
         rows = phase2[0].trace.rows
         assert len(rows) <= k_first + 1
-        assert [r[:3] for r in rows] == [r[:3] for r in full.trace.rows[:len(rows)]]
+        assert [r[:3] for r in rows] == [r[:3] for r in full.rows[:len(rows)]]
     if out.status == "infeasible":
         assert out.f_lower == max(r.f - r.gap for r in phase2[0].trace.rows)
         f_X = softmax_eval_grad(sdp, out.sigma, out.X)[0]
         f_center = softmax_eval_grad(sdp, out.sigma, np.eye(sdp.n) * (sdp.t / sdp.n))[0]
         assert eps < out.f_lower <= f_X
         assert out.f_lower <= f_center
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_certify_phase_searches_past_its_first_certified_gap(seed):
+    # rhs = eps/10 puts min f in (eps, 3 eps/2]: the certify run's first row
+    # with gap <= eps/2 has f - gap <= eps, and only a later row proves
+    # min f > eps, so a certify run that stopped on its gap would leave the
+    # outcome undetermined
+    sdp, eps = paired_infeasible(6, 1, seed, rhs=0.05), 0.5
+    status, full = full_budget_status(sdp, eps, seed)
+    k_gap = next(r.k for r in full.rows if r.gap <= eps / 2.0)
+    k_lower = next(r.k for r in full.rows if r.f - r.gap > eps)
+    assert k_gap < k_lower
+    assert full.rows[k_gap].f - full.rows[k_gap].gap <= eps < min(r.f for r in full.rows) <= 1.5 * eps
+    out = solve_eps_feasible(sdp, eps, seed=seed)
+    assert not [r for r in out.trace.rows if r.f - r.gap > eps]  # the first run left it open
+    assert out.status == status == "infeasible"
+    assert out.f_lower == full.rows[k_lower].f - full.rows[k_lower].gap
 
 
 @pytest.mark.parametrize("case", sorted(c for c in AGREEMENT_CASES

@@ -195,6 +195,18 @@ def test_gap_certified_run_meets_target_within_window(eps):
     assert np.allclose(run.ledger.reconstruct(), run.point, atol=1e-12)
 
 
+def test_gap_certified_run_with_target_lower_does_not_stop_on_gap():
+    # f* = 1/5 on the 5-simplex, so f - gap > 0.3 never holds: the run keeps
+    # searching past its first certified row to the end of its 2K+1 budget
+    obj = squared_norm(curvature_bound=2.0)
+    K = certified_iteration_count(2.0, 0.05, "exact")
+    run = gap_certified_run(obj, SimplexDomain(5), eps=0.05, target_lower=0.3)
+    assert run.stopped_on == "max_iters" and run.trace.final().k == 2 * K + 1
+    assert run.certified and next(r.k for r in run.trace.rows if r.gap <= 0.05) < 2 * K + 1
+    best = min(run.trace.rows, key=lambda r: r.gap)
+    assert (run.k_hat, run.gap_bound) == (best.k, best.gap)
+
+
 def _cert_problem(kind):
     """(objective, domain, eps) for one domain kind, each at its own seed."""
     if kind == "simplex":
