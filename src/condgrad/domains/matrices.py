@@ -21,7 +21,7 @@ import numpy as np
 from ..core import (Atom, DenseApply, FactoredLedger, IterateLedger, LmoResult,
                     ObjectiveOracle, StepSchedule, StopRule, make_rng)
 from .. import solver
-from ..eigen import SymmetricOperator, approx_smallest_ev, check_symmetric
+from ..eigen import SymmetricOperator, approx_smallest_ev, check_symmetric, spectral_range_bound
 from ..solver import RunResult
 from .vectors import _check_finite, _check_size
 
@@ -175,12 +175,27 @@ class GramLedger(FactoredLedger):
 
 def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
     """Best rank-1 atom t*vv^T for a linear objective: v is an approximate
-    smallest eigenvector of grad, so the atom value is within t*eps of the
-    true domain minimum t*lambda_min(grad).
+    smallest eigenvector of grad, so the atom value is within the returned
+    slack, at most t*eps, of the true domain minimum t*lambda_min(grad).
 
     v comes from Lanczos (see approx_largest_ev) on -grad: O(log(n)/sqrt(eps))
     matvecs, never more than one above the power method's O(log(n)/eps)
     count, and exact once the step count reaches n.
+
+    The slack is t*eps unless the solve found its Krylov space invariant,
+    on the break or at the dimension; then it is t*(beta + rounding), capped
+    at t*eps.  Lanczos from q that ends on the residual norm beta has found
+    an exactly invariant Krylov space of a matrix within beta of grad in
+    norm.  That space holds the part of q in each eigenspace, and a random q
+    has a part in every one almost surely, so the space holds the extreme
+    eigenvalue and the Ritz value is within beta of grad's (Kuczynski &
+    Wozniakowski's bound for any later step count applies to the same Ritz
+    value, and tends to 0).  The exception is a q within about 1e-14 / (the
+    extreme spectral gap) of orthogonal to the extreme eigenvector: the
+    break then ends the solve early, with probability of order sqrt(n) times
+    that.  At the dimension beta is 0.  The rounding term adds what the
+    basis lost (the history's two readings) and n ulps of the spectral
+    range bound, so it is never 0.
 
     eps <= 0 requests the exact (dense-eigensolver) oracle and needs a dense
     gradient.
@@ -190,8 +205,12 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
         return LmoResult(rank_one_atom(np.linalg.eigh(G)[1][:, 0], t), matvecs=G.shape[0])
     op = grad if isinstance(grad, SymmetricOperator) else SymmetricOperator.from_dense(grad)
     res = approx_smallest_ev(op, eps, rng=rng, seed=seed)
-    return LmoResult(rank_one_atom(res.vector, t), matvecs=res.matvecs,
-                     slack=t * eps)
+    slack = eps
+    if res.beta is not None:
+        rounding = (abs(res.history[0] - res.rayleigh)
+                    + op.dim * math.ulp(1.0) * spectral_range_bound(op))
+        slack = min(eps, res.beta + rounding)
+    return LmoResult(rank_one_atom(res.vector, t), matvecs=res.matvecs, slack=t * slack)
 
 
 class SpectrahedronDomain:

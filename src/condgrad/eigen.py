@@ -91,6 +91,9 @@ class EigResult(NamedTuple):
     matvecs: int             # steps + 1: the last one measures rayleigh
     history: tuple           # (top Ritz value, rayleigh), apart by what the basis
                              # lost to rounding; (rayleigh,) when no step ran
+    beta: Optional[float] = None  # set when the Krylov space was invariant: the
+                             # beta of the invariance break, or 0.0 when the steps
+                             # reached the dimension; None when the steps ran out
 
 
 def spectral_range_bound(op: SymmetricOperator) -> float:
@@ -158,8 +161,7 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
 def approx_smallest_ev(op: SymmetricOperator, eps: float, **kw) -> EigResult:
     """Unit v with v^T M v <= lambda_min(M) + eps (whp): approx_largest_ev on -M."""
     res = approx_largest_ev(op.negated(), eps, **kw)
-    return EigResult(res.vector, -res.rayleigh, res.iterations, res.matvecs,
-                     tuple(-r for r in res.history))
+    return res._replace(rayleigh=-res.rayleigh, history=tuple(-r for r in res.history))
 
 
 def _lanczos_largest(op, q, iterations) -> EigResult:
@@ -172,6 +174,7 @@ def _lanczos_largest(op, q, iterations) -> EigResult:
     the basis lost to rounding."""
     m = min(iterations, op.dim)
     Q, T = np.empty((m, op.dim)), np.zeros((m, m))
+    beta = 0.0 if m == op.dim else None
     for j in range(m):
         Q[j] = q
         w = op(q)
@@ -182,18 +185,19 @@ def _lanczos_largest(op, q, iterations) -> EigResult:
             break
         w -= h.dot(Qj)
         w -= Qj.dot(w).dot(Qj)
-        beta = math.sqrt(w.dot(w))
-        if beta < 1e-14:
+        b = math.sqrt(w.dot(w))
+        if b < 1e-14:
+            beta = b
             break  # the Krylov space is invariant: T holds its exact spectrum
-        T[j, j + 1] = T[j + 1, j] = beta
-        w /= beta
+        T[j, j + 1] = T[j + 1, j] = b
+        w /= b
         q = w
     k = j + 1
     vals, vecs = np.linalg.eigh(T[:k, :k])
     ritz = vecs[:, -1].dot(Q[:k])
     ritz /= math.sqrt(ritz.dot(ritz))
     ray = float(ritz.dot(op(ritz)))
-    return EigResult(ritz, ray, k, k + 1, (float(vals[-1]), ray))
+    return EigResult(ritz, ray, k, k + 1, (float(vals[-1]), ray), beta)
 
 
 def dense_eig_oracle(M: np.ndarray):

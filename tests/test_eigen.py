@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condgrad.core import make_rng
+from condgrad.domains.matrices import spect_lmo
 from condgrad.eigen import (
     SymmetricOperator,
     approx_largest_ev,
@@ -182,6 +185,51 @@ def test_lanczos_stops_on_an_invariant_krylov_space():
     res = approx_largest_ev(SymmetricOperator.from_dense(M), 1e-3, seed=0)
     assert res.iterations <= 4
     assert res.rayleigh == pytest.approx(dense_eig_oracle(M)[0][0], abs=1e-10)
+
+
+def test_spect_lmo_slack_on_an_invariant_krylov_space_is_rounding_level():
+    # the rank-2 operator above: the solve ends on the invariance break, so
+    # the slack is beta plus rounding, far below t*eps, and still holds
+    u = np.linspace(1.0, 2.0, 30)
+    w = np.cos(np.arange(30.0))
+    M = np.outer(u, u) / (u @ u) * 3.0 - np.outer(w, w) / (w @ w)
+    res = spect_lmo(M, 1e-3, t=2.0, seed=0)
+    assert 0.0 < res.slack <= 1e-12
+    v = res.atom.vector
+    assert 2.0 * (v @ M @ v) - 2.0 * dense_eig_oracle(M)[0][-1] <= res.slack
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_spect_lmo_slack_holds_on_low_rank_and_repeated_spectra(data):
+    # low-rank and repeated spectra are where Lanczos ends on the invariance
+    # break and the slack shrinks to beta plus rounding; whatever the solve
+    # did, t*lambda_min of a dense eigvalsh lies within the slack of the
+    # atom's value
+    n = data.draw(st.integers(2, 40))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    if data.draw(st.sampled_from(["low_rank", "repeated"])) == "low_rank":
+        rank = data.draw(st.integers(1, min(4, n)))
+        spectrum = np.r_[rng.uniform(-1.0, 1.0, rank), np.zeros(n - rank)]
+    else:
+        levels = rng.uniform(-1.0, 1.0, data.draw(st.integers(1, 3)))
+        spectrum = levels[rng.integers(0, len(levels), n)]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    M = data.draw(st.sampled_from([1e-3, 1.0, 1e3])) * (Q * spectrum) @ Q.T
+    M = 0.5 * (M + M.T)
+    grad = {"dense": M,
+            "fro_closure": SymmetricOperator(dim=n, matvec=M.dot,
+                                             fro_norm=float(np.linalg.norm(M))),
+            "row_closure": SymmetricOperator(dim=n, matvec=lambda x: M @ x,
+                                             row_abs_max=float(np.abs(M).sum(axis=1).max())),
+            }[data.draw(st.sampled_from(["dense", "fro_closure", "row_closure"]))]
+    eps = data.draw(st.sampled_from([1e-6, 1e-3, 0.1])) * float(np.abs(M).max())
+    t = data.draw(st.sampled_from([1.0, 2.5]))
+    res = spect_lmo(grad, eps, t=t, seed=seed)
+    v = res.atom.vector
+    assert 0.0 < res.slack <= t * eps
+    assert t * (v @ M @ v) - t * np.linalg.eigvalsh(M)[0] <= res.slack
 
 
 def test_negated_dense_operator_matches_negated_matvec_bitwise():

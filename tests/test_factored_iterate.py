@@ -51,12 +51,15 @@ def _dense_twin(objective):
     return dataclasses.replace(objective, target=None)
 
 
-def _assert_rows_agree(fact, dense, rel=REL):
+def _assert_rows_agree(fact, dense, rel=REL, floor_ulps=0):
+    """Row by row: f and the gap within rel relative, or within floor_ulps
+    ulps of the row's f."""
     assert len(fact.rows) == len(dense.rows)
     for a, b in zip(fact.rows, dense.rows):
         assert a.k == b.k
+        floor = floor_ulps * np.spacing(max(abs(a.f), abs(b.f)))
         for x, y in ((a.f, b.f), (a.gap, b.gap)):
-            assert abs(x - y) <= rel * max(abs(x), abs(y)), (a, b)
+            assert abs(x - y) <= max(rel * max(abs(x), abs(y)), floor), (a, b)
 
 
 PROBLEMS = [  # (n, objective)
@@ -67,6 +70,15 @@ PROBLEMS = [  # (n, objective)
 ]
 
 
+# The n = 8 line search reaches the optimum X = I/8 at row 7.  There the
+# eigensolves end on the invariance break, so the slack is rounding level,
+# and each gap <X, G> - t lambda_min(G) + slack is rounding too: two terms of
+# size 2f = 1/4 apart by noise (at row 7, 3.0e-15 on the factored path and
+# 2.2e-15 on the dense one).  No relative bound holds between two such
+# values.  An inner product over the n^2 entries of X and G rounds by at most
+# n^2 ulps of its terms' absolute sum, here 2f, so the two paths' gaps may
+# differ by twice that: the floor is 4 n^2 ulps of f (the largest difference
+# seen is 75 ulps, against 256).
 @pytest.mark.parametrize("n,obj", PROBLEMS)
 @pytest.mark.parametrize("schedule", [StepSchedule.harmonic(), StepSchedule.line_search()],
                          ids=["harmonic", "line_search"])
@@ -76,7 +88,7 @@ def test_factored_and_dense_runs_agree_on_every_row(n, obj, schedule):
                    lmo_mode="approx", seed=7) for o in (obj, _dense_twin(obj))]
     assert isinstance(runs[0].ledger, GramLedger)
     assert not isinstance(runs[1].ledger, GramLedger)
-    _assert_rows_agree(runs[0].trace, runs[1].trace)
+    _assert_rows_agree(runs[0].trace, runs[1].trace, floor_ulps=4 * n * n)
 
 
 # The n = 30 run has 162 rows and ends near f* = 0, where the iteration
@@ -374,10 +386,13 @@ def test_support_and_dense_runs_agree_on_drawn_problems(data):
         _assert_same_iterate(*runs)
 
 
-# Fixed draws: past a nearly invariant Krylov space Lanczos divides last-bit
-# differences by a small beta (7e-8, then 5e-10 at n = 6, seed 7, spectrum
-# (0.4, 0.3, 0.2, 0.1), 5 harmonic steps), and the row-5 f then differs by
-# 2e-10 relative, in about one random draw in 700 (see CHANGES.md)
+# Fixed draws: Lanczos still breaks only on an absolute beta < 1e-14 (every
+# break relative to the operator's scale that was tried also moved the
+# spect_hazan matvec count, so none was kept; see CHANGES.md).  Past a nearly
+# invariant Krylov space it divides last-bit differences by a small beta
+# (7e-8, then 5e-10 at n = 6, seed 7, spectrum (0.4, 0.3, 0.2, 0.1), 5
+# harmonic steps), and the row-5 f then differs by 2e-10 relative, in about
+# one random draw in 700
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(st.data())
 def test_factored_and_dense_runs_agree_on_drawn_problems(data):

@@ -272,13 +272,20 @@ def test_first_certified_row_agrees_with_the_full_budget_rule(case, monkeypatch)
         assert out.f_lower <= f_center
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_certify_phase_searches_past_its_first_certified_gap(seed):
+PAST_FIRST_GAP = [(16, 8), (17, 1), (20, 2)]  # (n, seed)
+
+
+@pytest.mark.parametrize("case", range(len(PAST_FIRST_GAP)))
+def test_certify_phase_searches_past_its_first_certified_gap(case):
     # rhs = eps/10 puts min f in (eps, 3 eps/2]: the certify run's first row
     # with gap <= eps/2 has f - gap <= eps, and only a later row proves
     # min f > eps, so a certify run that stopped on its gap would leave the
-    # outcome undetermined
-    sdp, eps = paired_infeasible(6, 1, seed, rhs=0.05), 0.5
+    # outcome undetermined.  The first phase must leave it open too: at
+    # n = 6 every eigensolve reaches the dimension, its slack is rounding
+    # level, and the first phase certifies on its own; these n and seeds
+    # have solves that stop on their step count
+    n, seed = PAST_FIRST_GAP[case]
+    sdp, eps = paired_infeasible(n, 1, seed, rhs=0.05), 0.5
     status, full = full_budget_status(sdp, eps, seed)
     k_gap = next(r.k for r in full.rows if r.gap <= eps / 2.0)
     k_lower = next(r.k for r in full.rows if r.f - r.gap > eps)
