@@ -190,12 +190,13 @@ def spect_lmo(grad, eps: float, t: float = 1.0, rng=None, seed=0) -> LmoResult:
     has a part in every one almost surely, so the space holds the extreme
     eigenvalue and the Ritz value is within beta of grad's (Kuczynski &
     Wozniakowski's bound for any later step count applies to the same Ritz
-    value, and tends to 0).  The exception is a q within about 1e-14 / (the
-    extreme spectral gap) of orthogonal to the extreme eigenvector: the
-    break then ends the solve early, with probability of order sqrt(n) times
-    that.  At the dimension beta is 0.  The rounding term adds what the
-    basis lost (the history's two readings) and n ulps of the spectral
-    range bound, so it is never 0.
+    value, and tends to 0).  The exception is a q so close to orthogonal to
+    the extreme eigenvector that its part there is rounding: within about
+    n ulps of L / (the extreme spectral gap), L = spectral_range_bound(op),
+    where the break ends the solve early; a random q lands there with
+    probability of order sqrt(n) times that.  At the dimension beta is 0.
+    The rounding term adds what the basis lost (the history's two readings)
+    and n ulps of L, so it is never 0.
 
     eps <= 0 requests the exact (dense-eigensolver) oracle and needs a dense
     gradient.

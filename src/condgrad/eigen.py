@@ -155,7 +155,7 @@ def approx_largest_ev(op: SymmetricOperator, eps: float, seed=0, rng=None,
         # min: a subnormal gamma makes the quotient inf, and math.ceil(inf) raises
         p = max(1, math.ceil(min(c_log_n / gamma, 2.0 ** 62)))
         iterations = min(p + 1, math.ceil(c_log_n / math.sqrt(gamma)), op.dim)
-    return _lanczos_largest(op, v, int(iterations))
+    return _lanczos_largest(op, v, int(iterations), L)
 
 
 def approx_smallest_ev(op: SymmetricOperator, eps: float, **kw) -> EigResult:
@@ -164,17 +164,22 @@ def approx_smallest_ev(op: SymmetricOperator, eps: float, **kw) -> EigResult:
     return res._replace(rayleigh=-res.rayleigh, history=tuple(-r for r in res.history))
 
 
-def _lanczos_largest(op, q, iterations) -> EigResult:
+def _lanczos_largest(op, q, iterations, L) -> EigResult:
     """Lanczos from the unit vector q against a row-major basis Q.  Each step
     orthogonalizes op(q) against all of Q by classical Gram-Schmidt run
     twice, which also does the three-term subtraction; alpha is the first
     projection's last entry, and alpha and beta go straight into T.  T is
     diagonalized once, after the last step, and the returned rayleigh is
     measured on the Ritz vector, so it is a true Rayleigh quotient whatever
-    the basis lost to rounding."""
+    the basis lost to rounding.  A beta of at most n ulps of the spectral
+    range bound L is rounding: the Krylov space is invariant and the loop
+    ends.  The threshold scales with the operator, since the rounding does,
+    and is not scaled by |alpha|, which is 0 on every step of a bipartite
+    operator started from one block (complete's)."""
     m = min(iterations, op.dim)
     Q, T = np.empty((m, op.dim)), np.zeros((m, m))
     beta = 0.0 if m == op.dim else None
+    tol = op.dim * math.ulp(1.0) * L
     for j in range(m):
         Q[j] = q
         w = op(q)
@@ -186,9 +191,9 @@ def _lanczos_largest(op, q, iterations) -> EigResult:
         w -= h.dot(Qj)
         w -= Qj.dot(w).dot(Qj)
         b = math.sqrt(w.dot(w))
-        if b < 1e-14:
+        if b <= tol:
             beta = b
-            break  # the Krylov space is invariant: T holds its exact spectrum
+            break  # the Krylov space is invariant: T holds its spectrum
         T[j, j + 1] = T[j + 1, j] = b
         w /= b
         q = w
