@@ -268,6 +268,12 @@ def cmd_solve(args) -> int:
 
 
 def _solve_matcomp(cfg: dict, spec: dict) -> int:
+    # _opt ignores a key it is not asked for, so a removed or misspelt field
+    # would otherwise run the defaults and exit 0
+    unread = sorted(set(spec) - {"kind", "path", "format", "t", "steps", "line_search",
+                                 "preset", "split"})
+    if unread:
+        raise ValueError(f"objective: unknown matcomp field {unread[0]!r}")
     trace, summary = _out_paths(cfg)
     ns = argparse.Namespace(
         data=_need(spec, "path", str, "objective"),
@@ -275,7 +281,6 @@ def _solve_matcomp(cfg: dict, spec: dict) -> int:
         t=_need(spec, "t", float, "objective"),
         steps=_opt(spec, "steps", int, 15, "objective"),
         line_search=_opt(spec, "line_search", bool, True, "objective"),
-        grad_avg=_opt(spec, "grad_avg", bool, False, "objective"),
         normalize=_choice(spec, "preset", ("as_is", "normalized"), "objective") == "normalized",
         split=_opt(spec, "split", str, "random:0.5", "objective"),
         seed=_opt(cfg, "seed", int, 0, "config"),
@@ -316,7 +321,7 @@ def cmd_complete(args) -> int:
     ds = matcomp.split_train_test(ds, policy, seed=args.seed, **kw)
     result = matcomp.complete(
         ds, t=args.t, steps=args.steps, line_search=args.line_search,
-        grad_averaging=args.grad_avg, normalize=args.normalize, seed=args.seed)
+        normalize=args.normalize, seed=args.seed)
     if args.trace:
         result.trace.write_csv(args.trace)
     summary = {
@@ -447,7 +452,6 @@ def main(argv=None) -> int:
     pc.add_argument("--line-search", dest="line_search", action="store_true",
                     default=True)
     pc.add_argument("--no-line-search", dest="line_search", action="store_false")
-    pc.add_argument("--grad-avg", action="store_true", default=False)
     pc.add_argument("--normalize", action="store_true", default=False)
     pc.add_argument("--split", default="random:0.5",
                     help="random:<rho> or peruser:<r>")

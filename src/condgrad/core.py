@@ -120,18 +120,15 @@ class CoordinateAtom:
 class LmoResult(NamedTuple):
     """An oracle's answer for one gradient.
 
-    atom is the step atom.  slack bounds how far <atom, grad> may lie above
-    the true minimum over the domain.  cert, when set, is the result that
-    certifies the duality gap because the step atom does not (one solved
-    on a modified gradient); the gap is then read off cert.atom and
-    cert.slack.  matvecs counts the step's solve only; fw_run adds
-    cert.matvecs.
+    atom is the step atom, and it certifies the duality gap: slack bounds
+    how far <atom, grad> may lie above the true minimum over the domain, so
+    fw_run reads the gap off atom and slack.  matvecs counts the oracle's
+    matrix-vector products.
     """
 
     atom: Atom
     matvecs: int = 0
     slack: float = 0.0
-    cert: Optional["LmoResult"] = None
 
 
 class IterateLedger:

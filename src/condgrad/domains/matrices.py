@@ -4,8 +4,8 @@ bounded-diagonal PSD box, with their linear oracles.
 Spectahedron atoms are kept as (v, t) (RankOneAtom), so the ledger holds
 the iterate's factored (sum of weighted rank-1) representation at O(n)
 memory per atom.  For f = ||X - R||^2 with the approximate oracle, fw_run
-keeps only that from its first row on (GramLedger), grad averaging too, and
-builds the dense X when it is read; other runs step dense symmetric arrays.
+keeps only that from its first row on (GramLedger), and builds the dense X
+when it is read; other runs step dense symmetric arrays.
 """
 
 from __future__ import annotations
@@ -255,46 +255,6 @@ class SpectrahedronDomain:
         return bool(np.linalg.eigvalsh(X).min() >= -1e-9 * max(1.0, self.t))
 
 
-class AveragedGradientOracle(SpectrahedronDomain):
-    """Spectahedron oracle for the grad_averaging heuristic on f = ||X - R||^2:
-    from step k = 1 on, the step atom is the eigenvector of (grad f(X) +
-    grad f(Xbar))/2, Xbar = (1 - 1/k) X + (1/k) t v v^T for the previous step
-    atom, which is (1 - 1/(2k)) grad f(X) + (1/k)(t v v^T - R) (an operator
-    when grad f(X) is one) as the gradient is affine.  A second eigensolve on
-    grad f(X) itself, returned as the result's cert, keeps the traced gap
-    certified.  It counts steps, so one per run."""
-
-    def __init__(self, f: ObjectiveOracle, n, t=1.0):
-        super().__init__(n, t)
-        R = f.target
-        if not (np.shape(R) == (n, n) or (R is not None and np.ndim(R) == 0 and R == 0)):
-            raise ValueError("grad_averaging needs f = ||X - R||^2 with its target R "
-                             f"recorded, n x n or 0; {f.name} has {np.shape(R)}")
-        self.R = np.asarray(R, dtype=float)  # 0-d for R = 0, which np.dot takes too
-        self.r_fro = float(np.linalg.norm(self.R))
-        self.k, self.prev_v = 0, None
-
-    def _averaged(self, grad, k: int):
-        c, v, t, R = 1.0 - 0.5 / k, self.prev_v, self.t, self.R
-        if not isinstance(grad, SymmetricOperator):
-            return c * grad + (1.0 / k) * (t * np.outer(v, v) - R)
-        # ||t v v^T - R||_F <= t + ||R||_F bounds the added term
-        return SymmetricOperator(
-            dim=grad.dim,
-            matvec=lambda u: c * grad.matvec(u) + (1.0 / k) * (t * (v @ u) * v - np.dot(R, u)),
-            fro_norm=None if grad.fro_norm is None else c * grad.fro_norm + (t + self.r_fro) / k)
-
-    def lmo(self, grad, eps=0.0, rng=None) -> LmoResult:
-        k, self.k = self.k, self.k + 1
-        if k == 0:
-            res = super().lmo(grad, eps, rng)
-        else:
-            res = super().lmo(self._averaged(grad, k), eps, rng)
-            res = res._replace(cert=super().lmo(grad, eps, rng))
-        self.prev_v = res.atom.vector
-        return res
-
-
 @dataclass
 class HazanResult(RunResult):
     """fw_run's result with the final iterate's factors; point is fetched
@@ -314,20 +274,14 @@ def hazan_run(objective: ObjectiveOracle, n: int, t: float = 1.0,
 
     Starts from the deterministic e1 e1^T atom; after k steps the iterate has
     rank at most k+1 and, in approx mode, primal error at most 8 C_f/(k+2).
-    variant line_search replaces the harmonic step, grad_averaging feeds the
-    eigensolver the averaged matrix (grad f(X) + grad f(Xbar))/2 instead of
-    the gradient (a heuristic without the rate guarantee; the traced gap is
-    still measured against the true gradient at extra eigensolver cost; it
-    needs f = ||X - R||^2 with its target recorded, else ValueError).
+    variant line_search replaces the harmonic step.  Every row's gap is read
+    off the step atom's eigensolve.
     """
-    if variant not in ("plain", "line_search", "grad_averaging"):
+    if variant not in ("plain", "line_search"):
         raise ValueError(f"unknown hazan_run variant {variant!r}")
-    if variant == "grad_averaging":
-        domain = AveragedGradientOracle(objective, n, t)
-    else:
-        domain = SpectrahedronDomain(n, t)
     schedule = StepSchedule.line_search() if variant == "line_search" else StepSchedule.harmonic()
-    run = solver.fw_run(objective, domain, stop=stop or StopRule(max_iters=100),
+    run = solver.fw_run(objective, SpectrahedronDomain(n, t),
+                        stop=stop or StopRule(max_iters=100),
                         schedule=schedule, lmo_mode=lmo_mode, seed=seed)
     return HazanResult(point=lambda: run.point, ledger=run.ledger, trace=run.trace,
                        stopped_on=run.stopped_on, matvecs=run.matvecs,

@@ -37,7 +37,7 @@ from .core import (LmoResult, RunTrace, StepSchedule, StopRule, WEIGHT_PRUNE_TOL
                    make_rng)
 from .domains.matrices import (FactoredPSD, RankOneAtom, _canonical_sign, _digest_label,
                                rank_one_atom)
-from .eigen import EigResult, SymmetricOperator, approx_smallest_ev
+from .eigen import SymmetricOperator, approx_smallest_ev
 from .transforms import GRADIENT_BLOCK_SCALE, extract_factorization
 
 RATING_SPAN = 4.0  # NMAE denominator: 5 - 1 for 1..5 star ratings
@@ -329,17 +329,14 @@ def default_power_budget(k: int) -> int:
 
 
 class _CompletionIterate:
-    """complete's domain and iterate for fw_run, one object because grad
-    averaging reads the iterate, and the gap X.G - t*lambda reads the
-    eigensolve.  factored_ledger returns it."""
+    """complete's domain and iterate for fw_run, one object because the gap
+    X.G - t*lambda reads the eigensolve.  factored_ledger returns it."""
 
-    def __init__(self, ds: RatingDataset, t: float, eps: Optional[float], grad_averaging: bool,
-                 budget):
-        self.ds, self.t, self.eps, self.grad_averaging, self.budget = \
-            ds, t, eps, grad_averaging, budget
+    def __init__(self, ds: RatingDataset, t: float, eps: Optional[float], budget):
+        self.ds, self.t, self.eps, self.budget = ds, t, eps, budget
         self.store, self.y, self.k = PredictionStore(ds), ds.train_y, 0
         self.start = np.concatenate([np.ones(ds.m), np.zeros(ds.n)])
-        self.prev_v = self.low_ray = None  # last step's v; lambda of the last certifying solve
+        self.low_ray = None  # lambda of the last certifying solve
 
     def start_atom(self) -> RankOneAtom:  # e_1 e_1^T: every prediction is 0
         return rank_one_atom(np.eye(1, self.ds.m + self.ds.n)[0], self.t)
@@ -348,37 +345,22 @@ class _CompletionIterate:
         self.weights, self.vectors = ledger.weights.tolist(), [a.vector for a in ledger.atoms]
         return self
 
-    def _solve(self, op: SymmetricOperator, k: int) -> EigResult:
-        """budget(k) Lanczos steps from (1_m; 0) for op's smallest eigenvector."""
-        return approx_smallest_ev(op, 0.0, iterations=self.budget(k), start=self.start)
-
-    def _result(self, res: EigResult) -> LmoResult:
-        v = _canonical_sign(res.vector)
-        return LmoResult(RankOneAtom(v, self.t, _digest_label("v", v)), res.matvecs)
-
     def lmo(self, grad: SymmetricOperator, eps: float, rng) -> LmoResult:
-        """budget(k) Lanczos steps on grad certify the gap.  Where that gap
-        reads <= self.eps, an eps/(2t)-accurate solve from a random start
-        confirms it: the lower Rayleigh quotient and its vector are kept, and
-        both solves' matvecs are counted.  From row 1 grad averaging steps
-        along a solve at the mean of X and (1 - 1/k) X + (1/k) t v v^T."""
+        """budget(k) Lanczos steps from (1_m; 0) on grad give the step atom,
+        which certifies the gap.  Where that gap reads <= self.eps, an
+        eps/(2t)-accurate solve from a random start confirms it: the lower
+        Rayleigh quotient and its vector are kept, and both solves' matvecs
+        are counted."""
         k, self.k = self.k, self.k + 1
-        low = self._solve(grad, k)
+        low = approx_smallest_ev(grad, 0.0, iterations=self.budget(k), start=self.start)
         self.low_ray = low.rayleigh
         if self.eps is not None and self.gap(None) <= self.eps:
             conf = approx_smallest_ev(grad, self.eps / (2.0 * self.t), rng=rng)
             low = min(low, conf, key=lambda r: r.rayleigh)._replace(
                 matvecs=low.matvecs + conf.matvecs)
             self.low_ray = low.rayleigh
-        res = self._result(low)
-        if self.grad_averaging and k >= 1:
-            store, v = self.store, self.prev_v
-            pred_bar = (1.0 - 1.0 / k) * store.x + (1.0 / k) * store.atom_values(v, self.t)
-            resid_bar = pred_bar[:store.n_train] - self.y
-            op_bar = residual_operator(self.ds, 0.5 * (self.resid + resid_bar))
-            res = self._result(self._solve(op_bar, k))._replace(cert=res)
-        self.prev_v = res.atom.vector
-        return res
+        v = _canonical_sign(low.vector)
+        return LmoResult(RankOneAtom(v, self.t, _digest_label("v", v)), low.matvecs)
 
     def value_and_grad(self) -> tuple:
         self.resid = self.store.train_values - self.y
@@ -421,7 +403,7 @@ class CompletionResult:
 
 def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
              eps: Optional[float] = None, line_search: bool = True,
-             grad_averaging: bool = False, normalize: bool = False,
+             normalize: bool = False,
              seed=0, power_budget: Optional[Callable[[int], int]] = None
              ) -> CompletionResult:
     """Greedy rank-1 completion: fw_run until `steps` steps or a gap estimate
@@ -444,7 +426,7 @@ def complete(ds: RatingDataset, t: float, steps: Optional[int] = None,
     raw, denorm = ds, None
     if normalize:
         ds, denorm = normalize_means(ds)
-    x = _CompletionIterate(ds, t, eps, grad_averaging, power_budget or default_power_budget)
+    x = _CompletionIterate(ds, t, eps, power_budget or default_power_budget)
     store, history = x.store, []
 
     def on_iterate(k, _x, fx, _gap):

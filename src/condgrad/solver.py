@@ -147,10 +147,10 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     """Run the greedy iteration from domain.start_atom() until the stop rule
     fires.
 
-    Every visited iterate gets a trace row (f, certified gap, step, matvecs
-    so far, LmoResult.cert's counted); the last row has alpha = 0.  In approx
-    mode the oracle is called with inner accuracy eps' = alpha_k * C_f, with
-    C_f the objective's curvature_bound, unless inner_tol overrides it.
+    Every visited iterate gets a trace row (f, the gap certified by the step
+    atom, step, matvecs so far); the last row has alpha = 0.  In approx mode
+    the oracle is called with inner accuracy eps' = alpha_k * C_f, with C_f
+    the objective's curvature_bound, unless inner_tol overrides it.
 
     The domain's factored_ledger hook is asked once, before row 0, with the
     start ledger and whether the oracle is asked for eps 0: for
@@ -193,11 +193,10 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
             eps_in = 0.0
         res = domain.lmo(grad, eps_in, rng)
         atom = res.atom
-        # the gap is certified by res.cert when the oracle set one, else by
-        # the step atom; weak duality makes it an upper bound on the primal error
-        cert = res if res.cert is None else res.cert
-        matvecs += res.matvecs + (0 if cert is res else cert.matvecs)
-        gap_cert = x.gap(cert.atom) + cert.slack
+        # the step atom certifies the gap; weak duality makes it an upper
+        # bound on the primal error
+        matvecs += res.matvecs
+        gap_cert = x.gap(atom) + res.slack
 
         if on_iterate is not None:
             on_iterate(k, x, fx, gap_cert)
@@ -207,7 +206,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         hit_lower = stop.target_lower is not None and fx - gap_cert > stop.target_lower
         hit_iters = stop.max_iters is not None and k >= stop.max_iters
         if hit_gap or hit_f or hit_lower or hit_iters:
-            trace.append(k, fx, gap_cert, 0.0, res.atom.label, matvecs, clock.millis())
+            trace.append(k, fx, gap_cert, 0.0, atom.label, matvecs, clock.millis())
             stopped = ("gap" if hit_gap else "f_target" if hit_f
                        else "f_lower" if hit_lower else "max_iters")
             break

@@ -521,6 +521,25 @@ def test_solve_dispatches_matcomp(tmp_path, capsys):
     assert summary["k"] == 3 and "rmse_test" in summary
 
 
+def test_solve_refuses_a_matcomp_field_it_does_not_read(tmp_path, capsys):
+    # a config that still sets the removed grad_avg must not run the plain
+    # solver and exit 0
+    data = ratings_file(tmp_path, seed=12)
+    cfg = write_json(tmp_path / "mc.json", {
+        "objective": {"kind": "matcomp", "path": data, "t": 2.0, "steps": 3,
+                      "grad_avg": True}})
+    assert main(["solve", cfg]) == 2
+    assert "'grad_avg'" in _one_error_line(capsys, "config error:")
+
+
+def test_complete_refuses_the_removed_grad_avg_flag(tmp_path, capsys):
+    data = ratings_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["complete", "--data", data, "--t", "2.0", "--grad-avg"])
+    assert exc.value.code == 2
+    assert "--grad-avg" in capsys.readouterr().err
+
+
 def test_solve_dispatches_sdpfeas(tmp_path, capsys):
     prob = tmp_path / "p.sdp"
     prob.write_text("n 2\nt 1.0\nconstraint b=1.0\n0 0 1.0\n1 1 1.0\n")
@@ -779,7 +798,7 @@ complete_argvs = st.builds(
     flag(small, ODD), flag(st.integers(0, 2)),
     st.sampled_from(["random:0.5", "random:1", "peruser:1", "random:nan", "random:2",
                      "peruser:x", "odd"]),
-    st.sampled_from([[], ["--normalize"], ["--grad-avg"], ["--no-line-search"],
+    st.sampled_from([[], ["--normalize"], ["--no-line-search"],
                      ["--format", "dat_1m"]]),
     st.sampled_from(OUT_PATHS + [None]), st.sampled_from(OUT_PATHS + [None]))
 sdpfeas_argvs = st.builds(

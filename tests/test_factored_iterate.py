@@ -105,18 +105,12 @@ def test_factored_and_dense_certified_runs_agree(n, obj, rel):
     assert np.allclose(runs[0].point, runs[1].point, atol=1e-9)
 
 
-def test_exact_mode_stays_dense_and_approx_grad_averaging_is_factored():
+def test_exact_mode_stays_dense_and_approx_mode_is_factored():
     obj = squared_distance(_target(10, 4), curvature_bound=2.0)
     run = hazan_run(obj, n=10, stop=StopRule(max_iters=5), lmo_mode="exact")
     assert isinstance(run.ledger, DenseIterate)
-    run = hazan_run(obj, n=10, stop=StopRule(max_iters=5), variant="grad_averaging")
+    run = hazan_run(obj, n=10, stop=StopRule(max_iters=5))
     assert isinstance(run.ledger, GramLedger)
-
-
-def test_grad_averaging_without_a_target_raises_value_error():
-    obj = dataclasses.replace(squared_norm(curvature_bound=2.0), target=None)
-    with pytest.raises(ValueError, match="target"):
-        hazan_run(obj, n=4, variant="grad_averaging")
 
 
 def test_factored_point_is_built_once_when_read():

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from condgrad.core import StepSchedule, StopRule
-from condgrad.domains.matrices import SpectrahedronDomain, hazan_run, sparsepsd_run
+from condgrad.domains.matrices import SpectrahedronDomain, sparsepsd_run
 from condgrad.domains.vectors import CubeDomain, L1BallDomain, SimplexDomain
 from condgrad.matcomp import RatingDataset, complete, split_train_test
 from condgrad.objectives import least_squares, squared_distance
@@ -161,12 +161,6 @@ def case_spect_cert_approx():
     return _cert(obj, SpectrahedronDomain(n), eps=0.3, lmo_mode="approx", seed=4)
 
 
-def case_hazan_grad_averaging():
-    obj, n = _spect_problem(n=15, seed=9)
-    res = hazan_run(obj, n, stop=StopRule(max_iters=25), variant="grad_averaging", seed=1)
-    return res.trace, _digest(res.point, res.ledger, matvecs=res.matvecs)
-
-
 def case_sparsepsd_line_search():
     rng = np.random.default_rng(10)
     B = rng.standard_normal((6, 6))
@@ -214,11 +208,6 @@ def _complete(ds, **kw):
 
 def case_complete_line_search():
     return _complete(_ratings(12), t=100.0, steps=30, seed=0)
-
-
-def case_complete_harmonic_grad_averaging():
-    return _complete(_ratings(13), t=100.0, steps=25, line_search=False,
-                     grad_averaging=True, seed=1)
 
 
 def case_complete_normalize_eps():

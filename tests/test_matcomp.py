@@ -534,18 +534,6 @@ def test_complete_reports_why_it_stopped():
         assert res.final["gap_estimate"] <= 0.3 and res.final["k"] < 300
 
 
-def test_complete_grad_averaging_variant_keeps_invariants():
-    ds = small_ds(seed=80, m=6, n=5)
-    res = complete(ds, t=3.0, steps=12, seed=6, grad_averaging=True)
-    ref = res.store.recompute(res.factored)
-    assert np.max(np.abs(res.store.x - ref)) <= 1e-8
-    budget = 0.5 * (np.linalg.norm(res.L) ** 2 + np.linalg.norm(res.R) ** 2)
-    assert budget <= 1.5 + 1e-6
-    # extra eigensolves for the honest gap estimate cost extra matvecs
-    base = complete(ds, t=3.0, steps=12, seed=6, grad_averaging=False)
-    assert res.matvecs > base.matvecs
-
-
 def test_complete_and_split_reject_bad_parameters():
     ds = small_ds(seed=2)
     for kw, what in ((dict(t=0.0, steps=3), "t must be positive"),

@@ -317,17 +317,15 @@ def test_approx_rate_with_inner_tolerance():
             assert err <= 8.0 * C / (k + 2.0) + 1e-10
 
 
-def test_fw_run_counts_each_certifying_solve():
-    # grad averaging steps on an eigenvector of the averaged gradient and
-    # certifies the gap with a second eigensolve on the true one (from row 1
-    # on); fw_run counts both, n matvecs each at eps 0
+def test_fw_run_counts_each_eigensolve():
+    # one eigensolve per row both steps and certifies the gap; fw_run counts
+    # its n matvecs at eps 0, so row k has n (k + 1) so far
     n = 6
     obj = squared_distance(np.diag(np.arange(n, dtype=float)) / (n * (n - 1) / 2),
                            curvature_bound=4.0)
-    run = hazan_run(obj, n, variant="grad_averaging", lmo_mode="exact",
-                    stop=StopRule(max_iters=5))
-    assert [r.matvecs for r in run.trace.rows] == [n * (2 * k + 1) for k in range(6)]
-    assert run.matvecs == 11 * n
+    run = hazan_run(obj, n, lmo_mode="exact", stop=StopRule(max_iters=5))
+    assert [r.matvecs for r in run.trace.rows] == [n * (k + 1) for k in range(6)]
+    assert run.matvecs == 6 * n
 
 
 def test_squared_distance_and_least_squares_gradients():
