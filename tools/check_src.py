@@ -5,7 +5,10 @@ Prints `src lines: N`, the newline count of every source file (what
 `wc -l src/condgrad/*.py src/condgrad/domains/*.py` totals), and
 `options: N`, the knobs a reader must learn: parameters with defaults
 (every def), annotated class-level fields and module-level UPPER_CASE
-constants.  Then prints `assert statements: K` and the location of each;
+constants, and `cli options: N`, the command line's knobs: optional
+add_argument flags, once per dest (positionals and required=True flags are
+not options), plus the distinct literal config keys read through _opt or
+_choice.  Then prints `assert statements: K` and the location of each;
 the library validates with real exceptions, since `python -O` strips
 assert, so any assert makes the exit status 1.
 """
@@ -34,6 +37,35 @@ def options_count(trees) -> int:
     return count
 
 
+def _literal(node):
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def cli_flag_dests(trees) -> set:
+    """The dests of optional add_argument flags that are not required=True."""
+    dests = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument"):
+                continue
+            flags = [_literal(a) for a in node.args]
+            kw = {k.arg: _literal(k.value) for k in node.keywords}
+            if not flags or not str(flags[0]).startswith("-") or kw.get("required") is True:
+                continue
+            long = [f for f in flags if str(f).startswith("--")]
+            dests.add(kw.get("dest") or (long or flags)[0].lstrip("-").replace("-", "_"))
+    return dests
+
+
+def cli_config_keys(trees) -> set:
+    """The distinct literal keys passed to _opt(cfg, key, ...) or _choice."""
+    return {_literal(node.args[1]) for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("_opt", "_choice") and len(node.args) > 1
+            and isinstance(_literal(node.args[1]), str)}
+
+
 def main() -> int:
     paths = sorted(SRC.rglob("*.py"))
     texts = [path.read_text() for path in paths]
@@ -41,6 +73,7 @@ def main() -> int:
     lines = sum(text.count("\n") for text in texts)
     print(f"src lines: {lines}")
     print(f"options: {options_count(trees)}")
+    print(f"cli options: {len(cli_flag_dests(trees)) + len(cli_config_keys(trees))}")
     found = [f"{path.relative_to(SRC.parent.parent)}:{node.lineno}"
              for path, tree in zip(paths, trees)
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
