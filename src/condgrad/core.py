@@ -197,8 +197,8 @@ class FactoredLedger(IterateLedger):
     """A ledger that is also fw_run's iterate x for f(x) = ||x - r||^2, kept
     in a compact form.  Subclasses give value_and_grad() -> (f, gradient),
     atom_terms(atom) -> (<x - s, grad f(x)>, ||s - x||^2) and
-    point_builder(final=False) (a callable that builds the dense x of now,
-    final when x steps no more); the gap and line search follow in closed form."""
+    point_builder() (a callable that builds the dense x of now, asked for at
+    fw_run's stop row); the gap and line search follow in closed form."""
 
     def gap(self, atom) -> float:
         return self.atom_terms(atom)[0]

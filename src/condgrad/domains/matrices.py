@@ -164,7 +164,7 @@ class GramLedger(FactoredLedger):
         return (2.0 * (xx - xr) - 2.0 * t * (vXv - vRv),
                 t * t * float(v @ v) ** 2 - 2.0 * t * vXv + xx)
 
-    def point_builder(self, final: bool = False):
+    def point_builder(self):
         """A callable that builds today's dense X, as FactoredPSD.dense does."""
         B = self._V.T * np.sqrt(self.t * self.weights)
         return lambda: B @ B.T

@@ -214,7 +214,7 @@ class SupportLedger(FactoredLedger):
         return (float(np.dot(x, g) - v * gi),
                 float(v * v - 2.0 * v * xi + np.dot(x, x)))
 
-    def point_builder(self, final: bool = False):
+    def point_builder(self):
         """A callable that builds today's dense x: S's entries scattered into zeros."""
         n, idx, vals = self.n, self._idx[:self._m].copy(), self._x[:self._m].copy()
 

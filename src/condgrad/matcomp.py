@@ -383,7 +383,7 @@ class _CompletionIterate:
     def factored(self) -> FactoredPSD:
         return FactoredPSD(len(self.vectors[0]), float(self.t), self.weights, self.vectors)
 
-    def point_builder(self, final: bool):
+    def point_builder(self):
         return lambda: self.factored().dense()
 
 

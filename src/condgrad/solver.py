@@ -36,8 +36,9 @@ class RunResult:
 
 @dataclass
 class CertifiedRun(RunResult):
-    """A run whose point and ledger are those of its smallest-gap row k_hat;
-    gap_bound is that row's certified gap, certified says gap_bound <= eps."""
+    """A run whose point and ledger (a GramLedger, SupportLedger or DenseIterate)
+    are those of its smallest-gap row k_hat; gap_bound is that row's certified
+    gap, certified says gap_bound <= eps.  matvecs adds a rerun's (see below)."""
 
     gap_bound: float
     k_hat: int
@@ -99,7 +100,6 @@ class DenseIterate(IterateLedger):
     def __init__(self, objective: ObjectiveOracle, start_ledger: IterateLedger):
         super().__init__(start_ledger.atoms, start_ledger.weights)
         self.objective, self.x, self._grad = objective, self.atoms[0].dense(), None
-        self._moved = False
 
     def value_and_grad(self) -> tuple:
         fx, grad = float(self.objective.eval(self.x)), self.objective.grad(self.x)
@@ -129,15 +129,10 @@ class DenseIterate(IterateLedger):
         s -= self.x
         s *= alpha
         self.x += s
-        self._moved = True
 
-    def point_builder(self, final: bool = False):
-        """A copy of x (before the first step, the start atom's builder); when
-        final, x itself, and the gradient is dropped: a result holds x alone."""
-        if final:
-            self._grad = None
-            return self.x
-        return self.x.copy() if self._moved else self.atoms[0].dense
+    def point_builder(self):
+        self._grad = None  # a result holds x alone
+        return self.x
 
 
 def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
@@ -159,8 +154,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
     own, so objective may be None there.  Otherwise x is a DenseIterate.  x
     is also the ledger; it gives f, the gradient, the gap, the line search
     and the step.  on_iterate(k, x, f, gap) sees each row before its stop
-    test and step: a caller keeps its per-row state there (a best row, a
-    history).
+    test and step: a caller keeps its per-row state there (a history).
     """
     if lmo_mode not in ("exact", "approx"):
         raise ValueError(f"lmo_mode must be 'exact' or 'approx', got {lmo_mode!r}")
@@ -218,7 +212,7 @@ def fw_run(objective: ObjectiveOracle, domain, stop: StopRule,
         x.step(atom, alpha)
         k += 1
 
-    return RunResult(point=x.point_builder(final=True), ledger=x, trace=trace,
+    return RunResult(point=x.point_builder(), ledger=x, trace=trace,
                      stopped_on=stopped, matvecs=matvecs)
 
 
@@ -243,13 +237,15 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
     guaranteeing an iterate with duality gap <= eps by row 2K+1.  The run
     takes at most 2K+1 steps and stops at its first row with certified gap
     <= eps; every earlier row's gap is above eps, so that row is the
-    smallest-gap row.  Returns the smallest-gap row of the rows run, which
-    fw_run's on_iterate keeps (for an uncertified run, the best row).
+    smallest-gap row k_hat, and the run returns its own iterate.
 
     With target_lower it stops at its first row with f - gap > target_lower,
     which certifies f* > target_lower, and not on the gap: a later row can
-    still certify f* > target_lower after a row with gap <= eps.  The best
-    row is then of the rows run.
+    still certify f* > target_lower after a row with gap <= eps.  When such
+    a run, or an uncertified one, stops after its first smallest-gap row
+    k_hat, fw_run reruns to max_iters = k_hat: up to k_hat + 1 more rows,
+    bit for bit the first run's, as each domain's oracle depends only on
+    the gradient, eps and the seeded stream.
 
     For approximate oracles the gap of the window iterates is measured at a
     tolerance below the slack margin the schedule leaves, so a true-gap
@@ -270,21 +266,15 @@ def gap_certified_run(objective: ObjectiveOracle, domain, eps: float,
             step_tol = schedule.alpha_at(k) * C
             return min(step_tol, eps_meas) if k >= K else step_tol
 
-    # (gap, k, point or its builder, ledger atoms list, its length then, weights copy):
-    # the ledger only appends to its atoms list until a prune replaces it
-    best = None
-
-    def on_iterate(k, x, fx, gap):
-        nonlocal best
-        if best is None or gap < best[0]:
-            best = (gap, k, x.point_builder(), x.atoms, len(x.atoms), x.weights.copy())
-
+    kw = dict(schedule=schedule, lmo_mode=lmo_mode, seed=seed, inner_tol=inner_tol)
     stop = StopRule(max_iters=2 * K + 1, target_gap=eps if target_lower is None else None,
                     target_lower=target_lower)
-    run = fw_run(objective, domain, stop=stop, schedule=schedule, lmo_mode=lmo_mode, seed=seed,
-                 inner_tol=inner_tol, on_iterate=on_iterate)
-    gap_bound, k_hat, x_best, atoms, m, weights = best
-    ledger = IterateLedger(atoms=atoms[:m], weights=weights)
-    return CertifiedRun(point=x_best, ledger=ledger, trace=run.trace,
-                        stopped_on=run.stopped_on, matvecs=run.matvecs,
-                        gap_bound=gap_bound, k_hat=k_hat, certified=bool(gap_bound <= eps))
+    run = best = fw_run(objective, domain, stop=stop, **kw)
+    gaps = [r.gap for r in run.trace.rows]
+    k_hat = gaps.index(min(gaps))
+    if k_hat < len(gaps) - 1:
+        best = fw_run(objective, domain, stop=StopRule(max_iters=k_hat), **kw)
+    return CertifiedRun(point=lambda: best.point, ledger=best.ledger, trace=run.trace,
+                        stopped_on=run.stopped_on, gap_bound=gaps[k_hat], k_hat=k_hat,
+                        matvecs=run.matvecs + (0 if best is run else best.matvecs),
+                        certified=bool(gaps[k_hat] <= eps))
