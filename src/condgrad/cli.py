@@ -82,6 +82,14 @@ def _opt(cfg: dict, key: str, typ, default, where: str):
     return _need(cfg, key, typ, where)
 
 
+def _known(cfg: dict, keys: tuple, where: str):
+    """Refuse a field outside keys: _opt ignores a key it is not asked for, so
+    a removed or misspelt field would otherwise run the default and exit 0."""
+    unread = sorted(set(cfg) - set(keys))
+    if unread:
+        raise ValueError(f"{where}: unknown field {unread[0]!r}")
+
+
 def _choice(cfg: dict, key: str, choices: tuple, where: str) -> str:
     """An optional string field among choices, defaulting to the first."""
     v = _opt(cfg, key, str, choices[0], where)
@@ -99,6 +107,7 @@ def _floats(v) -> np.ndarray:
 
 def _out_paths(cfg: dict):
     out = _opt(cfg, "out", dict, {}, "config")
+    _known(out, ("trace", "summary"), "out")
     return _opt(out, "trace", str, None, "out"), _opt(out, "summary", str, None, "out")
 
 
@@ -108,6 +117,8 @@ def _out_paths(cfg: dict):
 def _build_domain(spec: dict):
     kind = _need(spec, "kind", str, "domain")
     n = _need(spec, "n", int, "domain")
+    _known(spec, ("kind", "n", "t") if kind in ("l1", "spectahedron") else ("kind", "n"),
+           "domain")
     if kind == "simplex":
         return SimplexDomain(n)
     if kind == "l1":
@@ -148,6 +159,7 @@ def _build_objective(spec: dict, domain):
     if matrix_shaped and kind != "quadratic":
         raise ValueError(f"objective: {kind!r} needs a vector domain")
     if kind == "quadratic":
+        _known(spec, ("kind", "target"), "objective")
         target = spec.get("target")
         if target is not None:
             target = _floats(target).reshape((domain.n,) * (2 if matrix_shaped else 1))
@@ -159,15 +171,25 @@ def _build_objective(spec: dict, domain):
             obj = squared_norm()
         sup = 2.0  # ||x||^2 or ||x - r||^2
     elif kind in ("least_squares", "lasso"):
+        scale_key = "t" if kind == "lasso" else "scale"
+        _known(spec, ("kind", "A", "b", scale_key), "objective")
         A = _floats(_need(spec, "A", list, "objective"))
         b = _floats(_need(spec, "b", list, "objective"))
         if A.ndim != 2 or not A.size or b.shape != A.shape[:1]:
             raise ValueError("objective: A/b dimension mismatch")
+        if A.shape[1] != domain.n:
+            raise ValueError(f"objective: A has {A.shape[1]} columns, the domain's n is {domain.n}")
         scale = _opt(spec, "t", float, 1.0, "objective") if kind == "lasso" else \
             _opt(spec, "scale", float, 1.0, "objective")
+        for key, v in (("A", A), ("b", b), (scale_key, scale)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"objective: field {key!r} must be finite")
+        if kind == "lasso" and not scale > 0:
+            raise ValueError(f"objective: field 't' must be positive, got {scale!r}")
         obj = least_squares(A, b, scale=scale)
         sup = 2.0 * max(0.0, float(dense_eig_oracle((scale * A).T @ (scale * A))[0][0]))
     elif kind == "custom_quadratic":
+        _known(spec, ("kind", "path"), "objective")
         Q, c, sup = _data(_custom_quadratic, _need(spec, "path", str, "objective"))
 
         def ev(x):
@@ -214,13 +236,17 @@ def cmd_solve(args) -> int:
     cfg = _read_json_object(args.config)
     obj_spec = _need(cfg, "objective", dict, "config")
     okind = _need(obj_spec, "kind", str, "objective")
-    if okind == "matcomp":
-        return _solve_matcomp(cfg, obj_spec)
-    if okind == "sdpfeas":
-        return _solve_sdpfeas_cfg(cfg, obj_spec)
+    if okind in ("matcomp", "sdpfeas"):
+        _known(cfg, ("objective", "seed", "out"), "config")
+        return (_solve_matcomp if okind == "matcomp" else _solve_sdpfeas_cfg)(cfg, obj_spec)
+    eps = _opt(cfg, "eps", float, None, "config")
+    _known(cfg, ("objective", "domain", "eps", "max_iters", "schedule", "mode", "seed", "out"),
+           "config")
+    if eps is not None and "schedule" in cfg:
+        raise ValueError("config: 'schedule' does not apply with 'eps': a certified run "
+                         "takes the two-phase schedule")
     dom_spec = _domain_spec(cfg, obj_spec)
     domain = _build_domain(dom_spec)
-    eps = _opt(cfg, "eps", float, None, "config")
     max_iters = _opt(cfg, "max_iters", int, None, "config")
     if eps is None and max_iters is None:
         raise ValueError("config: need 'eps' or 'max_iters'")
@@ -268,12 +294,8 @@ def cmd_solve(args) -> int:
 
 
 def _solve_matcomp(cfg: dict, spec: dict) -> int:
-    # _opt ignores a key it is not asked for, so a removed or misspelt field
-    # would otherwise run the defaults and exit 0
-    unread = sorted(set(spec) - {"kind", "path", "format", "t", "steps", "line_search",
-                                 "preset", "split"})
-    if unread:
-        raise ValueError(f"objective: unknown matcomp field {unread[0]!r}")
+    _known(spec, ("kind", "path", "format", "t", "steps", "line_search", "preset", "split"),
+           "objective")
     trace, summary = _out_paths(cfg)
     ns = argparse.Namespace(
         data=_need(spec, "path", str, "objective"),
@@ -290,6 +312,7 @@ def _solve_matcomp(cfg: dict, spec: dict) -> int:
 
 
 def _solve_sdpfeas_cfg(cfg: dict, spec: dict) -> int:
+    _known(spec, ("kind", "path", "eps"), "objective")
     trace, summary = _out_paths(cfg)
     ns = argparse.Namespace(
         problem=_need(spec, "path", str, "objective"),
@@ -395,11 +418,14 @@ def cmd_bench(args) -> int:
     seed = _opt(cfg, "seed", int, 0, "bench")
     out_path = _need(cfg, "out", str, "bench")
     workers = _opt(cfg, "workers", int, 1, "bench")
+    shared = ("kind", "seed", "out", "workers")
     if kind == "k_sweep":
+        _known(cfg, shared + ("k_max", "n_values"), "bench")
         k_max = _opt(cfg, "k_max", int, 200, "bench")
         header, fn = "n,k,f,error,envelope", _bench_k_point
         payloads = [(n, k_max, seed) for n in _need_list(cfg, "n_values", int, "bench")]
     elif kind == "t_sweep":
+        _known(cfg, shared + ("t_values", "data", "format", "steps", "rho"), "bench")
         t_values = _need_list(cfg, "t_values", float, "bench")
         data = _need(cfg, "data", str, "bench")
         fmt = _choice(cfg, "format", ("tab_100k", "dat_1m"), "bench")

@@ -241,6 +241,19 @@ def _one_error_line(capsys, prefix):
       "max_iters": 5}, "n must be >= 1"),
     ({"objective": {"kind": "quadratic"}, "domain": {"kind": "l1", "n": 3, "t": 0},
       "max_iters": 5}, "t must be positive"),
+    ({"objective": {"kind": "lasso", "A": [[1.0, 0.0]], "b": [1.0], "t": 0},
+      "max_iters": 5}, "'t' must be positive"),
+    ({"objective": {"kind": "lasso", "A": [[1.0, 0.0]], "b": [1.0], "t": -1},
+      "max_iters": 5}, "'t' must be positive"),
+    ({"objective": {"kind": "least_squares", "A": [[1.0, float("nan")]], "b": [1.0]},
+      "domain": {"kind": "simplex", "n": 2}, "max_iters": 5}, "'A' must be finite"),
+    ({"objective": {"kind": "least_squares", "A": [[1.0, 0.0]], "b": [float("inf")]},
+      "domain": {"kind": "simplex", "n": 2}, "max_iters": 5}, "'b' must be finite"),
+    ({"objective": {"kind": "least_squares", "A": [[1.0, 0.0]], "b": [1.0],
+                    "scale": float("nan")},
+      "domain": {"kind": "simplex", "n": 2}, "max_iters": 5}, "'scale' must be finite"),
+    ({"objective": {"kind": "least_squares", "A": [[1.0, 0.0]], "b": [1.0]},
+      "domain": {"kind": "simplex", "n": 3}, "max_iters": 5}, "A has 2 columns"),
 ])
 def test_solve_bad_values_exit_2_with_one_line(tmp_path, capsys, cfg, what):
     assert main(["solve", write_json(tmp_path / "bad.json", cfg)]) == 2
@@ -521,15 +534,67 @@ def test_solve_dispatches_matcomp(tmp_path, capsys):
     assert summary["k"] == 3 and "rmse_test" in summary
 
 
-def test_solve_refuses_a_matcomp_field_it_does_not_read(tmp_path, capsys):
-    # a config that still sets the removed grad_avg must not run the plain
-    # solver and exit 0
-    data = ratings_file(tmp_path, seed=12)
-    cfg = write_json(tmp_path / "mc.json", {
-        "objective": {"kind": "matcomp", "path": data, "t": 2.0, "steps": 3,
-                      "grad_avg": True}})
-    assert main(["solve", cfg]) == 2
-    assert "'grad_avg'" in _one_error_line(capsys, "config error:")
+# One case per config section, each valid once its field is taken out.
+# "{ratings}", "{sdp}", "{q}" and "{out}" name files the test writes.
+_PLAIN = {"objective": {"kind": "quadratic"}, "domain": {"kind": "simplex", "n": 2},
+          "max_iters": 5}
+_CERTIFIED = {"objective": {"kind": "quadratic"}, "domain": {"kind": "simplex", "n": 2},
+              "eps": 0.5}
+_MATCOMP = {"objective": {"kind": "matcomp", "path": "{ratings}", "t": 2.0, "steps": 3}}
+_SDPFEAS = {"objective": {"kind": "sdpfeas", "path": "{sdp}", "eps": 0.2}}
+_AB = {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0]}
+
+
+def _with(cfg, section=None, **fields):
+    return {**cfg, section: {**cfg[section], **fields}} if section else {**cfg, **fields}
+
+
+@pytest.mark.parametrize("argv,cfg,field,where", [
+    ("solve", _with(_PLAIN, shedule="line_search"), "shedule", "config"),
+    ("solve", _with(_CERTIFIED, schedule="harmonic"), "schedule", "config"),
+    ("solve", _with(_MATCOMP, sead=3), "sead", "config"),
+    ("solve", _with(_SDPFEAS, max_iters=5), "max_iters", "config"),
+    ("solve", _with(_PLAIN, "domain", t=2.0), "t", "domain"),
+    ("solve", _with(_PLAIN, "domain", kind="l1", radius=2.0), "radius", "domain"),
+    ("solve", _with(_PLAIN, "objective", scale=2.0), "scale", "objective"),
+    ("solve", _with(_PLAIN, "objective", kind="least_squares", t=2.0, **_AB), "t", "objective"),
+    ("solve", _with(_PLAIN, "objective", kind="lasso", scale=2.0, **_AB), "scale", "objective"),
+    ("solve", _with(_PLAIN, "objective", kind="custom_quadratic", path="{q}", c=[1.0, 0.0]),
+     "c", "objective"),
+    ("solve", _with(_MATCOMP, "objective", grad_avg=True), "grad_avg", "objective"),
+    ("solve", _with(_SDPFEAS, "objective", sead=3), "sead", "objective"),
+    ("solve", _with(_PLAIN, out={"trace": "{out}", "sumary": "{out}"}), "sumary", "out"),
+    ("bench", {"kind": "k_sweep", "n_values": [3], "k_max": 2, "out": "{out}", "kmax": 5},
+     "kmax", "bench"),
+    ("bench", {"kind": "t_sweep", "t_values": [1.0], "data": "{ratings}", "steps": 2,
+               "out": "{out}", "rhoo": 0.5}, "rhoo", "bench"),
+], ids=["config", "config-schedule_with_eps", "config-matcomp", "config-sdpfeas",
+        "domain-simplex", "domain-l1", "objective-quadratic", "objective-least_squares",
+        "objective-lasso", "objective-custom_quadratic", "objective-matcomp",
+        "objective-sdpfeas", "out", "bench-k_sweep", "bench-t_sweep"])
+def test_config_refuses_a_field_it_does_not_read(tmp_path, capsys, argv, cfg, field, where):
+    # nothing reads the field, so it must exit 2, not run as if it were absent
+    # (a misspelt key would run its default; matcomp's grad_avg was removed)
+    sdp = tmp_path / "p.sdp"
+    sdp.write_text("n 2\nt 1.0\nconstraint b=1.0\n0 0 1.0\n1 1 1.0\n")
+    paths = {"{ratings}": ratings_file(tmp_path, seed=12), "{sdp}": str(sdp),
+             "{q}": write_json(tmp_path / "q.json", {"Q": [[1.0, 0.0], [0.0, 1.0]]}),
+             "{out}": str(tmp_path / "out.csv")}
+
+    def run(config):
+        text = json.dumps(config)
+        for key, path in paths.items():
+            text = text.replace(key, path)
+        return main([argv, write_json(tmp_path / "cfg.json", json.loads(text))])
+
+    if where in ("domain", "objective", "out"):
+        without = {**cfg, where: {k: v for k, v in cfg[where].items() if k != field}}
+    else:
+        without = {k: v for k, v in cfg.items() if k != field}
+    assert run(without) == 0
+    capsys.readouterr()
+    assert run(cfg) == 2
+    assert repr(field) in _one_error_line(capsys, f"config error: {where}: ")
 
 
 def test_complete_refuses_the_removed_grad_avg_flag(tmp_path, capsys):
