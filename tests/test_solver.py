@@ -287,6 +287,60 @@ def test_certified_run_with_approximate_lmo_budget():
     assert run.k_hat <= 2 * K + 1
 
 
+def _spy_fw_run(monkeypatch):
+    """[(kwargs, result)] of every fw_run call that gap_certified_run makes."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs, fw_run(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, "fw_run", spy)
+    return calls
+
+
+def test_certified_run_ending_on_its_best_row_runs_once(monkeypatch):
+    calls = _spy_fw_run(monkeypatch)
+    run = gap_certified_run(squared_norm(curvature_bound=2.0), SpectrahedronDomain(6), eps=0.4,
+                            lmo_mode="approx", seed=3)
+    assert run.stopped_on == "gap" and run.k_hat == run.trace.final().k
+    assert len(calls) == 1 and run.ledger is calls[0][1].ledger
+    assert run.matvecs == run.trace.final().matvecs > 0
+
+
+@pytest.mark.parametrize("kind", ["spect", "l1"])
+def test_certified_run_reruns_to_a_best_row_before_its_stop_row(kind, monkeypatch):
+    # target_lower lies above f*, so the run never stops on it and goes on to
+    # 2K+1 past its smallest-gap row; the rerun to k_hat returns that row's bits
+    if kind == "spect":
+        obj, dom = squared_norm(curvature_bound=2.0), SpectrahedronDomain(8)
+        eps, mode = 0.4, "approx"
+    else:
+        c = np.random.default_rng(6).standard_normal(10)
+        dom, eps, mode = L1BallDomain(10, 1.0), 0.2, "exact"
+        obj = squared_distance(2.0 * c / np.abs(c).sum(),
+                               curvature_bound=curvature_from_hessian(2.0, dom.diam_sq))
+    calls = _spy_fw_run(monkeypatch)
+    run = gap_certified_run(obj, dom, eps, lmo_mode=mode, seed=3, target_lower=10.0)
+    assert run.stopped_on == "max_iters" and 0 < run.k_hat < run.trace.final().k
+    assert len(calls) == 2 and calls[1][0]["stop"] == StopRule(max_iters=run.k_hat)
+    assert run.matvecs == run.trace.final().matvecs + calls[1][1].matvecs
+
+    seen = {}
+
+    def keep(k, x, fx, gap):
+        if k == run.k_hat:
+            point = x.x.copy() if isinstance(x, solver.DenseIterate) else x.point_builder()()
+            seen.update(point=point, labels=[a.label for a in x.atoms],
+                        weights=x.weights.copy(), gap=gap)
+
+    fw_run(obj, dom, **dict(calls[0][0], on_iterate=keep))
+    assert seen["gap"] == run.gap_bound == min(r.gap for r in run.trace.rows)
+    assert run.point.tobytes() == seen["point"].tobytes()
+    assert [a.label for a in run.ledger.atoms] == seen["labels"]
+    assert run.ledger.weights.tobytes() == seen["weights"].tobytes()
+
+
 def test_approx_rate_with_inner_tolerance():
     # tolerated LMO error alpha*C doubles the envelope constant
     rng = make_rng(1)
