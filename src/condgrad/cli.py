@@ -242,7 +242,7 @@ def cmd_solve(args) -> int:
     eps = _opt(cfg, "eps", float, None, "config")
     _known(cfg, ("objective", "domain", "eps", "max_iters", "schedule", "mode", "seed", "out"),
            "config")
-    if eps is not None and "schedule" in cfg:
+    if eps is not None and cfg.get("schedule") is not None:
         raise ValueError("config: 'schedule' does not apply with 'eps': a certified run "
                          "takes the two-phase schedule")
     dom_spec = _domain_spec(cfg, obj_spec)
